@@ -36,8 +36,19 @@ class CrossEdgeError(Exception):
     """The glued graph would need edges neither input determines."""
 
 
+class InvalidLimit(ValueError):
+    """``MEMLANG_MAX_UNDEF`` is not a non-negative integer."""
+
+
 def _completion_limit() -> int:
-    return int(os.environ.get("MEMLANG_MAX_UNDEF", str(DEFAULT_MAX_UNDEF)))
+    raw = os.environ.get("MEMLANG_MAX_UNDEF", str(DEFAULT_MAX_UNDEF))
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise InvalidLimit(f"MEMLANG_MAX_UNDEF must be a non-negative integer, got {raw!r}")
+    return limit
 
 
 class PartialBigraph:

@@ -245,13 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="exact terminal distribution")
     p_enum.add_argument("file")
-    p_enum.add_argument("--json", action="store_true", help="JSON output (always on)")
     p_enum.add_argument("--observe", action="store_true")
     p_enum.set_defaults(fn=cmd_enumerate)
 
     p_den = sub.add_parser("denote", help="compositional distribution at the empty world")
     p_den.add_argument("file")
-    p_den.add_argument("--json", action="store_true", help="JSON output (always on)")
     p_den.set_defaults(fn=cmd_denote)
 
     p_sound = sub.add_parser("soundness", help="compare the two semantics")
@@ -290,7 +288,7 @@ def main(argv=None) -> int:
     except D.FreshnessViolation as exc:
         print(f"freshness violation: {exc}", file=sys.stderr)
         return EXIT_FRESHNESS
-    except (OSError, B.TooManyUndefined) as exc:
+    except (OSError, B.TooManyUndefined, B.InvalidLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator, Mapping, TypeVar, Union
 
 from . import bigraph as B
 from . import opsem as O
@@ -34,6 +34,7 @@ from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, weighted_mi
 
 BiasState = Mapping[int, Fraction]
 BiasKey = tuple[tuple[int, Fraction], ...]
+K = TypeVar("K")
 
 EMPTY_WORLD = B.empty_total()
 
@@ -113,32 +114,11 @@ def canonicalize(
     if not (set(base.left) <= set(world.left) and set(base.right) <= set(world.right)):
         raise ValueError("world does not extend the base graph")
 
-    fresh_fun_order: list[int] = []
-    fresh_atom_order: list[int] = []
-
-    def visit(v: O.EnvValue) -> None:
-        if isinstance(v, O.AtomV):
-            if v.label not in base.right and v.label not in fresh_atom_order:
-                fresh_atom_order.append(v.label)
-        elif isinstance(v, O.FunV):
-            if v.label not in base.left and v.label not in fresh_fun_order:
-                fresh_fun_order.append(v.label)
-        elif isinstance(v, O.PairV):
-            visit(v.fst)
-            visit(v.snd)
-
-    visit(value)
+    funs, atoms = O.value_labels(value)
+    fresh_fun_order = [f for f in funs if f not in base.left]
+    fresh_atom_order = [a for a in atoms if a not in base.right]
     fmap = dict(zip(fresh_fun_order, B.smallest_free(len(fresh_fun_order), base.left)))
     amap = dict(zip(fresh_atom_order, B.smallest_free(len(fresh_atom_order), base.right)))
-
-    def rename(v: O.EnvValue) -> O.EnvValue:
-        if isinstance(v, O.AtomV):
-            return O.AtomV(amap.get(v.label, v.label))
-        if isinstance(v, O.FunV):
-            return O.FunV(fmap.get(v.label, v.label))
-        if isinstance(v, O.PairV):
-            return O.PairV(rename(v.fst), rename(v.snd))
-        return v
 
     edges: list[tuple[int, int, bool]] = []
     for f in [*sorted(base.left), *fresh_fun_order]:
@@ -146,11 +126,12 @@ def canonicalize(
             if f in base.left and a in base.right:
                 continue
             v = world.edge(f, a)
-            assert v is not None
+            if v is None:
+                raise ValueError(f"world leaves edge ({f}, {a}) unsampled")
             edges.append((fmap.get(f, f), amap.get(a, a), v))
     return CanonicalClass(
         base,
-        rename(value),
+        O.relabel(value, fmap, amap),
         tuple(fmap.values()),
         tuple(as_prob(biases[f]) for f in fresh_fun_order),
         tuple(amap.values()),
@@ -172,6 +153,19 @@ def class_world(cls: CanonicalClass) -> B.TotalBigraph:
 
 # ---------------------------------------------------------------------------
 # Bias-indexed distributions
+
+
+def _bernoulli_product(chances: Mapping[K, Fraction]) -> Iterator[tuple[dict[K, bool], Fraction]]:
+    """Every joint outcome of independent coins, one per key of ``chances``
+    (the chance of True), with its product weight; weight-0 outcomes are
+    skipped.  Outcomes come in binary-counting order, False before True."""
+    keys = list(chances)
+    for bits in itertools.product((False, True), repeat=len(keys)):
+        weight = ONE
+        for key, bit in zip(keys, bits):
+            weight *= chances[key] if bit else ONE - chances[key]
+        if weight != ZERO:
+            yield dict(zip(keys, bits)), weight
 
 
 class MonValue:
@@ -265,45 +259,24 @@ def transport(m: MonValue, emb: B.Embedding) -> MonValue:
             falias = {f: next_f + i for i, f in enumerate(cls.fresh_funs)}
             aalias = {a: next_a + i for i, a in enumerate(cls.fresh_atoms)}
             fbias = {falias[f]: b for f, b in zip(cls.fresh_funs, cls.fresh_biases)}
-
-            def rename_atom(a: int) -> int:
-                return aalias[a] if a in aalias else rmap[a]
-
-            def rename_fun(f: int) -> int:
-                return falias[f] if f in falias else lmap[f]
-
-            def rename(v: O.EnvValue) -> O.EnvValue:
-                if isinstance(v, O.AtomV):
-                    return O.AtomV(rename_atom(v.label))
-                if isinstance(v, O.FunV):
-                    return O.FunV(rename_fun(v.label))
-                if isinstance(v, O.PairV):
-                    return O.PairV(rename(v.fst), rename(v.snd))
-                return v
-
-            mapped_edges = {
-                (rename_fun(f), rename_atom(a)): v for f, a, v in cls.ext_edges
-            }
-            cross = [(nf, aalias[a]) for nf in new_funs for a in cls.fresh_atoms]
-            cross += [(falias[f], na) for f in cls.fresh_funs for na in new_atoms]
-            for bits in itertools.product((False, True), repeat=len(cross)):
-                weight = p
-                for (f, a), bit in zip(cross, bits):
-                    chance = bias2[f] if f in bias2 else fbias[f]
-                    weight *= chance if bit else ONE - chance
-                if weight == ZERO:
-                    continue
+            fmap = {**lmap, **falias}
+            amap = {**rmap, **aalias}
+            value = O.relabel(cls.value, fmap, amap)
+            mapped_edges = {(fmap[f], amap[a]): v for f, a, v in cls.ext_edges}
+            cross = {(nf, aalias[a]): bias2[nf] for nf in new_funs for a in cls.fresh_atoms}
+            cross.update(
+                {(falias[f], na): fbias[falias[f]] for f in cls.fresh_funs for na in new_atoms}
+            )
+            for outcome, weight in _bernoulli_product(cross):
                 edges = {pair: v for pair, v in target.edge_items()}
                 edges.update(mapped_edges)
-                edges.update({pair: bit for pair, bit in zip(cross, bits)})
+                edges.update(outcome)
                 world = B.TotalBigraph(
                     set(target.left) | set(falias.values()),
                     set(target.right) | set(aalias.values()),
                     edges,
                 )
-                flattened.append(
-                    (canonicalize(target, world, rename(cls.value), fbias), weight)
-                )
+                flattened.append((canonicalize(target, world, value, fbias), p * weight))
         return FinDist(flattened)
 
     return MonValue(target, fn)
@@ -338,13 +311,8 @@ def den_fresh(graph: B.TotalBigraph) -> MonValue:
 
     def fn(bias: dict[int, Fraction]) -> FinDist[CanonicalClass]:
         branches = []
-        for bits in itertools.product((False, True), repeat=len(funs)):
-            weight = ONE
-            for f, bit in zip(funs, bits):
-                weight *= bias[f] if bit else ONE - bias[f]
-            if weight == ZERO:
-                continue
-            world, atom = graph.add_right_defined(dict(zip(funs, bits)))
+        for wiring, weight in _bernoulli_product({f: bias[f] for f in funs}):
+            world, atom = graph.add_right_defined(wiring)
             branches.append((canonicalize(graph, world, O.AtomV(atom), {}), weight))
         return FinDist(branches)
 
@@ -412,13 +380,8 @@ def den_mem(
     }
     new_bias = _fresh_bias(graph, env, binder, body, bias)
     branches = []
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        weight = ONE
-        for a, bit in zip(atoms, bits):
-            weight *= per_atom[a] if bit else ONE - per_atom[a]
-        if weight == ZERO:
-            continue
-        world, fun = graph.add_left_defined(dict(zip(atoms, bits)))
+    for row, weight in _bernoulli_product(per_atom):
+        world, fun = graph.add_left_defined(row)
         branches.append((canonicalize(graph, world, O.FunV(fun), {fun: new_bias}), weight))
     return FinDist(branches)
 
@@ -523,27 +486,29 @@ def _closure_biases(config: O.Configuration, total: B.TotalBigraph) -> dict[int,
     return biases
 
 
-def _den_config(config: O.Configuration, chain_rule: bool) -> FinDist[CanonicalClass]:
+def _den_config(
+    config: O.Configuration,
+) -> tuple[FinDist[CanonicalClass], FinDist[CanonicalClass]]:
+    """Both weightings of a configuration's completions, from one pass:
+    (chain rule, single bias).  See ``den_config``."""
     if O.memo_stack(config.term):
         raise ValueError("configuration denotation requires a marker-free term")
     undef = sorted(config.graph.undefined_pairs())
-    branches = []
+    chain, single = [], []
     for total, assign in config.graph.completions():
         biases = _closure_biases(config, total)
-        weight = ONE
+        lam_key = _bias_key(biases)
+        chain_w = single_w = ONE
         for fun, atom in undef:
-            if chain_rule:
-                closure = config.closures[fun]
-                p = _cached_prob_true(
-                    closure.body,
-                    total,
-                    closure.captured.set(closure.binder, O.AtomV(atom)),
-                    _bias_key(biases),
-                )
-            else:
-                p = biases[fun]
-            weight *= p if assign[(fun, atom)] else ONE - p
-        if weight == ZERO:
+            closure = config.closures[fun]
+            p = _cached_prob_true(
+                closure.body, total, closure.captured.set(closure.binder, O.AtomV(atom)), lam_key
+            )
+            q = biases[fun]
+            bit = assign[(fun, atom)]
+            chain_w *= p if bit else ONE - p
+            single_w *= q if bit else ONE - q
+        if chain_w == ZERO and single_w == ZERO:
             continue
         result = den_comp(config.term, total, config.env).at(biases)
         flattened = []
@@ -553,8 +518,10 @@ def _den_config(config: O.Configuration, chain_rule: bool) -> FinDist[CanonicalC
             flattened.append(
                 (canonicalize(EMPTY_WORLD, class_world(cls), cls.value, all_biases), q)
             )
-        branches.append((weight, FinDist(flattened)))
-    return weighted_mix(branches)
+        dist = FinDist(flattened)
+        chain.append((chain_w, dist))
+        single.append((single_w, dist))
+    return weighted_mix(chain), weighted_mix(single)
 
 
 def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
@@ -564,13 +531,9 @@ def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
     the factor for edge (f, a) is the probability f's closure body yields
     true at atom a in the completed world.  (Weighting every edge of f by
     f's single bias instead agrees for constant bodies but not in general;
-    ``den_config_function_bias`` computes that variant for comparison.)
+    ``check_soundness`` reports that variant as ``bias_formula_rhs``.)
     """
-    return _den_config(config, chain_rule=True)
-
-
-def den_config_function_bias(config: O.Configuration) -> FinDist[CanonicalClass]:
-    return _den_config(config, chain_rule=False)
+    return _den_config(config)[0]
 
 
 @dataclass
@@ -587,10 +550,9 @@ def check_soundness(program: S.Comp) -> SoundnessReport:
     weighted sum of its terminal configurations' denotations."""
     lhs = den_program(program)
     terminals = O.enumerate_bigstep(program)
-    chain = [(w, _den_config(cfg, True)) for cfg, w in terminals.items()]
-    alt = [(w, _den_config(cfg, False)) for cfg, w in terminals.items()]
-    rhs = weighted_mix(chain)
-    bias_rhs = weighted_mix(alt)
+    halves = [(w, _den_config(cfg)) for cfg, w in terminals.items()]
+    rhs = weighted_mix([(w, chain) for w, (chain, _) in halves])
+    bias_rhs = weighted_mix([(w, single) for w, (_, single) in halves])
     return SoundnessReport(
         lhs=lhs,
         rhs=rhs,

@@ -106,15 +106,6 @@ def map_dist(dist: FinDist[T], fn: Callable[[T], U]) -> FinDist[U]:
     return FinDist([(fn(value), w) for value, w in dist.items()])
 
 
-def bind_dist(dist: FinDist[T], kont: Callable[[T], FinDist[U]]) -> FinDist[U]:
-    """Kleisli extension: mix ``kont(value)`` with weight ``dist(value)``."""
-    acc: dict[U, Fraction] = {}
-    for value, w in dist.items():
-        for out, q in kont(value).items():
-            acc[out] = acc.get(out, ZERO) + w * q
-    return FinDist(acc)
-
-
 def dist_eq(a: FinDist[T], b: FinDist[T]) -> bool:
     """Exact equality: same support, identical rational weights."""
     return a == b

@@ -163,21 +163,39 @@ def value_to_json(value: EnvValue):
     raise TypeError(f"not a runtime value: {value!r}")
 
 
-def value_labels(value: EnvValue) -> tuple[set[int], set[int]]:
-    """(function labels, atom labels) mentioned in a runtime value."""
-    funs: set[int] = set()
-    atoms: set[int] = set()
+def value_labels(
+    value: EnvValue, funs: Optional[list[int]] = None, atoms: Optional[list[int]] = None
+) -> tuple[list[int], list[int]]:
+    """(function labels, atom labels) mentioned in a runtime value, in
+    first-occurrence order of a left-to-right traversal.  Labels are
+    appended to ``funs``/``atoms`` when given, skipping ones already there."""
+    funs = [] if funs is None else funs
+    atoms = [] if atoms is None else atoms
     stack = [value]
     while stack:
         v = stack.pop()
         if isinstance(v, FunV):
-            funs.add(v.label)
+            if v.label not in funs:
+                funs.append(v.label)
         elif isinstance(v, AtomV):
-            atoms.add(v.label)
+            if v.label not in atoms:
+                atoms.append(v.label)
         elif isinstance(v, PairV):
-            stack.append(v.fst)
             stack.append(v.snd)
+            stack.append(v.fst)
     return funs, atoms
+
+
+def relabel(value: EnvValue, fmap: Mapping[int, int], amap: Mapping[int, int]) -> EnvValue:
+    """Rename a value's function and atom labels; labels missing from a map
+    are kept."""
+    if isinstance(value, FunV):
+        return FunV(fmap.get(value.label, value.label))
+    if isinstance(value, AtomV):
+        return AtomV(amap.get(value.label, value.label))
+    if isinstance(value, PairV):
+        return PairV(relabel(value.fst, fmap, amap), relabel(value.snd, fmap, amap))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +270,7 @@ def _validate(config: Configuration) -> None:
         raise MalformedConfiguration("closure map must cover exactly the function labels")
     for _, value in config.env.items():
         funs, atoms = value_labels(value)
-        if not funs <= set(config.graph.left) or not atoms <= set(config.graph.right):
+        if not set(funs) <= config.graph.left or not set(atoms) <= config.graph.right:
             raise MalformedConfiguration("environment mentions labels outside the graph")
     t = config.term
     while True:
@@ -395,7 +413,8 @@ def step(config: Configuration) -> FinDist[Configuration]:
     for successor, _, _ in outcomes:
         # progress: every rule shrinks the term except entering a pending
         # memoization, which permanently claims one unsampled edge
-        assert app_on_undef or _term_size(successor.term) < before
+        if not app_on_undef and _term_size(successor.term) >= before:
+            raise MalformedConfiguration(f"step did not shrink {S.pretty(config.term)}")
     return FinDist([(cfg, w) for cfg, w, _ in outcomes])
 
 
@@ -545,21 +564,7 @@ def observe(config: Configuration) -> Observation:
         )
     value = eval_value(config.env, config.term.value)
 
-    atoms: list[int] = []
-    funs: list[int] = []
-
-    def visit(v: EnvValue) -> None:
-        if isinstance(v, AtomV):
-            if v.label not in atoms:
-                atoms.append(v.label)
-        elif isinstance(v, FunV):
-            if v.label not in funs:
-                funs.append(v.label)
-        elif isinstance(v, PairV):
-            visit(v.fst)
-            visit(v.snd)
-
-    visit(value)
+    funs, atoms = value_labels(value)
     kept_envs: dict[int, list[tuple[str, EnvValue]]] = {}
     i = 0
     while i < len(funs):
@@ -575,20 +580,11 @@ def observe(config: Configuration) -> Observation:
                 )
             captured = closure.captured[name]
             items.append((name, captured))
-            visit(captured)
+            value_labels(captured, funs, atoms)
         kept_envs[label] = items
 
     amap = {old: new for new, old in enumerate(atoms)}
     fmap = {old: new for new, old in enumerate(funs)}
-
-    def relabel(v: EnvValue) -> EnvValue:
-        if isinstance(v, AtomV):
-            return AtomV(amap[v.label])
-        if isinstance(v, FunV):
-            return FunV(fmap[v.label])
-        if isinstance(v, PairV):
-            return PairV(relabel(v.fst), relabel(v.snd))
-        return v
 
     edges = {
         (fmap[f], amap[a]): config.graph.edge(f, a) for f in funs for a in atoms
@@ -600,11 +596,11 @@ def observe(config: Configuration) -> Observation:
             S.alpha_canonical(
                 S.MemFn(config.closures[label].binder, config.closures[label].body)
             ),
-            tuple((name, relabel(v)) for name, v in kept_envs[label]),
+            tuple((name, relabel(v, fmap, amap)) for name, v in kept_envs[label]),
         )
         for label in funs
     )
-    return Observation(relabel(value), graph, closures)
+    return Observation(relabel(value, fmap, amap), graph, closures)
 
 
 def observational_bigstep(program: S.Comp) -> FinDist[Observation]:

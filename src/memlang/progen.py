@@ -196,7 +196,8 @@ class ProgramGen:
         if kind == "matchc":
             name = self.rng.choice(self._pairs(scope))
             prod = dict(scope.types)[name]
-            assert isinstance(prod, TC.ProdT)
+            if not isinstance(prod, TC.ProdT):
+                raise TypeError(f"{name} is not a pair: {prod!r}")
             fst, snd = self._ident("m"), self._ident("m")
             inner = self._bind(self._bind(scope, fst, prod.fst), snd, prod.snd)
             want = self._branch_want(inner)
@@ -302,7 +303,8 @@ def _mem_instance(rng: random.Random) -> tuple[list[tuple[str, S.Comp]], S.MemFn
         # let the body mention the probe atom itself
         body_scope["nu"] = TC.ATOM
     fn = gen.gen_memfn(body_scope)
-    assert S.syntactic_freshness_check(fn)
+    if not S.syntactic_freshness_check(fn):
+        raise ValueError(f"generated abstraction is not freshness-clean: {S.pretty(fn)}")
     return setup, fn
 
 

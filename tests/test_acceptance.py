@@ -257,8 +257,8 @@ def test_criterion_6_soundness_corpus():
 def _check_class_shape(cls: D.CanonicalClass, ty) -> None:
     fresh_labels = set(cls.fresh_funs) | set(cls.fresh_atoms)
     funs, atoms = O.value_labels(cls.value)
-    assert set(cls.fresh_funs) <= funs | set(cls.base.left)
-    assert set(cls.fresh_atoms) <= atoms | set(cls.base.right)
+    assert set(cls.fresh_funs) <= set(funs) | set(cls.base.left)
+    assert set(cls.fresh_atoms) <= set(atoms) | set(cls.base.right)
     assert len(cls.fresh_biases) == len(cls.fresh_funs)
     if ty == TC.BOOL:
         assert isinstance(cls.value, O.BoolV) and not fresh_labels

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from memlang import cli
 from memlang import denot as D
@@ -132,6 +133,21 @@ def test_laws_commands(capsys):
     assert code == 0 and payload["failures"] == []
     code, payload = run_cli(capsys, "laws", "--monad", "--count", "2", "--seed", "2")
     assert code == 0 and payload["failures"] == []
+
+
+def test_json_flag_is_gone(capsys):
+    path = str(PROGRAMS / "sound" / "p1_third.mem")
+    assert cli.main(["denote", "--json", path]) == 64
+    assert cli.main(["enumerate", "--json", path]) == 64
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_invalid_max_undef_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", value)
+    code = cli.main(["soundness", str(PROGRAMS / "sound" / "p1_third.mem")])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.count("\n") == 1 and "MEMLANG_MAX_UNDEF" in err
 
 
 def test_soundness_requires_target(capsys):

@@ -293,7 +293,7 @@ def test_den_config_chain_rule_on_unsampled_edge():
     assert dist_eq(got, expected)
     assert dist_eq(got, D.den_program(p))
     # the single-bias weighting puts everything on the bias-0 completion
-    alt = D.den_config_function_bias(cfg)
+    alt = D.check_soundness(p).bias_formula_rhs
     assert not dist_eq(alt, got)
     ((alt_cls, alt_w),) = alt.items()
     assert alt_w == ONE and alt_cls.ext_edges == ((0, 0, False),)

@@ -24,6 +24,29 @@ def load(name: str) -> S.Comp:
     return S.parse_program((PROGRAMS / name).read_text())
 
 
+# -- value labels -------------------------------------------------------------
+
+
+def test_value_labels_first_occurrence_order():
+    value = O.PairV(O.PairV(O.AtomV(3), O.FunV(5)), O.PairV(O.AtomV(1), O.AtomV(3)))
+    assert O.value_labels(value) == ([5], [3, 1])
+    assert O.value_labels(O.BoolV(True)) == ([], [])
+
+
+def test_value_labels_extends_given_lists():
+    funs, atoms = [7], [1]
+    out = O.value_labels(O.PairV(O.FunV(2), O.PairV(O.AtomV(1), O.AtomV(0))), funs, atoms)
+    assert out[0] is funs and out[1] is atoms
+    assert (funs, atoms) == ([7, 2], [1, 0])
+
+
+def test_relabel_keeps_unmapped_labels():
+    value = O.PairV(O.FunV(0), O.PairV(O.AtomV(1), O.AtomV(2)))
+    expected = O.PairV(O.FunV(9), O.PairV(O.AtomV(1), O.AtomV(4)))
+    assert O.relabel(value, {0: 9}, {2: 4}) == expected
+    assert O.relabel(O.BoolV(False), {}, {}) == O.BoolV(False)
+
+
 # -- eval_value ---------------------------------------------------------------
 
 
@@ -99,6 +122,14 @@ def test_step_flip_degenerate():
     assert len(out) == 1
     ((succ, w),) = out.items()
     assert w == ONE and S.pretty(succ.term) == "return true"
+
+
+def test_step_progress_check_survives_optimization(monkeypatch):
+    # a size measure that never shrinks makes every non-memo step a violation
+    monkeypatch.setattr(O, "_term_size", lambda term: 1)
+    cfg = O.initial_configuration(S.parse_program("flip(1/2)"))
+    with pytest.raises(O.MalformedConfiguration, match="did not shrink"):
+        O.step(cfg)
 
 
 def test_step_let_return_extends_env():
