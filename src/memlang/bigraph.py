@@ -32,10 +32,6 @@ class TooManyUndefined(Exception):
         self.limit = limit
 
 
-class CrossEdgeError(Exception):
-    """The glued graph would need edges neither input determines."""
-
-
 class InvalidLimit(ValueError):
     """``MEMLANG_MAX_UNDEF`` is not a non-negative integer."""
 
@@ -131,11 +127,11 @@ class PartialBigraph:
         }
         return PartialBigraph(keep_left, keep_right, edges)
 
-    def completions(self, limit: int | None = None) -> list[tuple["TotalBigraph", dict[tuple[int, int], bool]]]:
+    def completions(self) -> list[tuple["TotalBigraph", dict[tuple[int, int], bool]]]:
         """All total extensions, in binary-counting order over the sorted
         undefined pairs (False before True)."""
         undef = sorted(self.undefined_pairs())
-        limit = _completion_limit() if limit is None else limit
+        limit = _completion_limit()
         if len(undef) > limit:
             raise TooManyUndefined(len(undef), limit)
         out = []
@@ -249,78 +245,6 @@ class Embedding:
             for a in self.source.right:
                 if self.source.edge(f, a) != self.target.edge(lm[f], rm[a]):
                     raise ValueError(f"embedding does not preserve edge ({f}, {a})")
-
-
-def is_embedding(source, target, left_map, right_map) -> bool:
-    try:
-        Embedding.make(source, target, left_map, right_map)
-        return True
-    except ValueError:
-        return False
-
-
-def pushout(leg_h: Embedding, leg_g2: Embedding) -> tuple[PartialBigraph, Embedding, Embedding]:
-    """Glue two extensions of a common graph along it.
-
-    Fresh nodes of both targets are kept disjoint.  If one target has fresh
-    left nodes and the other fresh right nodes, the glued graph would need
-    edges neither input determines; that case raises CrossEdgeError (callers
-    that know the missing biases must fill such edges themselves).
-    """
-    if leg_h.source != leg_g2.source:
-        raise ValueError("both legs must share the same source graph")
-    g = leg_h.source
-    h, g2 = leg_h.target, leg_g2.target
-    h_lmap, h_rmap = leg_h.lmap(), leg_h.rmap()
-    g2_lmap, g2_rmap = leg_g2.lmap(), leg_g2.rmap()
-
-    fresh_h_left = sorted(set(h.left) - set(h_lmap.values()))
-    fresh_h_right = sorted(set(h.right) - set(h_rmap.values()))
-    fresh_g2_left = sorted(set(g2.left) - set(g2_lmap.values()))
-    fresh_g2_right = sorted(set(g2.right) - set(g2_rmap.values()))
-    if (fresh_h_left and fresh_g2_right) or (fresh_g2_left and fresh_h_right):
-        raise CrossEdgeError(
-            "gluing would create function/atom pairs with no edge value"
-        )
-
-    # result labels: 0.. for the shared part, then h's fresh part, then g2's
-    out_lh: dict[int, int] = {}
-    out_rh: dict[int, int] = {}
-    out_lg2: dict[int, int] = {}
-    out_rg2: dict[int, int] = {}
-    next_l = next_r = 0
-    for f in sorted(g.left):
-        out_lh[h_lmap[f]] = out_lg2[g2_lmap[f]] = next_l
-        next_l += 1
-    for a in sorted(g.right):
-        out_rh[h_rmap[a]] = out_rg2[g2_rmap[a]] = next_r
-        next_r += 1
-    for f in fresh_h_left:
-        out_lh[f] = next_l
-        next_l += 1
-    for f in fresh_g2_left:
-        out_lg2[f] = next_l
-        next_l += 1
-    for a in fresh_h_right:
-        out_rh[a] = next_r
-        next_r += 1
-    for a in fresh_g2_right:
-        out_rg2[a] = next_r
-        next_r += 1
-
-    edges: dict[tuple[int, int], EdgeVal] = {}
-    for f in h.left:
-        for a in h.right:
-            edges[(out_lh[f], out_rh[a])] = h.edge(f, a)
-    for f in g2.left:
-        for a in g2.right:
-            edges[(out_lg2[f], out_rg2[a])] = g2.edge(f, a)
-    graph = PartialBigraph(range(next_l), range(next_r), edges)
-    if graph.is_total():
-        graph = graph.to_total()
-    emb_h = Embedding.make(h, graph, out_lh, out_rh)
-    emb_g2 = Embedding.make(g2, graph, out_lg2, out_rg2)
-    return graph, emb_h, emb_g2
 
 
 def smallest_free(count: int, used: Iterable[int]) -> list[int]:

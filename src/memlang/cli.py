@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 syntax or type error, 2 freshness violation,
-3 semantic mismatch, 64 usage or I/O error.  Output on stdout is JSON with
-sorted keys and is deterministic given flags and seed; timing goes to
-stderr.
+3 semantic mismatch, 64 usage or I/O error, an exceeded limit, or nesting
+too deep for the recursive parser and evaluators.  Output on stdout is
+JSON with sorted keys and is deterministic given flags and seed; timing
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
         return EXIT_FRESHNESS
     except (OSError, B.TooManyUndefined, B.InvalidLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: program nesting is too deep", file=sys.stderr)
         return EXIT_USAGE
 
 

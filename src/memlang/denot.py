@@ -1,10 +1,13 @@
 """Compositional semantics over totally populated memo-table worlds.
 
-A computation at a world g (a total bigraph) denotes, for each assignment of
-biases to g's functions, an exact distribution over canonical classes: a
-result value together with just the fresh structure it mentions.  Fresh
-nodes a value does not mention are garbage-collected and their edge choices
-marginalized away, so boolean results always collapse to bare classes.
+A computation is evaluated at a world g (a total bigraph) and a bias state,
+which assigns each of g's functions its chance of answering true on atoms
+that do not exist yet.  The result is an exact distribution over
+canonical classes: a result value together with just the fresh structure it
+mentions.  Fresh nodes a value does not mention are garbage-collected and
+their edge choices marginalized away, so boolean results always collapse to
+bare classes.  ``bind`` evaluates a continuation at each class's extended
+world, under the bias state extended by the class's fresh functions.
 
 A class records, relative to its base world: the value, fresh function
 labels with their biases (the chance of answering true on atoms that do not
@@ -59,8 +62,16 @@ class FreshnessViolation(Exception):
         self.witness_b = witness_b
 
 
+def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> dict[int, Fraction]:
+    """The bias state as exact probabilities; it must assign exactly the
+    world's functions, each a probability in [0, 1]."""
+    if set(bias) != graph.left:
+        raise ValueError(f"bias state must assign exactly the functions {sorted(graph.left)}")
+    return {f: as_prob(p) for f, p in bias.items()}
+
+
 def _bias_key(bias: BiasState) -> BiasKey:
-    return tuple(sorted((f, as_prob(p)) for f, p in dict(bias).items()))
+    return tuple(sorted(bias.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +163,7 @@ def class_world(cls: CanonicalClass) -> B.TotalBigraph:
 
 
 # ---------------------------------------------------------------------------
-# Bias-indexed distributions
+# The monad at a bias state
 
 
 def _bernoulli_product(chances: Mapping[K, Fraction]) -> Iterator[tuple[dict[K, bool], Fraction]]:
@@ -168,118 +179,91 @@ def _bernoulli_product(chances: Mapping[K, Fraction]) -> Iterator[tuple[dict[K, 
             yield dict(zip(keys, bits)), weight
 
 
-class MonValue:
-    """A result at a world: for each bias state over the world's functions,
-    an exact distribution over canonical classes at that world."""
-
-    __slots__ = ("base", "_fn", "_cache")
-
-    def __init__(self, base: B.TotalBigraph, fn: Callable[[dict[int, Fraction]], FinDist[CanonicalClass]]):
-        self.base = base
-        self._fn = fn
-        self._cache: dict[BiasKey, FinDist[CanonicalClass]] = {}
-
-    def at(self, bias: BiasState) -> FinDist[CanonicalClass]:
-        key = _bias_key(bias)
-        if {f for f, _ in key} != set(self.base.left):
-            raise ValueError(
-                f"bias state must assign exactly the functions {sorted(self.base.left)}"
-            )
-        if key not in self._cache:
-            dist = self._fn(dict(key))
-            for cls in dist.support():
-                if cls.base != self.base:
-                    raise ValueError("class produced at the wrong base world")
-            self._cache[key] = dist
-        return self._cache[key]
+def unit(graph: B.TotalBigraph, value: O.EnvValue) -> FinDist[CanonicalClass]:
+    return dirac(canonicalize(graph, graph, value, {}))
 
 
-def unit(graph: B.TotalBigraph, value: O.EnvValue) -> MonValue:
-    cls = canonicalize(graph, graph, value, {})
-    return MonValue(graph, lambda bias: dirac(cls))
-
-
-def bind(m: MonValue, kont: Callable[[B.TotalBigraph, O.EnvValue], MonValue]) -> MonValue:
-    """Sequence m with a continuation evaluated at each class's own world.
+def bind(
+    graph: B.TotalBigraph,
+    bias: dict[int, Fraction],
+    dist: FinDist[CanonicalClass],
+    kont: Callable[[B.TotalBigraph, O.EnvValue, dict[int, Fraction]], FinDist[CanonicalClass]],
+) -> FinDist[CanonicalClass]:
+    """Sequence a result at (graph, bias) with a continuation evaluated at
+    each class's own world, under the bias state extended by the class's
+    fresh function biases.
 
     The continuation's classes, living over the extended world, are
-    re-expressed over m's base by unioning the fresh parts; garbage
+    re-expressed over graph by unioning the fresh parts; garbage
     collection then merges branches that differ only in discarded nodes.
     """
-    g = m.base
-
-    def fn(bias: dict[int, Fraction]) -> FinDist[CanonicalClass]:
-        branches = []
-        for cls, p in m.at(bias).items():
-            world = class_world(cls)
-            carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
-            inner = kont(world, cls.value)
-            if inner.base != world:
+    branches = []
+    for cls, p in dist.items():
+        world = class_world(cls)
+        carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
+        lam = dict(bias)
+        lam.update(carried)
+        flattened = []
+        for cls2, q in kont(world, cls.value, lam).items():
+            if cls2.base != world:
                 raise ValueError("continuation must answer at the extended world")
-            lam = dict(bias)
-            lam.update(carried)
-            flattened = []
-            for cls2, q in inner.at(lam).items():
-                all_biases = dict(carried)
-                all_biases.update(zip(cls2.fresh_funs, cls2.fresh_biases))
-                flattened.append(
-                    (canonicalize(g, class_world(cls2), cls2.value, all_biases), q)
-                )
-            branches.append((p, FinDist(flattened)))
-        return weighted_mix(branches)
-
-    return MonValue(g, fn)
+            all_biases = dict(carried)
+            all_biases.update(zip(cls2.fresh_funs, cls2.fresh_biases))
+            flattened.append(
+                (canonicalize(graph, class_world(cls2), cls2.value, all_biases), q)
+            )
+        branches.append((p, FinDist(flattened)))
+    return weighted_mix(branches)
 
 
-def transport(m: MonValue, emb: B.Embedding) -> MonValue:
+def transport(
+    result: FinDist[CanonicalClass], emb: B.Embedding, bias2: BiasState
+) -> FinDist[CanonicalClass]:
     """Reindex a result along a world extension.
 
-    The bias state is pulled back along the embedding; each class is pushed
+    ``result`` is the source world's result at the pullback of ``bias2``
+    (a bias state of the target) along the embedding; each class is pushed
     into the larger world.  Edges between a class's fresh nodes and the
     extension's new nodes are not determined by either side, so they are
     sampled: a new function connects to a fresh atom with the function's
     bias, and a fresh function connects to a new atom with the class's
     recorded bias.
     """
-    if m.base != emb.source:
-        raise ValueError("embedding source must be the result's world")
     target = emb.target
     if not isinstance(target, B.TotalBigraph):
         target = target.to_total()
+    bias2 = _bias_state(target, bias2)
     lmap, rmap = emb.lmap(), emb.rmap()
     new_funs = sorted(set(target.left) - set(lmap.values()))
     new_atoms = sorted(set(target.right) - set(rmap.values()))
-
-    def fn(bias2: dict[int, Fraction]) -> FinDist[CanonicalClass]:
-        bias = {f: bias2[lmap[f]] for f in m.base.left}
-        flattened: list[tuple[CanonicalClass, Fraction]] = []
-        for cls, p in m.at(bias).items():
-            next_f = max(list(target.left) + [-1]) + 1
-            next_a = max(list(target.right) + [-1]) + 1
-            falias = {f: next_f + i for i, f in enumerate(cls.fresh_funs)}
-            aalias = {a: next_a + i for i, a in enumerate(cls.fresh_atoms)}
-            fbias = {falias[f]: b for f, b in zip(cls.fresh_funs, cls.fresh_biases)}
-            fmap = {**lmap, **falias}
-            amap = {**rmap, **aalias}
-            value = O.relabel(cls.value, fmap, amap)
-            mapped_edges = {(fmap[f], amap[a]): v for f, a, v in cls.ext_edges}
-            cross = {(nf, aalias[a]): bias2[nf] for nf in new_funs for a in cls.fresh_atoms}
-            cross.update(
-                {(falias[f], na): fbias[falias[f]] for f in cls.fresh_funs for na in new_atoms}
+    next_f = max(list(target.left) + [-1]) + 1
+    next_a = max(list(target.right) + [-1]) + 1
+    flattened: list[tuple[CanonicalClass, Fraction]] = []
+    for cls, p in result.items():
+        if cls.base != emb.source:
+            raise ValueError("embedding source must be the result's world")
+        falias = {f: next_f + i for i, f in enumerate(cls.fresh_funs)}
+        aalias = {a: next_a + i for i, a in enumerate(cls.fresh_atoms)}
+        fbias = {falias[f]: b for f, b in zip(cls.fresh_funs, cls.fresh_biases)}
+        fmap = {**lmap, **falias}
+        amap = {**rmap, **aalias}
+        value = O.relabel(cls.value, fmap, amap)
+        mapped_edges = {(fmap[f], amap[a]): v for f, a, v in cls.ext_edges}
+        cross = {(nf, aalias[a]): bias2[nf] for nf in new_funs for a in cls.fresh_atoms}
+        cross.update(
+            {(falias[f], na): fbias[falias[f]] for f in cls.fresh_funs for na in new_atoms}
+        )
+        for outcome, weight in _bernoulli_product(cross):
+            edges = {pair: v for pair, v in target.edge_items()}
+            edges.update(mapped_edges)
+            edges.update(outcome)
+            world = B.TotalBigraph(
+                set(target.left) | set(falias.values()),
+                set(target.right) | set(aalias.values()),
+                edges,
             )
-            for outcome, weight in _bernoulli_product(cross):
-                edges = {pair: v for pair, v in target.edge_items()}
-                edges.update(mapped_edges)
-                edges.update(outcome)
-                world = B.TotalBigraph(
-                    set(target.left) | set(falias.values()),
-                    set(target.right) | set(aalias.values()),
-                    edges,
-                )
-                flattened.append((canonicalize(target, world, value, fbias), p * weight))
-        return FinDist(flattened)
-
-    return MonValue(target, fn)
+            flattened.append((canonicalize(target, world, value, fbias), p * weight))
+    return FinDist(flattened)
 
 
 # ---------------------------------------------------------------------------
@@ -290,39 +274,34 @@ def _bool_class(graph: B.TotalBigraph, flag: bool) -> CanonicalClass:
     return canonicalize(graph, graph, O.BoolV(flag), {})
 
 
-def den_flip(graph: B.TotalBigraph, theta) -> MonValue:
+def den_flip(graph: B.TotalBigraph, theta) -> FinDist[CanonicalClass]:
     theta = as_prob(theta)
-    dist = FinDist([(_bool_class(graph, True), theta), (_bool_class(graph, False), ONE - theta)])
-    return MonValue(graph, lambda bias: dist)
+    return FinDist([(_bool_class(graph, True), theta), (_bool_class(graph, False), ONE - theta)])
 
 
-def den_app(graph: B.TotalBigraph, fun: int, atom: int) -> MonValue:
+def den_app(graph: B.TotalBigraph, fun: int, atom: int) -> FinDist[CanonicalClass]:
     return unit(graph, O.BoolV(bool(graph.edge(fun, atom))))
 
 
-def den_eq(graph: B.TotalBigraph, atom_a: int, atom_b: int) -> MonValue:
+def den_eq(graph: B.TotalBigraph, atom_a: int, atom_b: int) -> FinDist[CanonicalClass]:
     return unit(graph, O.BoolV(atom_a == atom_b))
 
 
-def den_fresh(graph: B.TotalBigraph) -> MonValue:
+def den_fresh(graph: B.TotalBigraph, bias: BiasState) -> FinDist[CanonicalClass]:
     """A new atom whose wiring to each existing function is sampled from
     that function's bias; the weights over all wirings sum to 1."""
-    funs = sorted(graph.left)
-
-    def fn(bias: dict[int, Fraction]) -> FinDist[CanonicalClass]:
-        branches = []
-        for wiring, weight in _bernoulli_product({f: bias[f] for f in funs}):
-            world, atom = graph.add_right_defined(wiring)
-            branches.append((canonicalize(graph, world, O.AtomV(atom), {}), weight))
-        return FinDist(branches)
-
-    return MonValue(graph, fn)
+    bias = _bias_state(graph, bias)
+    branches = []
+    for wiring, weight in _bernoulli_product({f: bias[f] for f in sorted(graph.left)}):
+        world, atom = graph.add_right_defined(wiring)
+        branches.append((canonicalize(graph, world, O.AtomV(atom), {}), weight))
+    return FinDist(branches)
 
 
-def prob_true(m: MonValue, bias: BiasState) -> Fraction:
+def prob_true(dist: FinDist[CanonicalClass]) -> Fraction:
     """Mass of the true class of a boolean result (which must be collapsed)."""
     total = ZERO
-    for cls, p in m.at(bias).items():
+    for cls, p in dist.items():
         if cls.fresh_funs or cls.fresh_atoms or not isinstance(cls.value, O.BoolV):
             raise NonCollapsedClass(f"boolean result carries world data: {cls!r}")
         if cls.value.value:
@@ -340,7 +319,7 @@ def clear_caches() -> None:
 def _cached_prob_true(body: S.Comp, graph: B.TotalBigraph, env: O.FrozenMap, lam_key: BiasKey) -> Fraction:
     key = (body, graph, env, lam_key)
     if key not in _PROB_CACHE:
-        _PROB_CACHE[key] = prob_true(den_comp(body, graph, env), dict(lam_key))
+        _PROB_CACHE[key] = prob_true(den_comp(body, graph, env, dict(lam_key)))
     return _PROB_CACHE[key]
 
 
@@ -369,9 +348,7 @@ def den_mem(
     """A new function: its answer on each existing atom is sampled from the
     body's probability at that atom, and its bias on future atoms is the
     body's (wiring-independent) probability on a new atom."""
-    bias = dict(_bias_key(bias))
-    if set(bias) != set(graph.left):
-        raise ValueError("bias state must assign exactly the existing functions")
+    bias = _bias_state(graph, bias)
     lam_key = _bias_key(bias)
     atoms = sorted(graph.right)
     per_atom = {
@@ -386,33 +363,35 @@ def den_mem(
     return FinDist(branches)
 
 
-def den_comp(comp: S.Comp, graph: B.TotalBigraph, env: O.FrozenMap) -> MonValue:
+def den_comp(
+    comp: S.Comp, graph: B.TotalBigraph, env: O.FrozenMap, bias: BiasState
+) -> FinDist[CanonicalClass]:
     """Compositional interpretation of a well-typed computation whose free
-    variables are covered by env over the given world."""
+    variables are covered by env over the given world, at a bias state
+    assigning a probability to each of the world's functions."""
+    bias = _bias_state(graph, bias)
     if isinstance(comp, S.Return):
         return unit(graph, O.eval_value(env, comp.value))
     if isinstance(comp, S.Let):
-        bound = den_comp(comp.bound, graph, env)
+        def kont(world: B.TotalBigraph, value: O.EnvValue, lam: dict[int, Fraction]):
+            return den_comp(comp.body, world, env.set(comp.name, value), lam)
 
-        def kont(world: B.TotalBigraph, value: O.EnvValue) -> MonValue:
-            return den_comp(comp.body, world, env.set(comp.name, value))
-
-        return bind(bound, kont)
+        return bind(graph, bias, den_comp(comp.bound, graph, env, bias), kont)
     if isinstance(comp, S.If):
         flag = O.eval_value(env, comp.cond)
         if not isinstance(flag, O.BoolV):
             raise O.MalformedConfiguration("if scrutinee must be a boolean")
-        return den_comp(comp.then if flag.value else comp.orelse, graph, env)
+        return den_comp(comp.then if flag.value else comp.orelse, graph, env, bias)
     if isinstance(comp, S.Match):
         subject = O.eval_value(env, comp.subject)
         if not isinstance(subject, O.PairV):
             raise O.MalformedConfiguration("match scrutinee must be a pair")
         env2 = env.set(comp.fst_name, subject.fst).set(comp.snd_name, subject.snd)
-        return den_comp(comp.body, graph, env2)
+        return den_comp(comp.body, graph, env2, bias)
     if isinstance(comp, S.Flip):
         return den_flip(graph, comp.bias)
     if isinstance(comp, S.Fresh):
-        return den_fresh(graph)
+        return den_fresh(graph, bias)
     if isinstance(comp, S.Eq):
         lhs = O.eval_value(env, comp.lhs)
         rhs = O.eval_value(env, comp.rhs)
@@ -426,36 +405,35 @@ def den_comp(comp: S.Comp, graph: B.TotalBigraph, env: O.FrozenMap) -> MonValue:
             raise O.MalformedConfiguration("application needs a function and an atom")
         return den_app(graph, fn.label, arg.label)
     if isinstance(comp, S.MemFn):
-        return MonValue(
-            graph, lambda bias: den_mem(graph, env, comp.binder, comp.body, bias)
-        )
+        return den_mem(graph, env, comp.binder, comp.body, bias)
     raise TypeError(f"not a computation: {comp!r}")
 
 
 def den_program(program: S.Comp) -> FinDist[CanonicalClass]:
     """Denotation of a closed program at the empty world."""
-    return den_comp(program, EMPTY_WORLD, O.EMPTY_MAP).at({})
+    return den_comp(program, EMPTY_WORLD, O.EMPTY_MAP, {})
 
 
-def mem_phi(m: MonValue, bias: BiasState, query: Union[int, Mapping[int, bool]]) -> Fraction:
-    """Probability that a function-typed result answers true at a query
-    point: an existing atom (by label) or a hypothetical new atom given as
-    its wiring to the existing functions."""
-    g = m.base
+def mem_phi(
+    graph: B.TotalBigraph, dist: FinDist[CanonicalClass], query: Union[int, Mapping[int, bool]]
+) -> Fraction:
+    """Probability that a function-typed result at a world answers true at
+    a query point: an existing atom (by label) or a hypothetical new atom
+    given as its wiring to the existing functions."""
     if isinstance(query, int):
-        if query not in g.right:
+        if query not in graph.right:
             raise ValueError(f"atom {query} does not exist in the world")
     else:
-        if set(query) != set(g.left):
+        if set(query) != set(graph.left):
             raise ValueError("wiring must assign exactly the existing functions")
     total = ZERO
-    for cls, p in m.at(bias).items():
+    for cls, p in dist.items():
         v = cls.value
         if not isinstance(v, O.FunV):
             raise NonCollapsedClass(f"function-typed result expected, got {cls!r}")
-        if v.label in g.left:
+        if v.label in graph.left:
             if isinstance(query, int):
-                answered = bool(g.edge(v.label, query))
+                answered = bool(graph.edge(v.label, query))
             else:
                 answered = bool(query[v.label])
             if answered:
@@ -510,7 +488,7 @@ def _den_config(
             single_w *= q if bit else ONE - q
         if chain_w == ZERO and single_w == ZERO:
             continue
-        result = den_comp(config.term, total, config.env).at(biases)
+        result = den_comp(config.term, total, config.env, biases)
         flattened = []
         for cls, q in result.items():
             all_biases = dict(biases)

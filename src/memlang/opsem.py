@@ -7,7 +7,7 @@ one rule, and either stays deterministic or, at a coin flip, splits into an
 exact two-point distribution over successor configurations.
 
 ``enumerate_bigstep`` unfolds ``step`` exhaustively with exact rational
-weights; ``run_sampled`` drives one trace with a seeded generator;
+weights; ``run_sampled`` follows one trace of ``step`` with a seeded generator;
 ``observe`` quotients terminal configurations down to the data a caller can
 actually distinguish (returned value, the reachable slice of the memo-table,
 and retained closures up to bound-variable renaming).
@@ -324,8 +324,9 @@ def _as_bool(value: EnvValue, what: str) -> bool:
 
 def _step_outcomes(
     config: Configuration, frames: tuple[Frame, ...], redex: S.ExtTerm
-) -> list[tuple[Configuration, Fraction, Optional[bool]]]:
-    """Successors of one reduction, tagged with the flip branch if any."""
+) -> list[tuple[Configuration, Fraction]]:
+    """Successors of one reduction with their weights; at a flip the true
+    branch comes first."""
     env, graph, closures = config.env, config.graph, config.closures
 
     def out(term, new_env=env, new_graph=graph, new_closures=closures):
@@ -335,16 +336,16 @@ def _step_outcomes(
         bound = redex.bound
         if isinstance(bound, S.Return):
             value = eval_value(env, bound.value)
-            return [(out(redex.body, env.set(redex.name, value)), ONE, None)]
+            return [(out(redex.body, env.set(redex.name, value)), ONE)]
         if isinstance(bound, S.MemFn):
             graph2, fun = graph.add_left_undef()
             closures2 = closures.set(fun, Closure(bound.binder, bound.body, env))
             return [
-                (out(redex.body, env.set(redex.name, FunV(fun)), graph2, closures2), ONE, None)
+                (out(redex.body, env.set(redex.name, FunV(fun)), graph2, closures2), ONE)
             ]
         if isinstance(bound, S.Fresh):
             graph2, atom = graph.add_right_undef()
-            return [(out(redex.body, env.set(redex.name, AtomV(atom)), graph2), ONE, None)]
+            return [(out(redex.body, env.set(redex.name, AtomV(atom)), graph2), ONE)]
         raise Stuck(f"let-bound term is not terminal: {S.pretty(bound)}")
     if isinstance(redex, S.MemoCtx):
         inner = redex.inner
@@ -354,7 +355,7 @@ def _step_outcomes(
         flag = _as_bool(result, "memoized result")
         graph2 = graph.set_edge(redex.fun_label, redex.atom_label, flag)
         restored = redex.restore_env
-        return [(out(S.Return(S.BoolLit(flag)), restored, graph2), ONE, None)]
+        return [(out(S.Return(S.BoolLit(flag)), restored, graph2), ONE)]
     if isinstance(redex, S.App):
         fn = eval_value(env, redex.fn)
         arg = eval_value(env, redex.arg)
@@ -362,34 +363,34 @@ def _step_outcomes(
             raise MalformedConfiguration("application needs a function and an atom")
         edge = graph.edge(fn.label, arg.label)
         if edge is not None:
-            return [(out(S.Return(S.BoolLit(edge))), ONE, None)]
+            return [(out(S.Return(S.BoolLit(edge))), ONE)]
         closure = closures.get(fn.label)
         if closure is None:
             raise MalformedConfiguration(f"no closure for function label {fn.label}")
         call_env = closure.captured.set(closure.binder, arg)
         marker = S.MemoCtx(closure.body, fn.label, arg.label, env)
-        return [(out(marker, call_env), ONE, None)]
+        return [(out(marker, call_env), ONE)]
     if isinstance(redex, S.Eq):
         lhs = eval_value(env, redex.lhs)
         rhs = eval_value(env, redex.rhs)
         if not isinstance(lhs, AtomV) or not isinstance(rhs, AtomV):
             raise MalformedConfiguration("equality compares atoms")
-        return [(out(S.Return(S.BoolLit(lhs == rhs))), ONE, None)]
+        return [(out(S.Return(S.BoolLit(lhs == rhs))), ONE)]
     if isinstance(redex, S.Flip):
         theta = Fraction(redex.bias)
         return [
-            (out(S.Return(S.BoolLit(True))), theta, True),
-            (out(S.Return(S.BoolLit(False))), ONE - theta, False),
+            (out(S.Return(S.BoolLit(True))), theta),
+            (out(S.Return(S.BoolLit(False))), ONE - theta),
         ]
     if isinstance(redex, S.If):
         flag = _as_bool(eval_value(env, redex.cond), "if scrutinee")
-        return [(out(redex.then if flag else redex.orelse), ONE, None)]
+        return [(out(redex.then if flag else redex.orelse), ONE)]
     if isinstance(redex, S.Match):
         subject = eval_value(env, redex.subject)
         if not isinstance(subject, PairV):
             raise MalformedConfiguration("match scrutinee must be a pair")
         env2 = env.set(redex.fst_name, subject.fst).set(redex.snd_name, subject.snd)
-        return [(out(redex.body, env2), ONE, None)]
+        return [(out(redex.body, env2), ONE)]
     raise Stuck(f"unrecognized redex {redex!r}")
 
 
@@ -410,12 +411,12 @@ def step(config: Configuration) -> FinDist[Configuration]:
         )
         is None
     )
-    for successor, _, _ in outcomes:
+    for successor, _ in outcomes:
         # progress: every rule shrinks the term except entering a pending
         # memoization, which permanently claims one unsampled edge
         if not app_on_undef and _term_size(successor.term) >= before:
             raise MalformedConfiguration(f"step did not shrink {S.pretty(config.term)}")
-    return FinDist([(cfg, w) for cfg, w, _ in outcomes])
+    return FinDist(outcomes)
 
 
 def is_terminal(config: Configuration) -> bool:
@@ -423,8 +424,9 @@ def is_terminal(config: Configuration) -> bool:
 
 
 def run_sampled(program: S.Comp, seed: int) -> tuple[Configuration, list[Configuration]]:
-    """Iterate ``step`` with a seeded generator; at ``flip(t)`` the true
-    branch is taken iff the unit-interval draw is below t."""
+    """Iterate ``step`` with a seeded generator.  Every ``flip(t)`` draws
+    from the unit interval, even when t is 0 or 1, and takes the true branch
+    (listed first) iff the draw is below t."""
     rng = random.Random(seed)
     config = initial_configuration(program)
     trace = [config]
@@ -432,13 +434,13 @@ def run_sampled(program: S.Comp, seed: int) -> tuple[Configuration, list[Configu
         dec = decompose(config.term)
         if dec is None:
             return config, trace
-        frames, redex = dec
-        outcomes = _step_outcomes(config, frames, redex)
-        if isinstance(redex, S.Flip):
-            take_true = Fraction(rng.random()) < redex.bias
-            config = next(cfg for cfg, _, tag in outcomes if tag == take_true)
-        else:
-            config = outcomes[0][0]
+        draw = Fraction(rng.random()) if isinstance(dec[1], S.Flip) else ZERO
+        running = ZERO
+        for successor, weight in step(config).items():
+            running += weight
+            if draw < running:
+                break
+        config = successor
         trace.append(config)
 
 

@@ -119,11 +119,11 @@ class ProgramGen:
 
     # -- computations -------------------------------------------------------
 
-    def program(self, tail: bool = True) -> S.Comp:
-        return self._comp(_scope_from({}), 0, None, tail)
+    def program(self) -> S.Comp:
+        return self._comp(_scope_from({}), 0, None)
 
-    def program_over(self, types: Mapping[str, TC.Ty], tail: bool = True) -> S.Comp:
-        return self._comp(_scope_from(types), 0, None, tail)
+    def program_over(self, types: Mapping[str, TC.Ty]) -> S.Comp:
+        return self._comp(_scope_from(types), 0, None)
 
     def gen_memfn(self, outer: Mapping[str, TC.Ty]) -> S.MemFn:
         return self._memfn_rhs(_scope_from(outer), 0)
@@ -136,14 +136,14 @@ class ProgramGen:
         else:
             clean = frozenset(self._of_type(scope, TC.ATOM))
         inner = _Scope(scope.types + ((binder, TC.ATOM),), clean, True)
-        return S.MemFn(binder, self._comp(inner, depth + 1, TC.BOOL, False))
+        return S.MemFn(binder, self._comp(inner, depth + 1, TC.BOOL))
 
     def _branch_want(self, scope: _Scope) -> TC.Ty:
         candidates: list[TC.Ty] = [TC.BOOL, TC.BOOL]
         candidates.extend(t for _, t in scope.types)
         return self.rng.choice(candidates)
 
-    def _statement(self, scope: _Scope, depth: int) -> Optional[tuple[str, S.Comp, TC.Ty]]:
+    def _statement(self, scope: _Scope, depth: int) -> tuple[str, S.Comp, TC.Ty]:
         feasible: list[str] = []
         if self._flips < self.max_flips:
             feasible += ["flip"] * 3
@@ -190,8 +190,8 @@ class ProgramGen:
                 scrut: S.Val = S.Var(self.rng.choice(bools))
             else:
                 scrut = S.BoolLit(self.rng.random() < 0.5)
-            then = self._comp(scope, depth + 1, want, False)
-            orelse = self._comp(scope, depth + 1, want, False)
+            then = self._comp(scope, depth + 1, want)
+            orelse = self._comp(scope, depth + 1, want)
             return self._ident("v"), S.If(scrut, then, orelse), want
         if kind == "matchc":
             name = self.rng.choice(self._pairs(scope))
@@ -201,11 +201,11 @@ class ProgramGen:
             fst, snd = self._ident("m"), self._ident("m")
             inner = self._bind(self._bind(scope, fst, prod.fst), snd, prod.snd)
             want = self._branch_want(inner)
-            body = self._comp(inner, depth + 1, want, False)
+            body = self._comp(inner, depth + 1, want)
             return self._ident("v"), S.Match(S.Var(name), fst, snd, body), want
         raise AssertionError(kind)
 
-    def _finisher(self, scope: _Scope, want: Optional[TC.Ty], tail: bool) -> S.Comp:
+    def _finisher(self, scope: _Scope, want: Optional[TC.Ty]) -> S.Comp:
         if want is None:
             options: list[TC.Ty] = [TC.BOOL] * 3
             if self._of_type(scope, TC.ATOM):
@@ -240,17 +240,14 @@ class ProgramGen:
             return S.Return(self._val(scope, TC.BOOL))
         return S.Return(self._val(scope, want))
 
-    def _comp(self, scope: _Scope, depth: int, want: Optional[TC.Ty], tail: bool) -> S.Comp:
+    def _comp(self, scope: _Scope, depth: int, want: Optional[TC.Ty]) -> S.Comp:
         bindings: list[tuple[str, S.Comp]] = []
         room = self.max_depth - depth - 1
         while len(bindings) < room and self.rng.random() < 0.72:
-            made = self._statement(scope, depth + len(bindings))
-            if made is None:
-                break
-            name, rhs, ty = made
+            name, rhs, ty = self._statement(scope, depth + len(bindings))
             bindings.append((name, rhs))
             scope = self._bind(scope, name, ty)
-        return let_chain(bindings, self._finisher(scope, want, tail))
+        return let_chain(bindings, self._finisher(scope, want))
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +276,10 @@ class SuiteResult:
         }
 
 
-def soundness_corpus(count: int, seed: int, **limits) -> list[S.Comp]:
+def soundness_corpus(count: int, seed: int) -> list[S.Comp]:
     """Closed, freshness-clean, well-typed programs for end-to-end checks."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        gen = ProgramGen(rng, **limits) if limits else ProgramGen(rng)
-        out.append(gen.program())
-    return out
+    return [ProgramGen(rng).program() for _ in range(count)]
 
 
 def _mem_instance(rng: random.Random) -> tuple[list[tuple[str, S.Comp]], S.MemFn]:
@@ -369,8 +362,8 @@ def run_dataflow_suite(count: int, seed: int) -> SuiteResult:
     rng = random.Random(seed)
     failures = []
     for index in range(count):
-        t1 = ProgramGen(rng, 2, 2, 1, 4).program(tail=False)
-        t2 = ProgramGen(rng, 2, 2, 1, 4).program(tail=False)
+        t1 = ProgramGen(rng, 2, 2, 1, 4).program()
+        t2 = ProgramGen(rng, 2, 2, 1, 4).program()
         ty1 = TC.type_of_comp(TC.EMPTY_CTX, t1)
         ty2 = TC.type_of_comp(TC.EMPTY_CTX, t2)
         u = ProgramGen(rng, 1, 1, 1, 4).program_over({"xl": ty1, "xr": ty2})
@@ -381,9 +374,9 @@ def run_dataflow_suite(count: int, seed: int) -> SuiteResult:
     return SuiteResult("dataflow", count, seed, count - len(failures), failures)
 
 
-def _random_world(rng: random.Random, max_funs: int = 2, max_atoms: int = 2):
-    n_funs = rng.randint(0, max_funs)
-    n_atoms = rng.randint(0, max_atoms)
+def _random_world(rng: random.Random):
+    n_funs = rng.randint(0, 2)
+    n_atoms = rng.randint(0, 2)
     edges = {
         (f, a): rng.random() < 0.5 for f in range(n_funs) for a in range(n_atoms)
     }
@@ -405,24 +398,24 @@ def _random_bias(rng: random.Random, graph: B.TotalBigraph) -> dict[int, Fractio
     return {f: Fraction(rng.randint(0, 4), 4) for f in graph.left}
 
 
-def run_monad_suite(count: int, seed: int, states_per_case: int = 5) -> SuiteResult:
-    """Check unit and associativity equations pointwise at random bias states
-    on random small worlds."""
+def run_monad_suite(count: int, seed: int) -> SuiteResult:
+    """Check unit and associativity equations pointwise at five random bias
+    states per case on random small worlds."""
     rng = random.Random(seed)
     failures = []
     for index in range(count):
         graph, types, env = _random_world(rng)
         ctx = TC.TyCtx(types.items())
-        m_comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types, tail=False)
+        m_comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types)
         ty_m = TC.type_of_comp(ctx, m_comp)
-        k_comp = ProgramGen(rng, 1, 1, 1, 4).program_over({**types, "xk": ty_m}, tail=False)
+        k_comp = ProgramGen(rng, 1, 1, 1, 4).program_over({**types, "xk": ty_m})
         ty_k = TC.type_of_comp(ctx.extend("xk", ty_m), k_comp)
-        l_comp = ProgramGen(rng, 1, 1, 0, 4).program_over({**types, "yk": ty_k}, tail=False)
+        l_comp = ProgramGen(rng, 1, 1, 0, 4).program_over({**types, "yk": ty_k})
         # a value type the scope can realize, for the left unit law
         unit_gen = ProgramGen(rng)
         tv = rng.choice(unit_gen._value_types(_scope_from(types)))
         unit_val = unit_gen._val(_scope_from(types), tv)
-        k2_comp = ProgramGen(rng, 1, 1, 1, 4).program_over({**types, "xk": tv}, tail=False)
+        k2_comp = ProgramGen(rng, 1, 1, 1, 4).program_over({**types, "xk": tv})
         checks = {
             "right_unit": (
                 S.Let("xk", m_comp, S.Return(S.Var("xk"))),
@@ -433,18 +426,18 @@ def run_monad_suite(count: int, seed: int, states_per_case: int = 5) -> SuiteRes
                 S.Let("xk", m_comp, S.Let("yk", k_comp, l_comp)),
             ),
         }
-        for _ in range(states_per_case):
+        for _ in range(5):
             lam = _random_bias(rng, graph)
-            got = D.den_comp(S.Let("xk", S.Return(unit_val), k2_comp), graph, env).at(lam)
+            got = D.den_comp(S.Let("xk", S.Return(unit_val), k2_comp), graph, env, lam)
             expected = D.den_comp(
-                k2_comp, graph, env.set("xk", O.eval_value(env, unit_val))
-            ).at(lam)
+                k2_comp, graph, env.set("xk", O.eval_value(env, unit_val)), lam
+            )
             if not dist_eq(got, expected):
                 failures.append({"case": index, "law": "left_unit", "bias": str(lam)})
             for law, (lhs, rhs) in checks.items():
                 if not dist_eq(
-                    D.den_comp(lhs, graph, env).at(lam),
-                    D.den_comp(rhs, graph, env).at(lam),
+                    D.den_comp(lhs, graph, env, lam),
+                    D.den_comp(rhs, graph, env, lam),
                 ):
                     failures.append({"case": index, "law": law, "bias": str(lam)})
     return SuiteResult("monad", count, seed, count - len({f["case"] for f in failures}), failures)

@@ -219,7 +219,7 @@ def test_criterion_5_dataflow_and_monad_laws():
     with criterion(5, "reorder/discard on 100 triples plus pointwise monad laws", budget=120):
         dataflow = run_dataflow_suite(100, seed=20241)
         assert dataflow.ok, dataflow.failures[:3]
-        monad = run_monad_suite(20, seed=20242, states_per_case=5)
+        monad = run_monad_suite(20, seed=20242)
         assert monad.ok, monad.failures[:3]
 
 

@@ -43,6 +43,17 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("command", ["check", "denote"])
+def test_too_deep_nesting_is_usage_error(capsys, tmp_path, command):
+    deep = tmp_path / "deep.mem"
+    deep.write_text("".join(f"let val x{i} <- return true in " for i in range(1500)) + "return x0\n")
+    code = cli.main([command, str(deep)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "too deep" in captured.err
+
+
 def test_run_deterministic_per_seed(capsys):
     path = str(PROGRAMS / "sound" / "memo_pair.mem")
     code1, payload1 = run_cli(capsys, "run", path, "--seed", "7")

@@ -86,9 +86,9 @@ def test_class_world_roundtrip():
 
 
 def test_unit_examples():
-    assert bool_dist(D.unit(EMPTY, O.BoolV(True)).at({})) == {True: ONE}
+    assert bool_dist(D.unit(EMPTY, O.BoolV(True))) == {True: ONE}
     g = one_fun_world(edge_to=True)
-    d = D.unit(g, O.AtomV(0)).at({0: THIRD})
+    d = D.unit(g, O.AtomV(0))
     ((cls, w),) = d.items()
     assert w == ONE and cls.value == O.AtomV(0) and cls.fresh_atoms == ()
 
@@ -99,38 +99,37 @@ def test_bind_left_unit_via_let():
     assert dist_eq(lhs, rhs)
 
 
-def test_bind_right_unit_monvalue_level():
+def test_bind_right_unit_at_a_bias_state():
     g = one_fun_world()
-    m = D.den_fresh(g)
-    back = D.bind(m, lambda world, value: D.unit(world, value))
     for p in (Fraction(0), THIRD, ONE):
-        assert dist_eq(m.at({0: p}), back.at({0: p}))
+        m = D.den_fresh(g, {0: p})
+        back = D.bind(g, {0: p}, m, lambda world, value, lam: D.unit(world, value))
+        assert dist_eq(m, back)
 
 
 def test_transport_identity():
     g = one_fun_world(edge_to=True)
-    m = D.den_fresh(g)
-    moved = D.transport(m, B.Embedding.inclusion(g, g))
     for p in (Fraction(0), HALF, ONE):
-        assert dist_eq(m.at({0: p}), moved.at({0: p}))
+        m = D.den_fresh(g, {0: p})
+        moved = D.transport(m, B.Embedding.inclusion(g, g), {0: p})
+        assert dist_eq(m, moved)
 
 
 def test_transport_unit_naturality():
     g = EMPTY
     g2, atom = g.add_right_defined({})
     m = D.unit(g, O.BoolV(False))
-    moved = D.transport(m, B.Embedding.inclusion(g, g2))
-    assert dist_eq(moved.at({}), D.unit(g2, O.BoolV(False)).at({}))
+    moved = D.transport(m, B.Embedding.inclusion(g, g2), {})
+    assert dist_eq(moved, D.unit(g2, O.BoolV(False)))
 
 
 def test_transport_fresh_atom_splits_on_new_function_bias():
     # a result holding a fresh atom, moved into a world with one more
     # function, acquires that function's edge with the function's bias
-    m = D.den_fresh(EMPTY)
+    m = D.den_fresh(EMPTY, {})
     g2 = one_fun_world()
-    moved = D.transport(m, B.Embedding.inclusion(EMPTY, g2))
-    got = moved.at({0: THIRD})
-    expected = D.den_fresh(g2).at({0: THIRD})
+    got = D.transport(m, B.Embedding.inclusion(EMPTY, g2), {0: THIRD})
+    expected = D.den_fresh(g2, {0: THIRD})
     assert dist_eq(got, expected)
     weights = sorted(w for _, w in got.items())
     assert weights == [THIRD, Fraction(2, 3)]
@@ -138,34 +137,43 @@ def test_transport_fresh_atom_splits_on_new_function_bias():
 
 def test_transport_fresh_fun_fills_new_atom_with_recorded_bias():
     fn = S.parse_program("memfn y. flip(1/3)")
-    m = D.den_comp(fn, EMPTY, O.EMPTY_MAP)
+    m = D.den_comp(fn, EMPTY, O.EMPTY_MAP, {})
     g2, atom = EMPTY.add_right_defined({})
-    moved = D.transport(m, B.Embedding.inclusion(EMPTY, g2))
-    got = moved.at({})
-    expected = D.den_comp(fn, g2, O.EMPTY_MAP).at({})
+    got = D.transport(m, B.Embedding.inclusion(EMPTY, g2), {})
+    expected = D.den_comp(fn, g2, O.EMPTY_MAP, {})
     assert dist_eq(got, expected)
+
+
+@pytest.mark.parametrize(
+    "bias",
+    [{}, {0: HALF, 1: HALF}, {0: Fraction(3, 2)}, {0: Fraction(-1, 4)}],
+    ids=["misses_function", "extra_function", "above_one", "below_zero"],
+)
+def test_den_comp_rejects_bad_bias_state(bias):
+    with pytest.raises(ValueError):
+        D.den_comp(S.parse_program("flip(1/2)"), one_fun_world(), O.EMPTY_MAP, bias)
 
 
 # -- primitive denotations -----------------------------------------------------
 
 
 def test_den_flip_examples():
-    assert bool_dist(D.den_flip(EMPTY, ONE).at({})) == {True: ONE}
-    assert bool_dist(D.den_flip(EMPTY, THIRD).at({})) == {True: THIRD, False: Fraction(2, 3)}
-    assert bool_dist(D.den_flip(EMPTY, HALF).at({})) == {True: HALF, False: HALF}
+    assert bool_dist(D.den_flip(EMPTY, ONE)) == {True: ONE}
+    assert bool_dist(D.den_flip(EMPTY, THIRD)) == {True: THIRD, False: Fraction(2, 3)}
+    assert bool_dist(D.den_flip(EMPTY, HALF)) == {True: HALF, False: HALF}
 
 
 def test_den_app_reads_table():
     g = one_fun_world(edge_to=True)
-    assert bool_dist(D.den_app(g, 0, 0).at({0: HALF})) == {True: ONE}
+    assert bool_dist(D.den_app(g, 0, 0)) == {True: ONE}
     g2 = one_fun_world(edge_to=False)
-    assert bool_dist(D.den_app(g2, 0, 0).at({0: HALF})) == {False: ONE}
+    assert bool_dist(D.den_app(g2, 0, 0)) == {False: ONE}
 
 
 def test_den_eq_examples():
     g = B.TotalBigraph([], [0, 1], {})
-    assert bool_dist(D.den_eq(g, 0, 0).at({})) == {True: ONE}
-    assert bool_dist(D.den_eq(g, 0, 1).at({})) == {False: ONE}
+    assert bool_dist(D.den_eq(g, 0, 0)) == {True: ONE}
+    assert bool_dist(D.den_eq(g, 0, 1)) == {False: ONE}
 
 
 def test_two_fresh_atoms_never_equal():
@@ -174,13 +182,13 @@ def test_two_fresh_atoms_never_equal():
 
 
 def test_den_fresh_lone_atom():
-    d = D.den_fresh(EMPTY).at({})
+    d = D.den_fresh(EMPTY, {})
     ((cls, w),) = d.items()
     assert w == ONE and cls.fresh_atoms == (0,) and cls.ext_edges == ()
 
 
 def test_den_fresh_one_function_product_weights():
-    d = D.den_fresh(one_fun_world()).at({0: THIRD})
+    d = D.den_fresh(one_fun_world(), {0: THIRD})
     by_edge = {cls.ext_edges[0][2]: w for cls, w in d.items()}
     assert by_edge == {True: THIRD, False: Fraction(2, 3)}
 
@@ -190,21 +198,21 @@ def test_den_fresh_one_function_product_weights():
 def test_den_fresh_mass_one_any_bias(num, num2):
     g = B.TotalBigraph([0, 1], [], {})
     bias = {0: Fraction(num, 8), 1: Fraction(num2, 8)}
-    dist = D.den_fresh(g).at(bias)
+    dist = D.den_fresh(g, bias)
     assert sum((w for _, w in dist.items()), Fraction(0)) == 1
 
 
 def test_prob_true_examples():
-    assert D.prob_true(D.den_flip(EMPTY, THIRD), {}) == THIRD
-    assert D.prob_true(D.unit(EMPTY, O.BoolV(True)), {}) == ONE
+    assert D.prob_true(D.den_flip(EMPTY, THIRD)) == THIRD
+    assert D.prob_true(D.unit(EMPTY, O.BoolV(True))) == ONE
     p = S.parse_program("let val x <- fresh() in return true")
     g = one_fun_world()
-    assert D.prob_true(D.den_comp(p, g, O.EMPTY_MAP), {0: HALF}) == ONE
+    assert D.prob_true(D.den_comp(p, g, O.EMPTY_MAP, {0: HALF})) == ONE
 
 
 def test_prob_true_rejects_noncollapsed():
     with pytest.raises(D.NonCollapsedClass):
-        D.prob_true(D.den_fresh(EMPTY), {})
+        D.prob_true(D.den_fresh(EMPTY, {}))
 
 
 # -- memoized functions ----------------------------------------------------------
@@ -259,15 +267,15 @@ def test_den_comp_memo_pair_diagonal():
 def test_mem_phi_on_existing_function():
     g = one_fun_world(edge_to=True)
     m = D.unit(g, O.FunV(0))
-    assert D.mem_phi(m, {0: HALF}, 0) == ONE
-    assert D.mem_phi(m, {0: HALF}, {0: False}) == Fraction(0)
+    assert D.mem_phi(g, m, 0) == ONE
+    assert D.mem_phi(g, m, {0: False}) == Fraction(0)
 
 
 def test_mem_phi_on_sampled_function():
     g = B.TotalBigraph([], [0], {})
-    m = D.den_comp(S.parse_program("memfn y. flip(1/3)"), g, O.EMPTY_MAP)
-    assert D.mem_phi(m, {}, 0) == THIRD  # mix 1/3 * 1 + 2/3 * 0
-    assert D.mem_phi(m, {}, {}) == THIRD  # recorded bias on a new atom
+    m = D.den_comp(S.parse_program("memfn y. flip(1/3)"), g, O.EMPTY_MAP, {})
+    assert D.mem_phi(g, m, 0) == THIRD  # mix 1/3 * 1 + 2/3 * 0
+    assert D.mem_phi(g, m, {}) == THIRD  # recorded bias on a new atom
 
 
 # -- configuration denotation ---------------------------------------------------
@@ -382,12 +390,12 @@ def _assert_class_shape(cls: D.CanonicalClass, ty: TC.Ty) -> None:
 def test_result_class_shapes(seed):
     rng = random.Random(seed)
     graph, types, env = _random_world(rng)
-    comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types, tail=False)
+    comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types)
     ty = TC.type_of_comp(TC.TyCtx(types.items()), comp)
     if not isinstance(ty, (TC.BoolT, TC.AtomT, TC.FunT)):
         return
     bias = {f: Fraction(rng.randint(0, 4), 4) for f in graph.left}
-    for cls, _ in D.den_comp(comp, graph, env).at(bias).items():
+    for cls, _ in D.den_comp(comp, graph, env, bias).items():
         _assert_class_shape(cls, ty)
 
 
@@ -396,12 +404,12 @@ def test_result_class_shapes(seed):
 def test_boolean_results_always_collapse(seed):
     rng = random.Random(seed)
     graph, types, env = _random_world(rng)
-    comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types, tail=False)
+    comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types)
     ty = TC.type_of_comp(TC.TyCtx(types.items()), comp)
     if ty != TC.BOOL:
         return
     bias = {f: Fraction(rng.randint(0, 4), 4) for f in graph.left}
-    for cls, _ in D.den_comp(comp, graph, env).at(bias).items():
+    for cls, _ in D.den_comp(comp, graph, env, bias).items():
         assert not cls.fresh_funs and not cls.fresh_atoms
 
 
@@ -410,17 +418,17 @@ def test_boolean_results_always_collapse(seed):
 def test_naturality_of_den_comp_under_one_sided_extension(seed):
     rng = random.Random(seed)
     graph, types, env = _random_world(rng)
-    comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types, tail=False)
+    comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types)
     if rng.random() < 0.5:
         bigger, _ = graph.add_left_defined({a: rng.random() < 0.5 for a in graph.right})
     else:
         bigger, _ = graph.add_right_defined({f: rng.random() < 0.5 for f in graph.left})
     inclusion = B.Embedding.inclusion(graph, bigger)
-    moved = D.transport(D.den_comp(comp, graph, env), inclusion)
-    direct = D.den_comp(comp, bigger, env)
     for _ in range(3):
         bias = {f: Fraction(rng.randint(0, 4), 4) for f in bigger.left}
-        assert dist_eq(moved.at(bias), direct.at(bias))
+        pulled = {f: bias[f] for f in graph.left}
+        moved = D.transport(D.den_comp(comp, graph, env, pulled), inclusion, bias)
+        assert dist_eq(moved, D.den_comp(comp, bigger, env, bias))
 
 
 @settings(max_examples=15, deadline=None)

@@ -127,9 +127,12 @@ def test_step_flip_degenerate():
 def test_step_progress_check_survives_optimization(monkeypatch):
     # a size measure that never shrinks makes every non-memo step a violation
     monkeypatch.setattr(O, "_term_size", lambda term: 1)
-    cfg = O.initial_configuration(S.parse_program("flip(1/2)"))
+    program = S.parse_program("flip(1/2)")
     with pytest.raises(O.MalformedConfiguration, match="did not shrink"):
-        O.step(cfg)
+        O.step(O.initial_configuration(program))
+    # the sampler reduces through step, so it runs the same check
+    with pytest.raises(O.MalformedConfiguration, match="did not shrink"):
+        O.run_sampled(program, seed=0)
 
 
 def test_step_let_return_extends_env():

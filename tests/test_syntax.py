@@ -148,7 +148,7 @@ def test_substitute_avoids_capture():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(["x1", "b2", "f1", "zz"]))
 def test_substitute_free_var_bound(seed, name):
-    program = ProgramGen(random.Random(seed)).program(tail=False)
+    program = ProgramGen(random.Random(seed)).program()
     out = S.substitute(program, name, S.Var("fresh_target"))
     assert S.free_vars(out) <= (S.free_vars(program) - {name}) | {"fresh_target"}
 
