@@ -6,7 +6,7 @@ that do not exist yet.  The result is an exact distribution over
 canonical classes: a result value together with just the fresh structure it
 mentions.  Fresh nodes a value does not mention are garbage-collected and
 their edge choices marginalized away, so boolean results always collapse to
-bare classes.  ``bind`` evaluates a continuation at each class's extended
+bare classes.  ``bind`` evaluates a let body at each class's extended
 world, under the bias state extended by the class's fresh functions.
 
 A class records, relative to its base world: the value, fresh function
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, TypeVar, Union
+from typing import Iterator, Mapping, TypeVar, Union
 
 from . import bigraph as B
 from . import opsem as O
@@ -36,7 +36,6 @@ from . import syntax as S
 from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, weighted_mix
 
 BiasState = Mapping[int, Fraction]
-BiasKey = tuple[tuple[int, Fraction], ...]
 K = TypeVar("K")
 
 EMPTY_WORLD = B.empty_total()
@@ -68,10 +67,6 @@ def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> dict[int, Fraction]:
     if set(bias) != graph.left:
         raise ValueError(f"bias state must assign exactly the functions {sorted(graph.left)}")
     return {f: as_prob(p) for f, p in bias.items()}
-
-
-def _bias_key(bias: BiasState) -> BiasKey:
-    return tuple(sorted(bias.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +178,30 @@ def unit(graph: B.TotalBigraph, value: O.EnvValue) -> FinDist[CanonicalClass]:
     return dirac(canonicalize(graph, graph, value, {}))
 
 
+def _rebase(base: B.TotalBigraph, cls: CanonicalClass, biases: BiasState) -> CanonicalClass:
+    """A class re-expressed over ``base``, a sub-world of its own base;
+    ``biases`` covers the functions its base adds to ``base``, and the
+    class's fresh biases are merged in."""
+    all_biases = dict(biases)
+    all_biases.update(zip(cls.fresh_funs, cls.fresh_biases))
+    return canonicalize(base, class_world(cls), cls.value, all_biases)
+
+
 def bind(
     graph: B.TotalBigraph,
     bias: dict[int, Fraction],
     dist: FinDist[CanonicalClass],
-    kont: Callable[[B.TotalBigraph, O.EnvValue, dict[int, Fraction]], FinDist[CanonicalClass]],
+    name: S.Ident,
+    body: S.Comp,
+    env: O.FrozenMap,
 ) -> FinDist[CanonicalClass]:
-    """Sequence a result at (graph, bias) with a continuation evaluated at
-    each class's own world, under the bias state extended by the class's
-    fresh function biases.
+    """Sequence a result at (graph, bias) with ``body``, evaluated with
+    ``name`` bound to each class's value at that class's own world, under
+    the bias state extended by the class's fresh function biases.
 
-    The continuation's classes, living over the extended world, are
-    re-expressed over graph by unioning the fresh parts; garbage
-    collection then merges branches that differ only in discarded nodes.
+    The body's classes, living over the extended world, are re-expressed
+    over graph by unioning the fresh parts; garbage collection then merges
+    branches that differ only in discarded nodes.
     """
     branches = []
     for cls, p in dist.items():
@@ -204,14 +210,10 @@ def bind(
         lam = dict(bias)
         lam.update(carried)
         flattened = []
-        for cls2, q in kont(world, cls.value, lam).items():
+        for cls2, q in den_comp(body, world, env.set(name, cls.value), lam).items():
             if cls2.base != world:
-                raise ValueError("continuation must answer at the extended world")
-            all_biases = dict(carried)
-            all_biases.update(zip(cls2.fresh_funs, cls2.fresh_biases))
-            flattened.append(
-                (canonicalize(graph, class_world(cls2), cls2.value, all_biases), q)
-            )
+                raise ValueError("let body must answer at the extended world")
+            flattened.append((_rebase(graph, cls2, carried), q))
         branches.append((p, FinDist(flattened)))
     return weighted_mix(branches)
 
@@ -316,10 +318,10 @@ def clear_caches() -> None:
     _PROB_CACHE.clear()
 
 
-def _cached_prob_true(body: S.Comp, graph: B.TotalBigraph, env: O.FrozenMap, lam_key: BiasKey) -> Fraction:
-    key = (body, graph, env, lam_key)
+def _cached_prob_true(body: S.Comp, graph: B.TotalBigraph, env: O.FrozenMap, bias: BiasState) -> Fraction:
+    key = (body, graph, env, tuple(sorted(bias.items())))
     if key not in _PROB_CACHE:
-        _PROB_CACHE[key] = prob_true(den_comp(body, graph, env, dict(lam_key)))
+        _PROB_CACHE[key] = prob_true(den_comp(body, graph, env, bias))
     return _PROB_CACHE[key]
 
 
@@ -329,11 +331,10 @@ def _fresh_bias(
     """The body's true-probability on a brand-new atom, checked to be the
     same for every wiring of that atom to the existing functions."""
     funs = sorted(graph.left)
-    lam_key = _bias_key(bias)
     results = []
     for bits in itertools.product((False, True), repeat=len(funs)):
         world, atom = graph.add_right_defined(dict(zip(funs, bits)))
-        q = _cached_prob_true(body, world, env.set(binder, O.AtomV(atom)), lam_key)
+        q = _cached_prob_true(body, world, env.set(binder, O.AtomV(atom)), bias)
         results.append((tuple(zip(funs, bits)), q))
     first_conn, first_q = results[0]
     for conn, q in results[1:]:
@@ -349,10 +350,9 @@ def den_mem(
     body's probability at that atom, and its bias on future atoms is the
     body's (wiring-independent) probability on a new atom."""
     bias = _bias_state(graph, bias)
-    lam_key = _bias_key(bias)
     atoms = sorted(graph.right)
     per_atom = {
-        a: _cached_prob_true(body, graph, env.set(binder, O.AtomV(a)), lam_key)
+        a: _cached_prob_true(body, graph, env.set(binder, O.AtomV(a)), bias)
         for a in atoms
     }
     new_bias = _fresh_bias(graph, env, binder, body, bias)
@@ -373,10 +373,8 @@ def den_comp(
     if isinstance(comp, S.Return):
         return unit(graph, O.eval_value(env, comp.value))
     if isinstance(comp, S.Let):
-        def kont(world: B.TotalBigraph, value: O.EnvValue, lam: dict[int, Fraction]):
-            return den_comp(comp.body, world, env.set(comp.name, value), lam)
-
-        return bind(graph, bias, den_comp(comp.bound, graph, env, bias), kont)
+        bound = den_comp(comp.bound, graph, env, bias)
+        return bind(graph, bias, bound, comp.name, comp.body, env)
     if isinstance(comp, S.If):
         flag = O.eval_value(env, comp.cond)
         if not isinstance(flag, O.BoolV):
@@ -475,12 +473,11 @@ def _den_config(
     chain, single = [], []
     for total, assign in config.graph.completions():
         biases = _closure_biases(config, total)
-        lam_key = _bias_key(biases)
         chain_w = single_w = ONE
         for fun, atom in undef:
             closure = config.closures[fun]
             p = _cached_prob_true(
-                closure.body, total, closure.captured.set(closure.binder, O.AtomV(atom)), lam_key
+                closure.body, total, closure.captured.set(closure.binder, O.AtomV(atom)), biases
             )
             q = biases[fun]
             bit = assign[(fun, atom)]
@@ -489,14 +486,7 @@ def _den_config(
         if chain_w == ZERO and single_w == ZERO:
             continue
         result = den_comp(config.term, total, config.env, biases)
-        flattened = []
-        for cls, q in result.items():
-            all_biases = dict(biases)
-            all_biases.update(zip(cls.fresh_funs, cls.fresh_biases))
-            flattened.append(
-                (canonicalize(EMPTY_WORLD, class_world(cls), cls.value, all_biases), q)
-            )
-        dist = FinDist(flattened)
+        dist = FinDist([(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in result.items()])
         chain.append((chain_w, dist))
         single.append((single_w, dist))
     return weighted_mix(chain), weighted_mix(single)

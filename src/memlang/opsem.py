@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from . import bigraph as B
 from . import syntax as S
 from . import typecheck as TC
-from .dist import ONE, ZERO, FinDist
+from .dist import ONE, ZERO, FinDist, map_dist
 
 _STEP_BUDGET = 1_000_000
 
@@ -251,6 +251,21 @@ def decompose(term: S.ExtTerm) -> Optional[tuple[tuple[Frame, ...], S.ExtTerm]]:
             raise Stuck(f"no redex in {t!r}")
 
 
+def _spine_markers(term: S.ExtTerm) -> list[S.MemoCtx]:
+    """The memo markers along the evaluation spine (through let-bound terms
+    and marker bodies), outermost first."""
+    markers = []
+    t = term
+    while True:
+        if isinstance(t, S.MemoCtx):
+            markers.append(t)
+            t = t.inner
+        elif isinstance(t, S.Let):
+            t = t.bound
+        else:
+            return markers
+
+
 def recompose(frames: Iterable[Frame], term: S.ExtTerm) -> S.ExtTerm:
     out = term
     for frame in reversed(list(frames)):
@@ -272,16 +287,9 @@ def _validate(config: Configuration) -> None:
         funs, atoms = value_labels(value)
         if not set(funs) <= config.graph.left or not set(atoms) <= config.graph.right:
             raise MalformedConfiguration("environment mentions labels outside the graph")
-    t = config.term
-    while True:
-        if isinstance(t, S.MemoCtx):
-            if t.fun_label not in config.graph.left or t.atom_label not in config.graph.right:
-                raise MalformedConfiguration("memo marker mentions labels outside the graph")
-            t = t.inner
-        elif isinstance(t, S.Let):
-            t = t.bound
-        else:
-            break
+    for marker in _spine_markers(config.term):
+        if marker.fun_label not in config.graph.left or marker.atom_label not in config.graph.right:
+            raise MalformedConfiguration("memo marker mentions labels outside the graph")
 
 
 def _term_size(t: S.ExtTerm) -> int:
@@ -480,16 +488,7 @@ def _shape_type(value: EnvValue) -> TC.Ty:
 
 def memo_stack(term: S.ExtTerm) -> tuple[tuple[int, int], ...]:
     """Pending memoization pairs along the evaluation spine, outermost first."""
-    pairs: list[tuple[int, int]] = []
-    t = term
-    while True:
-        if isinstance(t, S.MemoCtx):
-            pairs.append((t.fun_label, t.atom_label))
-            t = t.inner
-        elif isinstance(t, S.Let):
-            t = t.bound
-        else:
-            return tuple(pairs)
+    return tuple((m.fun_label, m.atom_label) for m in _spine_markers(term))
 
 
 def config_judgement(config: Configuration) -> tuple[TC.TyCtx, tuple[tuple[int, int], ...], TC.Ty]:
@@ -503,17 +502,8 @@ def config_judgement(config: Configuration) -> tuple[TC.TyCtx, tuple[tuple[int, 
     therefore merges the restore environments along the spine (oldest
     first) with the running environment, newer entries shadowing."""
     decls: dict[str, TC.Ty] = {}
-    spine_envs: list[FrozenMap] = []
-    t = config.term
-    while True:
-        if isinstance(t, S.MemoCtx):
-            spine_envs.append(t.restore_env)
-            t = t.inner
-        elif isinstance(t, S.Let):
-            t = t.bound
-        else:
-            break
-    for env in [*spine_envs, config.env]:
+    restore_envs = [m.restore_env for m in _spine_markers(config.term)]
+    for env in [*restore_envs, config.env]:
         for name, value in env.items():
             decls[name] = _shape_type(value)
     ctx = TC.TyCtx(sorted(decls.items()))
@@ -585,13 +575,9 @@ def observe(config: Configuration) -> Observation:
             value_labels(captured, funs, atoms)
         kept_envs[label] = items
 
-    amap = {old: new for new, old in enumerate(atoms)}
-    fmap = {old: new for new, old in enumerate(funs)}
-
-    edges = {
-        (fmap[f], amap[a]): config.graph.edge(f, a) for f in funs for a in atoms
-    }
-    graph = B.PartialBigraph(fmap.values(), amap.values(), edges)
+    graph, fmap, amap = B.canonical_relabel(
+        config.graph.restrict(funs, atoms), (), (), funs, atoms
+    )
     closures = tuple(
         (
             fmap[label],
@@ -607,6 +593,4 @@ def observe(config: Configuration) -> Observation:
 
 def observational_bigstep(program: S.Comp) -> FinDist[Observation]:
     """Exact distribution over observations of terminal configurations."""
-    from .dist import map_dist
-
     return map_dist(enumerate_bigstep(program), observe)

@@ -161,22 +161,13 @@ class ProgramGen:
             if self._pairs(scope):
                 feasible += ["matchc"]
         kind = self.rng.choice(feasible)
-        if kind == "flip":
-            self._flips += 1
-            return self._ident("b"), S.Flip(self.rng.choice(BIASES)), TC.BOOL
+        if kind in ("flip", "eq", "app"):
+            return self._ident("b"), self._bool_leaf(kind, scope), TC.BOOL
         if kind == "fresh":
             self._freshes += 1
             return self._ident("x"), S.Fresh(), TC.ATOM
         if kind == "memfn":
             return self._ident("f"), self._memfn_rhs(scope, depth), TC.FUN
-        if kind == "eq":
-            atoms = self._of_type(scope, TC.ATOM)
-            lhs, rhs = self.rng.choice(atoms), self.rng.choice(atoms)
-            return self._ident("b"), S.Eq(S.Var(lhs), S.Var(rhs)), TC.BOOL
-        if kind == "app":
-            fun = self.rng.choice(self._of_type(scope, TC.FUN))
-            arg = self.rng.choice(self._app_args(scope))
-            return self._ident("b"), S.App(S.Var(fun), S.Var(arg)), TC.BOOL
         if kind == "retval":
             value_types = self._value_types(scope)
             ty: TC.Ty = self.rng.choice(value_types)
@@ -227,18 +218,23 @@ class ProgramGen:
             if self._of_type(scope, TC.FUN) and self._app_args(scope):
                 kinds += ["app"] * 2
             kind = self.rng.choice(kinds)
-            if kind == "flip":
-                self._flips += 1
-                return S.Flip(self.rng.choice(BIASES))
-            if kind == "eq":
-                atoms = self._of_type(scope, TC.ATOM)
-                return S.Eq(S.Var(self.rng.choice(atoms)), S.Var(self.rng.choice(atoms)))
-            if kind == "app":
-                fun = self.rng.choice(self._of_type(scope, TC.FUN))
-                arg = self.rng.choice(self._app_args(scope))
-                return S.App(S.Var(fun), S.Var(arg))
-            return S.Return(self._val(scope, TC.BOOL))
+            if kind == "retval":
+                return S.Return(self._val(scope, TC.BOOL))
+            return self._bool_leaf(kind, scope)
         return S.Return(self._val(scope, want))
+
+    def _bool_leaf(self, kind: str, scope: _Scope) -> S.Comp:
+        """A boolean leaf: kind "flip", "eq" (an atom equality) or "app" (a
+        function applied to an atom it may be applied to)."""
+        if kind == "flip":
+            self._flips += 1
+            return S.Flip(self.rng.choice(BIASES))
+        if kind == "eq":
+            atoms = self._of_type(scope, TC.ATOM)
+            return S.Eq(S.Var(self.rng.choice(atoms)), S.Var(self.rng.choice(atoms)))
+        fun = self.rng.choice(self._of_type(scope, TC.FUN))
+        arg = self.rng.choice(self._app_args(scope))
+        return S.App(S.Var(fun), S.Var(arg))
 
     def _comp(self, scope: _Scope, depth: int, want: Optional[TC.Ty]) -> S.Comp:
         bindings: list[tuple[str, S.Comp]] = []

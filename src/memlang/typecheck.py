@@ -4,7 +4,9 @@ Every construct's type is determined by its parts, so checking is pure
 synthesis over a context of declarations.  Extended terms additionally
 thread a stack of pending memoization pairs; a memo marker consumes the
 pair at the head of the stack, and the stack is split between subterms
-according to the textual position of the markers.
+according to the textual position of the markers.  A source computation
+is typed as an extended term at the empty stack, so one walker carries
+every rule.
 """
 
 from __future__ import annotations
@@ -122,57 +124,6 @@ def type_of_value(ctx: TyCtx, v: S.Val) -> Ty:
     raise TypeError(f"not a value: {v!r}")
 
 
-def type_of_comp(ctx: TyCtx, c: S.Comp) -> Ty:
-    if isinstance(c, S.Return):
-        return type_of_value(ctx, c.value)
-    if isinstance(c, S.Let):
-        bound_ty = type_of_comp(ctx, c.bound)
-        return type_of_comp(ctx.extend(c.name, bound_ty), c.body)
-    if isinstance(c, S.If):
-        cond_ty = type_of_value(ctx, c.cond)
-        if cond_ty != BOOL:
-            raise TypeMismatch("bool", repr(cond_ty), S.pretty(c))
-        then_ty = type_of_comp(ctx, c.then)
-        else_ty = type_of_comp(ctx, c.orelse)
-        if then_ty != else_ty:
-            raise TypeMismatch(repr(then_ty), repr(else_ty), S.pretty(c))
-        return then_ty
-    if isinstance(c, S.Match):
-        subject_ty = type_of_value(ctx, c.subject)
-        if not isinstance(subject_ty, ProdT):
-            raise TypeMismatch("a product", repr(subject_ty), S.pretty(c))
-        inner = ctx.extend(c.fst_name, subject_ty.fst).extend(c.snd_name, subject_ty.snd)
-        return type_of_comp(inner, c.body)
-    if isinstance(c, S.Flip):
-        if c.bias < 0 or c.bias > 1:
-            raise TypeMismatch("bias in [0, 1]", str(c.bias), S.pretty(c))
-        return BOOL
-    if isinstance(c, S.Fresh):
-        return ATOM
-    if isinstance(c, S.Eq):
-        for side in (c.lhs, c.rhs):
-            ty = type_of_value(ctx, side)
-            if ty != ATOM:
-                raise TypeMismatch("atom", repr(ty), S.pretty(c))
-        return BOOL
-    if isinstance(c, S.MemFn):
-        body_ty = type_of_comp(ctx.extend(c.binder, ATOM), c.body)
-        if body_ty != BOOL:
-            raise TypeMismatch("bool (memoized function body)", repr(body_ty), S.pretty(c))
-        return FUN
-    if isinstance(c, S.App):
-        fn_ty = type_of_value(ctx, c.fn)
-        if fn_ty != FUN:
-            raise TypeMismatch("fun", repr(fn_ty), S.pretty(c))
-        arg_ty = type_of_value(ctx, c.arg)
-        if arg_ty != ATOM:
-            raise TypeMismatch("atom", repr(arg_ty), S.pretty(c))
-        return BOOL
-    if isinstance(c, S.MemoCtx):
-        raise TypeError("memo markers require type_of_ext")
-    raise TypeError(f"not a computation: {c!r}")
-
-
 MemoStack = tuple[tuple[int, int], ...]
 
 
@@ -188,6 +139,11 @@ def type_of_ext(ctx: TyCtx, stack: Iterable[tuple[int, int]], e: S.ExtTerm) -> T
     if rest:
         raise StackMismatch(f"unconsumed stack pairs {list(rest)}")
     return ty
+
+
+def type_of_comp(ctx: TyCtx, c: S.Comp) -> Ty:
+    """Type a source computation: an extended term at the empty stack."""
+    return type_of_ext(ctx, (), c)
 
 
 def _pop(stack: MemoStack, marker: S.MemoCtx) -> MemoStack:
@@ -233,5 +189,33 @@ def _check_ext(ctx: TyCtx, stack: MemoStack, e: S.ExtTerm) -> tuple[Ty, MemoStac
             raise TypeMismatch("a product", repr(subject_ty), S.pretty(e))
         inner = ctx.extend(e.fst_name, subject_ty.fst).extend(e.snd_name, subject_ty.snd)
         return _check_ext(inner, stack, e.body)
-    # leaf computations carry no memo markers and consume nothing
-    return type_of_comp(ctx, e), stack
+    # the remaining rules consume nothing and pass the stack on unchanged
+    if isinstance(e, S.Return):
+        return type_of_value(ctx, e.value), stack
+    if isinstance(e, S.Flip):
+        if e.bias < 0 or e.bias > 1:
+            raise TypeMismatch("bias in [0, 1]", str(e.bias), S.pretty(e))
+        return BOOL, stack
+    if isinstance(e, S.Fresh):
+        return ATOM, stack
+    if isinstance(e, S.Eq):
+        for side in (e.lhs, e.rhs):
+            ty = type_of_value(ctx, side)
+            if ty != ATOM:
+                raise TypeMismatch("atom", repr(ty), S.pretty(e))
+        return BOOL, stack
+    if isinstance(e, S.MemFn):
+        # a body is source syntax: it carries no markers of its own
+        body_ty = type_of_comp(ctx.extend(e.binder, ATOM), e.body)
+        if body_ty != BOOL:
+            raise TypeMismatch("bool (memoized function body)", repr(body_ty), S.pretty(e))
+        return FUN, stack
+    if isinstance(e, S.App):
+        fn_ty = type_of_value(ctx, e.fn)
+        if fn_ty != FUN:
+            raise TypeMismatch("fun", repr(fn_ty), S.pretty(e))
+        arg_ty = type_of_value(ctx, e.arg)
+        if arg_ty != ATOM:
+            raise TypeMismatch("atom", repr(arg_ty), S.pretty(e))
+        return BOOL, stack
+    raise TypeError(f"not a computation: {e!r}")

@@ -54,6 +54,16 @@ def test_too_deep_nesting_is_usage_error(capsys, tmp_path, command):
     assert captured.err.count("\n") == 1 and "too deep" in captured.err
 
 
+@pytest.mark.parametrize("command", ["denote", "soundness"])
+def test_denote_and_soundness_accept_400_deep_nesting(capsys, tmp_path, command):
+    deep = tmp_path / "deep.mem"
+    deep.write_text("".join(f"let val x{i} <- return true in " for i in range(400)) + "return x0\n")
+    code, payload = run_cli(capsys, command, str(deep))
+    assert code == 0
+    rows = payload["distribution"] if command == "denote" else payload["lhs"]
+    assert [(row["value"], row["prob"]) for row in rows] == [(True, "1")]
+
+
 def test_run_deterministic_per_seed(capsys):
     path = str(PROGRAMS / "sound" / "memo_pair.mem")
     code1, payload1 = run_cli(capsys, "run", path, "--seed", "7")

@@ -103,7 +103,7 @@ def test_bind_right_unit_at_a_bias_state():
     g = one_fun_world()
     for p in (Fraction(0), THIRD, ONE):
         m = D.den_fresh(g, {0: p})
-        back = D.bind(g, {0: p}, m, lambda world, value, lam: D.unit(world, value))
+        back = D.bind(g, {0: p}, m, "x", S.Return(S.Var("x")), O.EMPTY_MAP)
         assert dist_eq(m, back)
 
 

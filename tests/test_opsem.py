@@ -135,6 +135,17 @@ def test_step_progress_check_survives_optimization(monkeypatch):
         O.run_sampled(program, seed=0)
 
 
+@pytest.mark.parametrize("fun, atom", [(1, 0), (0, 1)])
+def test_step_rejects_marker_outside_graph(fun, atom):
+    graph, _ = B.empty().add_right_undef()
+    graph, label = graph.add_left_undef()
+    closures = O.FrozenMap({label: O.Closure("y", S.Flip(HALF), O.EMPTY_MAP)})
+    marker = S.MemoCtx(S.Flip(HALF), fun, atom, O.EMPTY_MAP)
+    cfg = O.Configuration(O.EMPTY_MAP, S.Let("b", marker, S.Return(S.Var("b"))), graph, closures)
+    with pytest.raises(O.MalformedConfiguration, match="memo marker mentions labels outside the graph"):
+        O.step(cfg)
+
+
 def test_step_let_return_extends_env():
     cfg = O.initial_configuration(
         S.parse_program("let val b <- return true in return b")

@@ -136,3 +136,12 @@ def test_ext_match_body_marker():
     ctx = TC.EMPTY_CTX.extend("p", TC.ProdT(TC.BOOL, TC.BOOL))
     term = S.Match(S.Var("p"), "a", "b", _marker(S.Return(S.Var("a"))))
     assert TC.type_of_ext(ctx, [(0, 0)], term) == TC.BOOL
+
+
+def test_source_typing_rejects_memo_markers():
+    # a source computation is typed at the empty stack, so any marker in it,
+    # on the spine or inside a memoized body, has no pair to consume
+    marked = _marker(S.Return(S.BoolLit(True)))
+    for term in (marked, S.Let("x", marked, S.Return(S.Var("x"))), S.MemFn("y", marked)):
+        with pytest.raises(TC.StackMismatch):
+            TC.type_of_comp(TC.EMPTY_CTX, term)
