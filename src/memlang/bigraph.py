@@ -4,7 +4,9 @@ Left nodes stand for memoized functions, right nodes for atoms, and each
 (left, right) pair carries an edge value: True, False, or None for
 not-yet-sampled.  A graph with no None entries is total; total graphs are
 the worlds of the compositional evaluator, while evaluation states carry
-partial graphs.  All values are immutable; updates return new graphs.
+partial graphs.  A total graph may also hold ``Pending`` edges: an
+independent coin the compositional evaluator has not drawn yet.  All
+values are immutable; updates return new graphs.
 """
 
 from __future__ import annotations
@@ -12,9 +14,22 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from fractions import Fraction
+from typing import Iterable, Mapping, Optional, Union
 
-EdgeVal = Optional[bool]
+
+@dataclass(frozen=True)
+class Pending:
+    """An edge not drawn yet: true with probability ``chance``, independently
+    of every other edge.  Its truth value is unknown, so it has none."""
+
+    chance: Fraction
+
+    def __bool__(self) -> bool:
+        raise TypeError("a pending edge has no truth value until it is drawn")
+
+
+EdgeVal = Optional[Union[bool, Pending]]
 
 DEFAULT_MAX_UNDEF = 20
 
@@ -27,7 +42,7 @@ class EdgeAlreadyDefined(Exception):
 
 class TooManyUndefined(Exception):
     def __init__(self, count: int, limit: int):
-        super().__init__(f"{count} undefined edges exceed the completion limit {limit}")
+        super().__init__(f"{count} undefined edges exceed the limit {limit} (MEMLANG_MAX_UNDEF)")
         self.count = count
         self.limit = limit
 
@@ -36,7 +51,9 @@ class InvalidLimit(ValueError):
     """``MEMLANG_MAX_UNDEF`` is not a non-negative integer."""
 
 
-def _completion_limit() -> int:
+def check_undefined_budget(count: int) -> None:
+    """Allow a 2^count expansion over ``count`` undefined edges only within
+    ``MEMLANG_MAX_UNDEF``; raise ``TooManyUndefined`` beyond it."""
     raw = os.environ.get("MEMLANG_MAX_UNDEF", str(DEFAULT_MAX_UNDEF))
     try:
         limit = int(raw)
@@ -44,7 +61,8 @@ def _completion_limit() -> int:
         limit = -1
     if limit < 0:
         raise InvalidLimit(f"MEMLANG_MAX_UNDEF must be a non-negative integer, got {raw!r}")
-    return limit
+    if count > limit:
+        raise TooManyUndefined(count, limit)
 
 
 class PartialBigraph:
@@ -131,9 +149,7 @@ class PartialBigraph:
         """All total extensions, in binary-counting order over the sorted
         undefined pairs (False before True)."""
         undef = sorted(self.undefined_pairs())
-        limit = _completion_limit()
-        if len(undef) > limit:
-            raise TooManyUndefined(len(undef), limit)
+        check_undefined_budget(len(undef))
         out = []
         for bits in itertools.product((False, True), repeat=len(undef)):
             assign = dict(zip(undef, bits))
@@ -165,30 +181,34 @@ class PartialBigraph:
         return f"PartialBigraph(left={sorted(self._left)}, right={sorted(self._right)}, edges={self.edge_items()})"
 
 
+def _defined(value) -> bool | Pending:
+    return value if isinstance(value, Pending) else bool(value)
+
+
 class TotalBigraph(PartialBigraph):
-    """A memo-table with every edge sampled."""
+    """A memo-table with every edge sampled or pending."""
 
     def __init__(self, left=(), right=(), edges=None):
         super().__init__(left, right, edges)
         if any(v is None for _, v in self.edge_items()):
             raise ValueError("total bigraph cannot contain undefined edges")
 
-    def add_left_defined(self, row: Mapping[int, bool]) -> tuple["TotalBigraph", int]:
+    def add_left_defined(self, row: Mapping[int, bool | Pending]) -> tuple["TotalBigraph", int]:
         if set(row) != set(self._right):
             raise ValueError("row must assign every atom")
         fun = self._fresh_label(self._left)
         edges = dict(self._edges)
         for atom, v in row.items():
-            edges[(fun, atom)] = bool(v)
+            edges[(fun, atom)] = _defined(v)
         return TotalBigraph(self._left | {fun}, self._right, edges), fun
 
-    def add_right_defined(self, column: Mapping[int, bool]) -> tuple["TotalBigraph", int]:
+    def add_right_defined(self, column: Mapping[int, bool | Pending]) -> tuple["TotalBigraph", int]:
         if set(column) != set(self._left):
             raise ValueError("column must assign every function")
         atom = self._fresh_label(self._right)
         edges = dict(self._edges)
         for fun, v in column.items():
-            edges[(fun, atom)] = bool(v)
+            edges[(fun, atom)] = _defined(v)
         return TotalBigraph(self._left, self._right | {atom}, edges), atom
 
 

@@ -16,15 +16,29 @@ labels are renumbered to the smallest labels absent from the base, in first
 occurrence order of a left-to-right traversal of the value, which makes the
 representative canonical.
 
-Memoized functions are interpreted by sampling a full row of answers over
-the existing atoms (one probability per atom, obtained by running the body
-on that atom) plus a single bias for future atoms.  That bias must not
-depend on how a hypothetical new atom is wired to the existing functions;
+Memoized functions are interpreted by a row of answers over the existing
+atoms (one probability per atom, obtained by running the body on that
+atom) plus a single bias for future atoms.  That bias must not depend on
+how a hypothetical new atom is wired to the existing functions;
 ``FreshnessViolation`` reports a witnessing pair of wirings when it does.
+
+Edges are drawn lazily.  ``den_mem`` and ``den_fresh`` each return one
+class, in which every undetermined edge of the new row or column is
+*pending* (``bigraph.Pending``): an independent coin with an exact chance,
+stored as a plain bool when the chance is 0 or 1.  ``transport``'s cross
+edges are pending in the same way.  When ``den_app`` reads a pending edge
+it raises ``EdgeRead``; the ``bind`` whose class owns the edge splits that
+class into its two outcomes and evaluates its body again on each, so a
+body, and any row computed inside it, stays correlated with the edges it
+read.  A pending edge nobody reads is garbage-collected with its node, or
+survives into a result, where ``expand`` draws it as a Bernoulli product.
+``expand`` runs where results are observed: ``den_program``, each
+completion of ``den_config`` and the law suites.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +57,15 @@ EMPTY_WORLD = B.empty_total()
 
 class NonCollapsedClass(Exception):
     """A boolean-typed result still carries world data; canonicalization bug."""
+
+
+class EdgeRead(Exception):
+    """``den_app`` read a pending edge; the ``bind`` that owns it draws it
+    and evaluates its body again on each outcome."""
+
+    def __init__(self, pair: tuple[int, int]):
+        super().__init__(f"edge {pair} was read before it was drawn")
+        self.pair = pair
 
 
 class FreshnessViolation(Exception):
@@ -80,16 +103,25 @@ class CanonicalClass:
     fresh_funs: tuple[int, ...]
     fresh_biases: tuple[Fraction, ...]
     fresh_atoms: tuple[int, ...]
-    ext_edges: tuple[tuple[int, int, bool], ...]
+    ext_edges: tuple[tuple[int, int, B.EdgeVal], ...]
 
     def bias_of(self, fun: int) -> Fraction:
         return self.fresh_biases[self.fresh_funs.index(fun)]
 
-    def ext_edge(self, fun: int, atom: int) -> bool:
+    def ext_edge(self, fun: int, atom: int) -> B.EdgeVal:
         for f, a, v in self.ext_edges:
             if f == fun and a == atom:
                 return v
         raise KeyError((fun, atom))
+
+    def pending(self) -> dict[tuple[int, int], Fraction]:
+        """The chance of each edge not drawn yet."""
+        return {(f, a): v.chance for f, a, v in self.ext_edges if isinstance(v, B.Pending)}
+
+    def drawn(self, outcome: Mapping[tuple[int, int], bool]) -> "CanonicalClass":
+        """This class with the pending edges in ``outcome`` drawn."""
+        edges = tuple((f, a, outcome.get((f, a), v)) for f, a, v in self.ext_edges)
+        return dataclasses.replace(self, ext_edges=edges)
 
     def to_json(self) -> dict:
         return {
@@ -126,7 +158,7 @@ def canonicalize(
     fmap = dict(zip(fresh_fun_order, B.smallest_free(len(fresh_fun_order), base.left)))
     amap = dict(zip(fresh_atom_order, B.smallest_free(len(fresh_atom_order), base.right)))
 
-    edges: list[tuple[int, int, bool]] = []
+    edges: list[tuple[int, int, B.EdgeVal]] = []
     for f in [*sorted(base.left), *fresh_fun_order]:
         for a in [*sorted(base.right), *fresh_atom_order]:
             if f in base.left and a in base.right:
@@ -174,6 +206,29 @@ def _bernoulli_product(chances: Mapping[K, Fraction]) -> Iterator[tuple[dict[K, 
             yield dict(zip(keys, bits)), weight
 
 
+def _edge(chance: Fraction) -> bool | B.Pending:
+    """An edge that is true with ``chance``, pending unless the chance is
+    0 or 1."""
+    if chance == ONE or chance == ZERO:
+        return chance == ONE
+    return B.Pending(chance)
+
+
+def expand(dist: FinDist[CanonicalClass]) -> FinDist[CanonicalClass]:
+    """Draw the pending edges that survive in a result: each class becomes
+    the Bernoulli product over its pending edges.  A result with nothing
+    pending is returned as it is."""
+    pending = [cls.pending() for cls in dist]
+    if not any(pending):
+        return dist
+    out = []
+    for (cls, p), chances in zip(dist.items(), pending):
+        B.check_undefined_budget(len(chances))
+        for outcome, weight in _bernoulli_product(chances):
+            out.append((cls.drawn(outcome), p * weight))
+    return FinDist(out)
+
+
 def unit(graph: B.TotalBigraph, value: O.EnvValue) -> FinDist[CanonicalClass]:
     return dirac(canonicalize(graph, graph, value, {}))
 
@@ -202,15 +257,33 @@ def bind(
     The body's classes, living over the extended world, are re-expressed
     over graph by unioning the fresh parts; garbage collection then merges
     branches that differ only in discarded nodes.
+
+    A class's pending edges stay pending while the body runs.  When the
+    body reads one, the class is split into its two outcomes and the body
+    runs again on each; a read of an edge the class does not own goes on
+    to the bind that owns it.  Classes are taken in distribution order,
+    each split False before True, so the first ``FreshnessViolation``
+    raised is always the same.
     """
     branches = []
-    for cls, p in dist.items():
+    todo = dist.items()[::-1]
+    while todo:
+        cls, p = todo.pop()
         world = class_world(cls)
         carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
         lam = dict(bias)
         lam.update(carried)
+        try:
+            result = den_comp(body, world, env.set(name, cls.value), lam)
+        except EdgeRead as read:
+            chance = cls.pending().get(read.pair)
+            if chance is None:
+                raise
+            todo.append((cls.drawn({read.pair: True}), p * chance))
+            todo.append((cls.drawn({read.pair: False}), p * (ONE - chance)))
+            continue
         flattened = []
-        for cls2, q in den_comp(body, world, env.set(name, cls.value), lam).items():
+        for cls2, q in result.items():
             if cls2.base != world:
                 raise ValueError("let body must answer at the extended world")
             flattened.append((_rebase(graph, cls2, carried), q))
@@ -227,9 +300,9 @@ def transport(
     (a bias state of the target) along the embedding; each class is pushed
     into the larger world.  Edges between a class's fresh nodes and the
     extension's new nodes are not determined by either side, so they are
-    sampled: a new function connects to a fresh atom with the function's
-    bias, and a fresh function connects to a new atom with the class's
-    recorded bias.
+    pending: a new function's edge to a fresh atom has the function's
+    bias, and a fresh function's edge to a new atom the class's recorded
+    bias.
     """
     target = emb.target
     if not isinstance(target, B.TotalBigraph):
@@ -249,22 +322,20 @@ def transport(
         fbias = {falias[f]: b for f, b in zip(cls.fresh_funs, cls.fresh_biases)}
         fmap = {**lmap, **falias}
         amap = {**rmap, **aalias}
-        value = O.relabel(cls.value, fmap, amap)
-        mapped_edges = {(fmap[f], amap[a]): v for f, a, v in cls.ext_edges}
-        cross = {(nf, aalias[a]): bias2[nf] for nf in new_funs for a in cls.fresh_atoms}
-        cross.update(
-            {(falias[f], na): fbias[falias[f]] for f in cls.fresh_funs for na in new_atoms}
+        edges = dict(target.edge_items())
+        edges.update({(fmap[f], amap[a]): v for f, a, v in cls.ext_edges})
+        edges.update(
+            {(nf, aalias[a]): _edge(bias2[nf]) for nf in new_funs for a in cls.fresh_atoms}
         )
-        for outcome, weight in _bernoulli_product(cross):
-            edges = {pair: v for pair, v in target.edge_items()}
-            edges.update(mapped_edges)
-            edges.update(outcome)
-            world = B.TotalBigraph(
-                set(target.left) | set(falias.values()),
-                set(target.right) | set(aalias.values()),
-                edges,
-            )
-            flattened.append((canonicalize(target, world, value, fbias), p * weight))
+        edges.update(
+            {(falias[f], na): _edge(fbias[falias[f]]) for f in cls.fresh_funs for na in new_atoms}
+        )
+        world = B.TotalBigraph(
+            set(target.left) | set(falias.values()),
+            set(target.right) | set(aalias.values()),
+            edges,
+        )
+        flattened.append((canonicalize(target, world, O.relabel(cls.value, fmap, amap), fbias), p))
     return FinDist(flattened)
 
 
@@ -282,7 +353,10 @@ def den_flip(graph: B.TotalBigraph, theta) -> FinDist[CanonicalClass]:
 
 
 def den_app(graph: B.TotalBigraph, fun: int, atom: int) -> FinDist[CanonicalClass]:
-    return unit(graph, O.BoolV(bool(graph.edge(fun, atom))))
+    edge = graph.edge(fun, atom)
+    if isinstance(edge, B.Pending):
+        raise EdgeRead((fun, atom))
+    return unit(graph, O.BoolV(edge))
 
 
 def den_eq(graph: B.TotalBigraph, atom_a: int, atom_b: int) -> FinDist[CanonicalClass]:
@@ -290,14 +364,11 @@ def den_eq(graph: B.TotalBigraph, atom_a: int, atom_b: int) -> FinDist[Canonical
 
 
 def den_fresh(graph: B.TotalBigraph, bias: BiasState) -> FinDist[CanonicalClass]:
-    """A new atom whose wiring to each existing function is sampled from
-    that function's bias; the weights over all wirings sum to 1."""
+    """A new atom whose edge from each existing function is pending with
+    that function's bias."""
     bias = _bias_state(graph, bias)
-    branches = []
-    for wiring, weight in _bernoulli_product({f: bias[f] for f in sorted(graph.left)}):
-        world, atom = graph.add_right_defined(wiring)
-        branches.append((canonicalize(graph, world, O.AtomV(atom), {}), weight))
-    return FinDist(branches)
+    world, atom = graph.add_right_defined({f: _edge(p) for f, p in bias.items()})
+    return dirac(canonicalize(graph, world, O.AtomV(atom), {}))
 
 
 def prob_true(dist: FinDist[CanonicalClass]) -> Fraction:
@@ -329,38 +400,36 @@ def _fresh_bias(
     graph: B.TotalBigraph, env: O.FrozenMap, binder: S.Ident, body: S.Comp, bias: BiasState
 ) -> Fraction:
     """The body's true-probability on a brand-new atom, checked to be the
-    same for every wiring of that atom to the existing functions."""
+    same for every wiring of that atom to the existing functions; the
+    first wiring that differs is the witness."""
     funs = sorted(graph.left)
-    results = []
+    B.check_undefined_budget(len(funs))
+    first = None
     for bits in itertools.product((False, True), repeat=len(funs)):
-        world, atom = graph.add_right_defined(dict(zip(funs, bits)))
+        conn = tuple(zip(funs, bits))
+        world, atom = graph.add_right_defined(dict(conn))
         q = _cached_prob_true(body, world, env.set(binder, O.AtomV(atom)), bias)
-        results.append((tuple(zip(funs, bits)), q))
-    first_conn, first_q = results[0]
-    for conn, q in results[1:]:
-        if q != first_q:
-            raise FreshnessViolation(body, (first_conn, first_q), (conn, q))
-    return first_q
+        if first is None:
+            first = (conn, q)
+        elif q != first[1]:
+            raise FreshnessViolation(body, first, (conn, q))
+    return first[1]
 
 
 def den_mem(
     graph: B.TotalBigraph, env: O.FrozenMap, binder: S.Ident, body: S.Comp, bias: BiasState
 ) -> FinDist[CanonicalClass]:
-    """A new function: its answer on each existing atom is sampled from the
+    """A new function: its answer on each existing atom is pending with the
     body's probability at that atom, and its bias on future atoms is the
     body's (wiring-independent) probability on a new atom."""
     bias = _bias_state(graph, bias)
-    atoms = sorted(graph.right)
-    per_atom = {
-        a: _cached_prob_true(body, graph, env.set(binder, O.AtomV(a)), bias)
-        for a in atoms
+    row = {
+        a: _edge(_cached_prob_true(body, graph, env.set(binder, O.AtomV(a)), bias))
+        for a in sorted(graph.right)
     }
     new_bias = _fresh_bias(graph, env, binder, body, bias)
-    branches = []
-    for row, weight in _bernoulli_product(per_atom):
-        world, fun = graph.add_left_defined(row)
-        branches.append((canonicalize(graph, world, O.FunV(fun), {fun: new_bias}), weight))
-    return FinDist(branches)
+    world, fun = graph.add_left_defined(row)
+    return dirac(canonicalize(graph, world, O.FunV(fun), {fun: new_bias}))
 
 
 def den_comp(
@@ -408,8 +477,9 @@ def den_comp(
 
 
 def den_program(program: S.Comp) -> FinDist[CanonicalClass]:
-    """Denotation of a closed program at the empty world."""
-    return den_comp(program, EMPTY_WORLD, O.EMPTY_MAP, {})
+    """Denotation of a closed program at the empty world, with every edge
+    it returns drawn."""
+    return expand(den_comp(program, EMPTY_WORLD, O.EMPTY_MAP, {}))
 
 
 def mem_phi(
@@ -429,19 +499,12 @@ def mem_phi(
         v = cls.value
         if not isinstance(v, O.FunV):
             raise NonCollapsedClass(f"function-typed result expected, got {cls!r}")
-        if v.label in graph.left:
-            if isinstance(query, int):
-                answered = bool(graph.edge(v.label, query))
-            else:
-                answered = bool(query[v.label])
-            if answered:
-                total += p
+        fresh = v.label not in graph.left
+        if isinstance(query, int):
+            answer = cls.ext_edge(v.label, query) if fresh else graph.edge(v.label, query)
         else:
-            if isinstance(query, int):
-                if cls.ext_edge(v.label, query):
-                    total += p
-            else:
-                total += p * cls.bias_of(v.label)
+            answer = cls.bias_of(v.label) if fresh else query[v.label]
+        total += p * (answer.chance if isinstance(answer, B.Pending) else Fraction(answer))
     return total
 
 
@@ -486,7 +549,8 @@ def _den_config(
         if chain_w == ZERO and single_w == ZERO:
             continue
         result = den_comp(config.term, total, config.env, biases)
-        dist = FinDist([(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in result.items()])
+        rebased = [(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in result.items()]
+        dist = expand(FinDist(rebased))
         chain.append((chain_w, dist))
         single.append((single_w, dist))
     return weighted_mix(chain), weighted_mix(single)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from memlang import bigraph as B
@@ -19,6 +21,17 @@ def test_add_right_undef():
     g3, a = g2.add_right_undef()
     g3, b = g3.add_right_undef()
     assert a != b
+
+
+def test_defined_additions_keep_pending_edges():
+    g = B.TotalBigraph([0], [0], {(0, 0): True})
+    coin = B.Pending(Fraction(1, 3))
+    row, fun = g.add_left_defined({0: coin})
+    column, atom = g.add_right_defined({0: coin})
+    assert row.edge(fun, 0) == coin and column.edge(0, atom) == coin
+    assert row.edge(0, 0) is True and row.is_total()
+    with pytest.raises(TypeError):
+        bool(coin)
 
 
 def test_add_left_undef():

@@ -171,5 +171,19 @@ def test_invalid_max_undef_is_usage_error(capsys, monkeypatch, value):
     assert err.count("\n") == 1 and "MEMLANG_MAX_UNDEF" in err
 
 
+def test_fresh_bias_over_budget_is_usage_error(capsys, monkeypatch, tmp_path):
+    # the fourth memfn's bias is checked over 2^3 wirings of a new atom
+    program = tmp_path / "four_memfns.mem"
+    program.write_text(
+        "".join(f"let val f{i} <- memfn x. flip(1/2) in " for i in range(4)) + "return true\n"
+    )
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "2")
+    code = cli.main(["denote", str(program)])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "MEMLANG_MAX_UNDEF" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_soundness_requires_target(capsys):
     assert cli.main(["soundness"]) == 64

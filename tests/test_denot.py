@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,13 @@ from memlang import opsem as O
 from memlang import syntax as S
 from memlang import typecheck as TC
 from memlang.dist import FinDist, ONE, dist_eq
-from memlang.progen import ProgramGen, _mem_instance, _random_world, mem_law_programs
+from memlang.progen import (
+    ProgramGen,
+    _mem_instance,
+    _random_world,
+    mem_law_programs,
+    soundness_corpus,
+)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -128,8 +135,8 @@ def test_transport_fresh_atom_splits_on_new_function_bias():
     # function, acquires that function's edge with the function's bias
     m = D.den_fresh(EMPTY, {})
     g2 = one_fun_world()
-    got = D.transport(m, B.Embedding.inclusion(EMPTY, g2), {0: THIRD})
-    expected = D.den_fresh(g2, {0: THIRD})
+    got = D.expand(D.transport(m, B.Embedding.inclusion(EMPTY, g2), {0: THIRD}))
+    expected = D.expand(D.den_fresh(g2, {0: THIRD}))
     assert dist_eq(got, expected)
     weights = sorted(w for _, w in got.items())
     assert weights == [THIRD, Fraction(2, 3)]
@@ -188,7 +195,7 @@ def test_den_fresh_lone_atom():
 
 
 def test_den_fresh_one_function_product_weights():
-    d = D.den_fresh(one_fun_world(), {0: THIRD})
+    d = D.expand(D.den_fresh(one_fun_world(), {0: THIRD}))
     by_edge = {cls.ext_edges[0][2]: w for cls, w in d.items()}
     assert by_edge == {True: THIRD, False: Fraction(2, 3)}
 
@@ -220,7 +227,7 @@ def test_prob_true_rejects_noncollapsed():
 
 def test_den_mem_constant_coin_one_atom():
     g = B.TotalBigraph([], [0], {})
-    d = D.den_mem(g, O.EMPTY_MAP, "y", S.Flip(THIRD), {})
+    d = D.expand(D.den_mem(g, O.EMPTY_MAP, "y", S.Flip(THIRD), {}))
     rows = {cls.ext_edges[0][2]: (w, cls.fresh_biases[0]) for cls, w in d.items()}
     assert rows == {True: (THIRD, THIRD), False: (Fraction(2, 3), THIRD)}
 
@@ -232,7 +239,7 @@ def test_den_mem_recognizer_body():
     )
     g = B.TotalBigraph([], [0], {})
     env = O.FrozenMap({"x0": O.AtomV(0)})
-    d = D.den_mem(g, env, "x", body, {})
+    d = D.expand(D.den_mem(g, env, "x", body, {}))
     rows = {cls.ext_edges[0][2]: (w, cls.fresh_biases[0]) for cls, w in d.items()}
     assert rows == {
         True: (HALF, Fraction(0)),
@@ -276,6 +283,110 @@ def test_mem_phi_on_sampled_function():
     m = D.den_comp(S.parse_program("memfn y. flip(1/3)"), g, O.EMPTY_MAP, {})
     assert D.mem_phi(g, m, 0) == THIRD  # mix 1/3 * 1 + 2/3 * 0
     assert D.mem_phi(g, m, {}) == THIRD  # recorded bias on a new atom
+
+
+# -- pending edges ----------------------------------------------------------------
+
+
+def scaling_family(n: int) -> S.Comp:
+    """n fresh atoms, then two memfns of which only the first is applied."""
+    atoms = "".join(f"let val a{i} <- fresh() in " for i in range(n))
+    return S.parse_program(
+        atoms + "let val f <- memfn x. flip(1/2) in "
+        "let val g <- memfn x. flip(1/2) in f @ a0"
+    )
+
+
+def test_scaling_family_at_ten_atoms_is_a_fair_coin():
+    assert bool_dist(D.den_program(scaling_family(10))) == {True: HALF, False: HALF}
+
+
+def test_scaling_family_builds_linearly_many_rows_and_wirings(monkeypatch):
+    counts = {"rows": 0, "wirings": 0}
+    add_left = B.TotalBigraph.add_left_defined
+    add_right = B.TotalBigraph.add_right_defined
+
+    def counted_left(graph, row):
+        counts["rows"] += 1
+        return add_left(graph, row)
+
+    def counted_right(graph, column):
+        counts["wirings"] += 1
+        return add_right(graph, column)
+
+    monkeypatch.setattr(B.TotalBigraph, "add_left_defined", counted_left)
+    monkeypatch.setattr(B.TotalBigraph, "add_right_defined", counted_right)
+    n = 12
+    D.clear_caches()
+    D.den_program(scaling_family(n))
+    assert 0 < counts["rows"] <= n and 0 < counts["wirings"] <= 2 * n
+
+
+def test_memfn_body_reading_a_pending_edge_stays_correlated():
+    # g's row at a is f's edge to a, which is still pending when g is built
+    prefix = (
+        "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
+        "let val g <- memfn y. f @ a in "
+    )
+    p = S.parse_program(prefix + "let val u <- g @ a in let val v <- f @ a in return (u, v)")
+    values = {cls.value: w for cls, w in D.den_program(p).items()}
+    assert values == {
+        O.PairV(O.BoolV(True), O.BoolV(True)): THIRD,
+        O.PairV(O.BoolV(False), O.BoolV(False)): Fraction(2, 3),
+    }
+    assert D.check_soundness(p).equal
+    # with nothing else reading f @ a, building g alone must draw the edge
+    alone = S.parse_program(prefix + "g @ a")
+    assert bool_dist(D.den_program(alone)) == {True: THIRD, False: Fraction(2, 3)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=3), st.integers(0, 2))
+def test_expand_den_fresh_is_the_bernoulli_product(chances, n_atoms):
+    funs = range(len(chances))
+    atoms = range(n_atoms)
+    graph = B.TotalBigraph(funs, atoms, {(f, a): (f + a) % 2 == 0 for f in funs for a in atoms})
+    bias = {f: Fraction(c, 4) for f, c in zip(funs, chances)}
+    expected = []
+    for bits in itertools.product((False, True), repeat=len(chances)):
+        weight = ONE
+        for f, bit in zip(funs, bits):
+            weight *= bias[f] if bit else ONE - bias[f]
+        world, atom = graph.add_right_defined(dict(zip(funs, bits)))
+        expected.append((D.canonicalize(graph, world, O.AtomV(atom), {}), weight))
+    got = D.expand(D.den_fresh(graph, bias))
+    assert dist_eq(got, FinDist(expected))
+    assert D.expand(got) is got
+
+
+def test_expand_checks_the_undefined_budget(monkeypatch):
+    g = B.TotalBigraph([], [0, 1, 2], {})
+    d = D.den_mem(g, O.EMPTY_MAP, "y", S.Flip(THIRD), {})
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "2")
+    with pytest.raises(B.TooManyUndefined):
+        D.expand(d)
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "3")
+    assert len(D.expand(d)) == 8
+
+
+def test_corpus_reads_pending_edges_and_none_escapes(monkeypatch):
+    """den_program on criterion 6's corpus reads pending edges, and the bind
+    owning each one catches it; an escaping read would fail this test.
+    (check_soundness on the same corpus is criterion 6 itself.)"""
+    reads = []
+    den_app = D.den_app
+
+    def recorded(graph, fun, atom):
+        try:
+            return den_app(graph, fun, atom)
+        except D.EdgeRead as read:
+            reads.append(read.pair)
+            raise
+
+    monkeypatch.setattr(D, "den_app", recorded)
+    for program in soundness_corpus(200, 20243):
+        D.den_program(program)
+    assert reads
 
 
 # -- configuration denotation ---------------------------------------------------
