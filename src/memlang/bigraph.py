@@ -147,7 +147,9 @@ class PartialBigraph:
 
     def completions(self) -> list[tuple["TotalBigraph", dict[tuple[int, int], bool]]]:
         """All total extensions, in binary-counting order over the sorted
-        undefined pairs (False before True)."""
+        undefined pairs (False before True).  The checker does not expand
+        these: ``denot`` splits a configuration only on the edges it reads.
+        ``membench/tracing.py`` wraps this method by name."""
         undef = sorted(self.undefined_pairs())
         check_undefined_budget(len(undef))
         out = []

@@ -79,16 +79,30 @@ def _config_row(config: O.Configuration) -> dict:
     }
 
 
+class UnreadableSource(Exception):
+    """A source file is not valid UTF-8."""
+
+
+def _read(path: str) -> str:
+    """A source file's text, with newlines translated as text-mode reading
+    does."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnreadableSource(f"{path}: not valid UTF-8 at byte offset {exc.start} ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load(path: str) -> S.Comp:
-    text = Path(path).read_text(encoding="utf-8")
-    program = S.parse_program(text)
+    program = S.parse_program(_read(path))
     TC.type_of_comp(TC.EMPTY_CTX, program)
     return program
 
 
 def cmd_check(args) -> int:
     try:
-        program = S.parse_program(Path(args.file).read_text(encoding="utf-8"))
+        program = S.parse_program(_read(args.file))
         ty = TC.type_of_comp(TC.EMPTY_CTX, program)
     except (S.ParseError, TC.TypeMismatch, TC.UnboundVariable) as exc:
         _dump({"command": "check", "file": args.file, "ok": False, "error": str(exc)})
@@ -289,7 +303,7 @@ def main(argv=None) -> int:
     except D.FreshnessViolation as exc:
         print(f"freshness violation: {exc}", file=sys.stderr)
         return EXIT_FRESHNESS
-    except (OSError, B.TooManyUndefined, B.InvalidLimit) as exc:
+    except (OSError, UnreadableSource, B.TooManyUndefined, B.InvalidLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

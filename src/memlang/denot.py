@@ -20,7 +20,10 @@ Memoized functions are interpreted by a row of answers over the existing
 atoms (one probability per atom, obtained by running the body on that
 atom) plus a single bias for future atoms.  That bias must not depend on
 how a hypothetical new atom is wired to the existing functions;
-``FreshnessViolation`` reports a witnessing pair of wirings when it does.
+``FreshnessViolation`` reports a witnessing pair of wirings when it does:
+the all-False wiring and the first wiring, in binary-counting order over
+the sorted functions, whose probability differs.  The new atom's column
+is split only on the edges the body reads.
 
 Edges are drawn lazily.  ``den_mem`` and ``den_fresh`` each return one
 class, in which every undetermined edge of the new row or column is
@@ -32,8 +35,13 @@ class into its two outcomes and evaluates its body again on each, so a
 body, and any row computed inside it, stays correlated with the edges it
 read.  A pending edge nobody reads is garbage-collected with its node, or
 survives into a result, where ``expand`` draws it as a Bernoulli product.
-``expand`` runs where results are observed: ``den_program``, each
-completion of ``den_config`` and the law suites.
+``expand`` runs where results are observed: ``den_program``, each leaf
+of ``den_config`` and the law suites.
+
+A configuration's unsampled edges are split the same way: ``den_config``
+gives each a placeholder, splits one only when the closure biases, the
+chain-rule probabilities or the term read it, and leaves every other one
+to ``expand`` as a coin.
 """
 
 from __future__ import annotations
@@ -204,6 +212,11 @@ def _bernoulli_product(chances: Mapping[K, Fraction]) -> Iterator[tuple[dict[K, 
             weight *= chances[key] if bit else ONE - chances[key]
         if weight != ZERO:
             yield dict(zip(keys, bits)), weight
+
+
+# An edge not assigned yet in a split on read: any read of it splits, and a
+# leaf replaces it before anything computed from it is kept.
+_UNASSIGNED = B.Pending(HALF)
 
 
 def _edge(chance: Fraction) -> bool | B.Pending:
@@ -400,18 +413,40 @@ def _fresh_bias(
     graph: B.TotalBigraph, env: O.FrozenMap, binder: S.Ident, body: S.Comp, bias: BiasState
 ) -> Fraction:
     """The body's true-probability on a brand-new atom, checked to be the
-    same for every wiring of that atom to the existing functions; the
-    first wiring that differs is the witness."""
+    same for every wiring of that atom to the existing functions.
+
+    The atom's column starts pending and is split only on the edges the
+    body reads, so each leaf of the split fixes the probability for every
+    wiring that agrees with it there.  A leaf stands for its least wiring
+    (unread edges False); leaves are compared in binary-counting order of
+    those wirings over the sorted functions, so the witnesses are the
+    all-False wiring and the first wiring whose probability differs.  A
+    violation inside the body is held to its leaf's turn in that order,
+    so the first failure is the one the wirings meet in counting order."""
     funs = sorted(graph.left)
-    B.check_undefined_budget(len(funs))
-    first = None
-    for bits in itertools.product((False, True), repeat=len(funs)):
-        conn = tuple(zip(funs, bits))
-        world, atom = graph.add_right_defined(dict(conn))
-        q = _cached_prob_true(body, world, env.set(binder, O.AtomV(atom)), bias)
-        if first is None:
-            first = (conn, q)
-        elif q != first[1]:
+    leaves = []
+    todo: list[dict[int, bool]] = [{}]
+    while todo:
+        assign = todo.pop()
+        B.check_undefined_budget(len(assign))
+        world, atom = graph.add_right_defined({f: assign.get(f, _UNASSIGNED) for f in funs})
+        try:
+            q = _cached_prob_true(body, world, env.set(binder, O.AtomV(atom)), bias)
+        except EdgeRead as read:
+            fun, read_atom = read.pair
+            if read_atom != atom:
+                raise
+            todo += [{**assign, fun: True}, {**assign, fun: False}]
+            continue
+        except FreshnessViolation as violation:
+            q = violation
+        leaves.append((tuple((f, assign.get(f, False)) for f in funs), q))
+    leaves.sort(key=lambda leaf: [bit for _, bit in leaf[0]])
+    first = leaves[0]
+    for conn, q in leaves:
+        if isinstance(q, FreshnessViolation):
+            raise q
+        if q != first[1]:
             raise FreshnessViolation(body, first, (conn, q))
     return first[1]
 
@@ -512,17 +547,33 @@ def mem_phi(
 # Configuration denotation and the checkers
 
 
-def _closure_biases(config: O.Configuration, total: B.TotalBigraph) -> dict[int, Fraction]:
-    """Bias of every function, derived from its closure at the completed
-    world.  Computed in creation order; a body can only mention older
-    functions, and wirings to unmentioned ones marginalize out, so the 1/2
-    placeholder for not-yet-computed entries cannot influence the result."""
+def _closure_biases(config: O.Configuration, world: B.TotalBigraph) -> dict[int, Fraction]:
+    """Bias of every function, derived from its closure at the world.
+    Computed in creation order; a body can only mention older functions,
+    and wirings to unmentioned ones marginalize out, so the 1/2 placeholder
+    for not-yet-computed entries cannot influence the result."""
     biases: dict[int, Fraction] = {}
-    for fun in sorted(total.left):
+    for fun in sorted(world.left):
         closure = config.closures[fun]
-        lam = {f: biases.get(f, HALF) for f in total.left}
-        biases[fun] = _fresh_bias(total, closure.captured, closure.binder, closure.body, lam)
+        lam = {f: biases.get(f, HALF) for f in world.left}
+        biases[fun] = _fresh_bias(world, closure.captured, closure.binder, closure.body, lam)
     return biases
+
+
+def _completed(graph: B.PartialBigraph, assign: Mapping[tuple[int, int], bool], fill) -> B.TotalBigraph:
+    """``graph`` with each unsampled edge taken from ``assign`` if it is
+    there and ``fill(pair)`` otherwise."""
+    edges = {
+        pair: v if v is not None else assign[pair] if pair in assign else fill(pair)
+        for pair, v in graph.edge_items()
+    }
+    return B.TotalBigraph(graph.left, graph.right, edges)
+
+
+def _observed(config: O.Configuration, world: B.TotalBigraph, biases: BiasState) -> FinDist[CanonicalClass]:
+    """The configuration's term at a world, over the empty world, drawn."""
+    result = den_comp(config.term, world, config.env, biases)
+    return expand(FinDist([(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in result.items()]))
 
 
 def _den_config(
@@ -532,27 +583,41 @@ def _den_config(
     (chain rule, single bias).  See ``den_config``."""
     if O.memo_stack(config.term):
         raise ValueError("configuration denotation requires a marker-free term")
-    undef = sorted(config.graph.undefined_pairs())
+    graph = config.graph
+    undef = graph.undefined_pairs()
     chain, single = [], []
-    for total, assign in config.graph.completions():
-        biases = _closure_biases(config, total)
-        chain_w = single_w = ONE
-        for fun, atom in undef:
-            closure = config.closures[fun]
-            p = _cached_prob_true(
-                closure.body, total, closure.captured.set(closure.binder, O.AtomV(atom)), biases
-            )
-            q = biases[fun]
-            bit = assign[(fun, atom)]
-            chain_w *= p if bit else ONE - p
-            single_w *= q if bit else ONE - q
-        if chain_w == ZERO and single_w == ZERO:
+    todo: list[dict[tuple[int, int], bool]] = [{}]
+    while todo:
+        assign = todo.pop()
+        B.check_undefined_budget(len(assign))
+        world = _completed(graph, assign, lambda pair: _UNASSIGNED)
+        try:
+            biases = _closure_biases(config, world)
+            p = {}
+            for fun, atom in sorted(undef):
+                closure = config.closures[fun]
+                env = closure.captured.set(closure.binder, O.AtomV(atom))
+                p[(fun, atom)] = _cached_prob_true(closure.body, world, env, biases)
+            chain_w = single_w = ONE
+            for (fun, atom), bit in assign.items():
+                chain_w *= p[(fun, atom)] if bit else ONE - p[(fun, atom)]
+                single_w *= biases[fun] if bit else ONE - biases[fun]
+            if chain_w == ZERO and single_w == ZERO:
+                continue
+            den_comp(config.term, world, config.env, biases)  # only to find its reads
+        except EdgeRead as read:
+            if read.pair not in undef:
+                raise
+            todo += [{**assign, read.pair: True}, {**assign, read.pair: False}]
             continue
-        result = den_comp(config.term, total, config.env, biases)
-        rebased = [(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in result.items()]
-        dist = expand(FinDist(rebased))
-        chain.append((chain_w, dist))
-        single.append((single_w, dist))
+        # nothing at this leaf reads an unassigned edge, so the sum over its
+        # two values is the coin ``expand`` draws where the edge survives
+        chain_world = _completed(graph, assign, lambda pair: _edge(p[pair]))
+        single_world = _completed(graph, assign, lambda pair: _edge(biases[pair[0]]))
+        chain_dist = _observed(config, chain_world, biases)
+        single_dist = chain_dist if single_world == chain_world else _observed(config, single_world, biases)
+        chain.append((chain_w, chain_dist))
+        single.append((single_w, single_dist))
     return weighted_mix(chain), weighted_mix(single)
 
 
@@ -564,6 +629,15 @@ def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
     true at atom a in the completed world.  (Weighting every edge of f by
     f's single bias instead agrees for constant bodies but not in general;
     ``check_soundness`` reports that variant as ``bias_formula_rhs``.)
+
+    The completions are not enumerated.  The unsampled edges start as
+    placeholders, and an edge is split into False and True only when the
+    closure biases, the chain-rule probabilities or the term read it; each
+    leaf weighs just the edges it read.  An edge no leaf reads does not
+    change anything computed there, so the sum over its two values is a
+    coin with its chain-rule chance (or f's bias), which ``expand`` draws
+    if the result mentions the edge.  ``MEMLANG_MAX_UNDEF`` bounds the
+    edges read on one path.
     """
     return _den_config(config)[0]
 

@@ -172,16 +172,58 @@ def test_invalid_max_undef_is_usage_error(capsys, monkeypatch, value):
 
 
 def test_fresh_bias_over_budget_is_usage_error(capsys, monkeypatch, tmp_path):
-    # the fourth memfn's bias is checked over 2^3 wirings of a new atom
+    # the fourth memfn's body reads three edges of a new atom's column
     program = tmp_path / "four_memfns.mem"
     program.write_text(
-        "".join(f"let val f{i} <- memfn x. flip(1/2) in " for i in range(4)) + "return true\n"
+        "".join(f"let val f{i} <- memfn x. flip(1/2) in " for i in range(3))
+        + "let val f3 <- memfn x. let val b0 <- f0 @ x in let val b1 <- f1 @ x in "
+        "let val b2 <- f2 @ x in flip(1/2) in return true\n"
     )
     monkeypatch.setenv("MEMLANG_MAX_UNDEF", "2")
     code = cli.main(["denote", str(program)])
     captured = capsys.readouterr()
     assert code == 64 and captured.out == ""
     assert captured.err.count("\n") == 1 and "MEMLANG_MAX_UNDEF" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_soundness_over_unread_edges_ignores_the_budget(capsys, tmp_path):
+    # the terminal leaves 23 edges unsampled, over the default limit of 20,
+    # and no closure body reads any of them
+    program = tmp_path / "scaling12.mem"
+    program.write_text(
+        "".join(f"let val a{i} <- fresh() in " for i in range(12))
+        + "let val f <- memfn x. flip(1/2) in let val g <- memfn x. flip(1/2) in f @ a0\n"
+    )
+    code, payload = run_cli(capsys, "soundness", str(program))
+    assert code == 0 and payload["equal"] is True
+
+
+def test_soundness_budget_bounds_the_edges_read(capsys, monkeypatch, tmp_path):
+    # three edges stay unsampled; the closures of g and h read two of them
+    program = tmp_path / "chain.mem"
+    program.write_text(
+        "let val a <- fresh() in let val f <- memfn x. flip(1/2) in "
+        "let val g <- memfn x. f @ a in let val h <- memfn x. g @ a in return true\n"
+    )
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "1")
+    code = cli.main(["soundness", str(program)])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "MEMLANG_MAX_UNDEF" in captured.err
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "2")
+    code, payload = run_cli(capsys, "soundness", str(program))
+    assert code == 0 and payload["equal"] is True
+
+
+@pytest.mark.parametrize("command", ["check", "denote", "soundness", "enumerate"])
+def test_source_that_is_not_utf8_is_usage_error(capsys, tmp_path, command):
+    program = tmp_path / "latin1.mem"
+    program.write_bytes(b"# caf\xe9\nreturn true\n")
+    code = cli.main([command, str(program)])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "byte offset 5" in captured.err
     assert "Traceback" not in captured.err
 
 

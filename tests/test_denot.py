@@ -12,7 +12,7 @@ from memlang import denot as D
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang import typecheck as TC
-from memlang.dist import FinDist, ONE, dist_eq
+from memlang.dist import FinDist, ONE, ZERO, dist_eq, weighted_mix
 from memlang.progen import (
     ProgramGen,
     _mem_instance,
@@ -301,6 +301,12 @@ def test_scaling_family_at_ten_atoms_is_a_fair_coin():
     assert bool_dist(D.den_program(scaling_family(10))) == {True: HALF, False: HALF}
 
 
+def chained_family(n: int) -> S.Comp:
+    """n memfns, then one fresh atom to which only the first is applied."""
+    funs = "".join(f"let val f{i} <- memfn x. flip(1/2) in " for i in range(n))
+    return S.parse_program(funs + "let val a <- fresh() in f0 @ a")
+
+
 def test_scaling_family_builds_linearly_many_rows_and_wirings(monkeypatch):
     counts = {"rows": 0, "wirings": 0}
     add_left = B.TotalBigraph.add_left_defined
@@ -316,10 +322,16 @@ def test_scaling_family_builds_linearly_many_rows_and_wirings(monkeypatch):
 
     monkeypatch.setattr(B.TotalBigraph, "add_left_defined", counted_left)
     monkeypatch.setattr(B.TotalBigraph, "add_right_defined", counted_right)
-    n = 12
-    D.clear_caches()
-    D.den_program(scaling_family(n))
-    assert 0 < counts["rows"] <= n and 0 < counts["wirings"] <= 2 * n
+    # check_soundness on the chained family builds n + 1 wirings in
+    # den_program and n for each of its two terminal configurations
+    for family, n, run, wirings_per_n in (
+        (scaling_family, 12, D.den_program, 2),
+        (chained_family, 10, D.check_soundness, 4),
+    ):
+        counts.update(rows=0, wirings=0)
+        D.clear_caches()
+        run(family(n))
+        assert 0 < counts["rows"] <= n and 0 < counts["wirings"] <= wirings_per_n * n
 
 
 def test_memfn_body_reading_a_pending_edge_stays_correlated():
@@ -432,6 +444,93 @@ def test_per_step_denotation_preserved_on_marker_free_steps():
         mixed = weighted_mix([(w, D.den_config(c)) for c, w in succ.items()])
         assert dist_eq(D.den_config(cfg), mixed)
         cfg = next(iter(succ.support()))
+
+
+def eager_fresh_bias(graph, env, binder, body, bias):
+    """Every wiring of a new atom in binary-counting order over the sorted
+    functions: the first wiring and the first that differs from it, or the
+    common probability."""
+    funs = sorted(graph.left)
+    first = None
+    for bits in itertools.product((False, True), repeat=len(funs)):
+        conn = tuple(zip(funs, bits))
+        world, atom = graph.add_right_defined(dict(conn))
+        q = D._cached_prob_true(body, world, env.set(binder, O.AtomV(atom)), bias)
+        if first is None:
+            first = (conn, q)
+        elif q != first[1]:
+            return first, (conn, q)
+    return first[1]
+
+
+def eager_closure_biases(config, total):
+    biases = {}
+    for fun in sorted(total.left):
+        closure = config.closures[fun]
+        lam = {f: biases.get(f, HALF) for f in total.left}
+        biases[fun] = eager_fresh_bias(total, closure.captured, closure.binder, closure.body, lam)
+    return biases
+
+
+def eager_den_config(config):
+    """Both weightings of a configuration, summed over every completion of
+    its unsampled edges in binary-counting order over the sorted pairs."""
+    undef = sorted(config.graph.undefined_pairs())
+    chain, single = [], []
+    for bits in itertools.product((False, True), repeat=len(undef)):
+        assign = dict(zip(undef, bits))
+        edges = {pair: assign.get(pair, v) for pair, v in config.graph.edge_items()}
+        total = B.TotalBigraph(config.graph.left, config.graph.right, edges)
+        biases = eager_closure_biases(config, total)
+        chain_w = single_w = ONE
+        for (fun, atom), bit in assign.items():
+            closure = config.closures[fun]
+            env = closure.captured.set(closure.binder, O.AtomV(atom))
+            p = D._cached_prob_true(closure.body, total, env, biases)
+            q = biases[fun]
+            chain_w *= p if bit else ONE - p
+            single_w *= q if bit else ONE - q
+        if chain_w == ZERO and single_w == ZERO:
+            continue
+        result = D.den_comp(config.term, total, config.env, biases)
+        rebased = [(D._rebase(EMPTY, cls, biases), q) for cls, q in result.items()]
+        dist = D.expand(FinDist(rebased))
+        chain.append((chain_w, dist))
+        single.append((single_w, dist))
+    return weighted_mix(chain), weighted_mix(single)
+
+
+def test_lazy_completions_equal_the_eager_sum():
+    """check_soundness's rhs and bias_formula_rhs, drawn by splitting on the
+    edges read, equal the sum over every completion.  The corpus slice is
+    criterion 6's programs whose terminals keep at most 3 unsampled edges
+    (44 of the 51 with any), which keeps the eager sum near one second."""
+    cases = [(p, O.enumerate_bigstep(p)) for p in (load("sound/undef_edge_terminal.mem"), scaling_family(3))]
+    for program in soundness_corpus(200, 20243):
+        terminals = O.enumerate_bigstep(program)
+        if 0 < max(len(cfg.graph.undefined_pairs()) for cfg in terminals.support()) <= 3:
+            cases.append((program, terminals))
+    assert len(cases) == 46
+    for program, terminals in cases:
+        D.clear_caches()
+        halves = [(w, eager_den_config(cfg)) for cfg, w in terminals.items()]
+        report = D.check_soundness(program)
+        assert report.rhs == weighted_mix([(w, chain) for w, (chain, _) in halves])
+        assert report.bias_formula_rhs == weighted_mix([(w, single) for w, (_, single) in halves])
+
+
+def test_lazy_wirings_report_the_eager_witnesses():
+    # the body reads f1 before f0, so its split order is not the sorted order
+    # of the functions; the first differing wiring is {0: False, 1: True}
+    g = B.TotalBigraph([0, 1], [], {})
+    env = O.FrozenMap({"f0": O.FunV(0), "f1": O.FunV(1)})
+    body = S.parse_program("let val b1 <- f1 @ x in if b1 then return true else f0 @ x")
+    bias = {0: HALF, 1: THIRD}
+    with pytest.raises(D.FreshnessViolation) as exc:
+        D.den_mem(g, env, "x", body, bias)
+    expected = eager_fresh_bias(g, env, "x", body, bias)
+    assert (exc.value.witness_a, exc.value.witness_b) == expected
+    assert expected[1] == (((0, False), (1, True)), ONE)
 
 
 # -- the checkers ----------------------------------------------------------------
