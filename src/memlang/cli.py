@@ -284,14 +284,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_problem(args) -> str | None:
+    """A one-line usage error that argparse does not catch, if any."""
+    if args.command == "soundness":
+        if not args.file and not args.dir:
+            return "soundness requires a file or --dir"
+        if args.file and args.dir:
+            return "soundness takes a file or --dir, not both"
+        if args.dir and not Path(args.dir).is_dir():
+            return f"soundness --dir: not a directory: {args.dir}"
+    if args.command == "laws" and args.count < 0:
+        return f"laws --count must be non-negative, got {args.count}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "soundness" and not args.file and not args.dir:
-        print("soundness requires a file or --dir", file=sys.stderr)
+    problem = _usage_problem(args)
+    if problem:
+        print(problem, file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.fn(args)

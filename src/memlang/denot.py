@@ -274,14 +274,15 @@ def bind(
     A class's pending edges stay pending while the body runs.  When the
     body reads one, the class is split into its two outcomes and the body
     runs again on each; a read of an edge the class does not own goes on
-    to the bind that owns it.  Classes are taken in distribution order,
+    to the bind that owns it.  ``MEMLANG_MAX_UNDEF`` bounds the edges split
+    on one path.  Classes are taken in distribution order,
     each split False before True, so the first ``FreshnessViolation``
     raised is always the same.
     """
     branches = []
-    todo = dist.items()[::-1]
+    todo = [(cls, p, 0) for cls, p in dist.items()[::-1]]
     while todo:
-        cls, p = todo.pop()
+        cls, p, drawn = todo.pop()
         world = class_world(cls)
         carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
         lam = dict(bias)
@@ -292,8 +293,9 @@ def bind(
             chance = cls.pending().get(read.pair)
             if chance is None:
                 raise
-            todo.append((cls.drawn({read.pair: True}), p * chance))
-            todo.append((cls.drawn({read.pair: False}), p * (ONE - chance)))
+            B.check_undefined_budget(drawn + 1)
+            todo.append((cls.drawn({read.pair: True}), p * chance, drawn + 1))
+            todo.append((cls.drawn({read.pair: False}), p * (ONE - chance), drawn + 1))
             continue
         flattened = []
         for cls2, q in result.items():

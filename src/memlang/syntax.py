@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Any, Optional, Union
 
 Ident = str
@@ -147,6 +148,7 @@ class Token:
     col: int
 
 
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also accepts "²"
 _SYMBOLS = ("<-", "==", "(", ")", ",", ".", "@", "/")
 
 
@@ -181,13 +183,13 @@ def _tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             tokens.append(Token("number", text[i:j], start_line, start_col))
             col += j - i
@@ -209,6 +211,13 @@ def _tokenize(text: str) -> list[Token]:
 # Parser (recursive descent; the grammar is LL(1) over this token stream)
 
 _VAL_STARTERS = {("kw", "true"), ("kw", "false")}
+
+
+def _literal(tok: Token, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:  # more digits than Python converts to an int
+        raise ParseError("number has too many digits", tok.line, tok.col) from None
 
 
 class _Parser:
@@ -295,11 +304,11 @@ class _Parser:
             if den.kind != "number" or "." in den.text:
                 raise self.fail({"integer"})
             self.advance()
-            if int(den.text) == 0:
+            if not den.text.strip("0"):
                 raise ParseError("zero denominator", den.line, den.col)
-            value = Fraction(int(tok.text), int(den.text))
+            value = _literal(tok, f"{tok.text}/{den.text}")
         else:
-            value = Fraction(tok.text)
+            value = _literal(tok, tok.text)
         if value < 0 or value > 1:
             raise ParseError(
                 f"bias must be between 0 and 1, got {value}", tok.line, tok.col
@@ -429,7 +438,59 @@ def pretty(c: ExtTerm) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Free variables, alpha-equivalence, substitution
+# Free variables, alpha-equivalence, substitution, the freshness check.
+# These walk a computation through ``_parts`` and ``_with_parts``, the one
+# place that says what each construct binds in which sub-computation.
+
+_Scope = tuple[tuple[Ident, ...], Comp]
+
+
+def _parts(c: Comp) -> tuple[tuple[Val, ...], tuple[_Scope, ...]]:
+    """A computation's value operands, and its sub-computations each paired
+    with the names it binds there, in source order."""
+    if isinstance(c, Return):
+        return (c.value,), ()
+    if isinstance(c, Let):
+        return (), (((), c.bound), ((c.name,), c.body))
+    if isinstance(c, If):
+        return (c.cond,), (((), c.then), ((), c.orelse))
+    if isinstance(c, Match):
+        return (c.subject,), (((c.fst_name, c.snd_name), c.body),)
+    if isinstance(c, (Flip, Fresh)):
+        return (), ()
+    if isinstance(c, Eq):
+        return (c.lhs, c.rhs), ()
+    if isinstance(c, MemFn):
+        return (), (((c.binder,), c.body),)
+    if isinstance(c, App):
+        return (c.fn, c.arg), ()
+    raise TypeError(f"not a computation: {c!r}")
+
+
+def _with_parts(c: Comp, vals: list[Val], scopes: list[_Scope]) -> Comp:
+    """``c`` rebuilt from parts shaped as ``_parts(c)`` returns them."""
+    if isinstance(c, Let):
+        (_, bound), ((name,), body) = scopes
+        return Let(name, bound, body)
+    if isinstance(c, Match):
+        (((fst, snd), body),) = scopes
+        return Match(*vals, fst, snd, body)
+    if isinstance(c, MemFn):
+        (((binder,), body),) = scopes
+        return MemFn(binder, body)
+    if isinstance(c, (Flip, Fresh)):
+        return c
+    # Return, If, Eq, App: the values, then the bodies, which bind nothing
+    return type(c)(*vals, *(body for _, body in scopes))
+
+
+def _map_vars(v: Val, sigma: dict[Ident, Val]) -> Val:
+    """``v`` with each variable in ``sigma`` replaced by its image."""
+    if isinstance(v, Var):
+        return sigma.get(v.name, v)
+    if isinstance(v, PairVal):
+        return PairVal(_map_vars(v.fst, sigma), _map_vars(v.snd, sigma))
+    return v
 
 
 def free_vars_val(v: Val) -> frozenset[Ident]:
@@ -441,25 +502,11 @@ def free_vars_val(v: Val) -> frozenset[Ident]:
 
 
 def free_vars(c: Comp) -> frozenset[Ident]:
-    if isinstance(c, Return):
-        return free_vars_val(c.value)
-    if isinstance(c, Let):
-        return free_vars(c.bound) | (free_vars(c.body) - {c.name})
-    if isinstance(c, If):
-        return free_vars_val(c.cond) | free_vars(c.then) | free_vars(c.orelse)
-    if isinstance(c, Match):
-        return free_vars_val(c.subject) | (
-            free_vars(c.body) - {c.fst_name, c.snd_name}
-        )
-    if isinstance(c, (Flip, Fresh)):
-        return frozenset()
-    if isinstance(c, Eq):
-        return free_vars_val(c.lhs) | free_vars_val(c.rhs)
-    if isinstance(c, MemFn):
-        return free_vars(c.body) - {c.binder}
-    if isinstance(c, App):
-        return free_vars_val(c.fn) | free_vars_val(c.arg)
-    raise TypeError(f"not a computation: {c!r}")
+    vals, scopes = _parts(c)
+    return frozenset().union(
+        *map(free_vars_val, vals),
+        *(free_vars(body).difference(binders) for binders, body in scopes),
+    )
 
 
 def alpha_canonical(c: Comp) -> Comp:
@@ -469,46 +516,16 @@ def alpha_canonical(c: Comp) -> Comp:
     alpha-equivalent terms are structurally equal and never capture free
     variables.
     """
-    counter = [0]
+    counter = count()
 
-    def fresh() -> str:
-        name = f"%{counter[0]}"
-        counter[0] += 1
-        return name
-
-    def go_val(v: Val, env: dict[Ident, Ident]) -> Val:
-        if isinstance(v, Var):
-            return Var(env.get(v.name, v.name))
-        if isinstance(v, PairVal):
-            return PairVal(go_val(v.fst, env), go_val(v.snd, env))
-        return v
-
-    def go(c: Comp, env: dict[Ident, Ident]) -> Comp:
-        if isinstance(c, Return):
-            return Return(go_val(c.value, env))
-        if isinstance(c, Let):
-            bound = go(c.bound, env)
-            name = fresh()
-            return Let(name, bound, go(c.body, {**env, c.name: name}))
-        if isinstance(c, If):
-            return If(go_val(c.cond, env), go(c.then, env), go(c.orelse, env))
-        if isinstance(c, Match):
-            subject = go_val(c.subject, env)
-            fst, snd = fresh(), fresh()
-            return Match(
-                subject, fst, snd,
-                go(c.body, {**env, c.fst_name: fst, c.snd_name: snd}),
-            )
-        if isinstance(c, (Flip, Fresh)):
-            return c
-        if isinstance(c, Eq):
-            return Eq(go_val(c.lhs, env), go_val(c.rhs, env))
-        if isinstance(c, MemFn):
-            binder = fresh()
-            return MemFn(binder, go(c.body, {**env, c.binder: binder}))
-        if isinstance(c, App):
-            return App(go_val(c.fn, env), go_val(c.arg, env))
-        raise TypeError(f"not a computation: {c!r}")
+    def go(c: Comp, env: dict[Ident, Val]) -> Comp:
+        vals, scopes = _parts(c)
+        renamed = []
+        for binders, body in scopes:
+            names = tuple(f"%{next(counter)}" for _ in binders)
+            inner = {**env, **{b: Var(n) for b, n in zip(binders, names)}}
+            renamed.append((names, go(body, inner)))
+        return _with_parts(c, [_map_vars(v, env) for v in vals], renamed)
 
     return go(c, {})
 
@@ -525,66 +542,27 @@ def _fresh_name(base: Ident, avoid: frozenset[Ident]) -> Ident:
     return f"{base}_{i}"
 
 
-def substitute_val(v: Val, x: Ident, replacement: Val) -> Val:
-    if isinstance(v, Var):
-        return replacement if v.name == x else v
-    if isinstance(v, PairVal):
-        return PairVal(
-            substitute_val(v.fst, x, replacement),
-            substitute_val(v.snd, x, replacement),
-        )
-    return v
-
-
 def substitute(c: Comp, x: Ident, replacement: Val) -> Comp:
-    """Capture-avoiding substitution of a value for a free variable."""
+    """Capture-avoiding substitution of a value for a free variable.
+
+    A scope that binds ``x`` is left alone; elsewhere each binder that would
+    capture a variable of ``replacement`` is renamed first, in order.
+    """
     repl_fvs = free_vars_val(replacement)
-
-    def freshen(binder: Ident, body: Comp) -> tuple[Ident, Comp]:
-        if binder not in repl_fvs:
-            return binder, body
-        new = _fresh_name(binder, repl_fvs | free_vars(body) | {x})
-        return new, substitute(body, binder, Var(new))
-
-    if isinstance(c, Return):
-        return Return(substitute_val(c.value, x, replacement))
-    if isinstance(c, Let):
-        bound = substitute(c.bound, x, replacement)
-        if c.name == x:
-            return Let(c.name, bound, c.body)
-        name, body = freshen(c.name, c.body)
-        return Let(name, bound, substitute(body, x, replacement))
-    if isinstance(c, If):
-        return If(
-            substitute_val(c.cond, x, replacement),
-            substitute(c.then, x, replacement),
-            substitute(c.orelse, x, replacement),
-        )
-    if isinstance(c, Match):
-        subject = substitute_val(c.subject, x, replacement)
-        if x in (c.fst_name, c.snd_name):
-            return Match(subject, c.fst_name, c.snd_name, c.body)
-        fst, body = freshen(c.fst_name, c.body)
-        snd, body = freshen(c.snd_name, body)
-        return Match(subject, fst, snd, substitute(body, x, replacement))
-    if isinstance(c, (Flip, Fresh)):
-        return c
-    if isinstance(c, Eq):
-        return Eq(
-            substitute_val(c.lhs, x, replacement),
-            substitute_val(c.rhs, x, replacement),
-        )
-    if isinstance(c, MemFn):
-        if c.binder == x:
-            return c
-        binder, body = freshen(c.binder, c.body)
-        return MemFn(binder, substitute(body, x, replacement))
-    if isinstance(c, App):
-        return App(
-            substitute_val(c.fn, x, replacement),
-            substitute_val(c.arg, x, replacement),
-        )
-    raise TypeError(f"not a computation: {c!r}")
+    vals, scopes = _parts(c)
+    out = []
+    for binders, body in scopes:
+        if x not in binders:
+            renamed = []
+            for b in binders:
+                if b in repl_fvs:
+                    new = _fresh_name(b, repl_fvs | free_vars(body) | {x})
+                    body = substitute(body, b, Var(new))
+                    b = new
+                renamed.append(b)
+            binders, body = tuple(renamed), substitute(body, x, replacement)
+        out.append((binders, body))
+    return _with_parts(c, [_map_vars(v, {x: replacement}) for v in vals], out)
 
 
 def syntactic_freshness_check(fn: MemFn) -> bool:
@@ -601,20 +579,10 @@ def syntactic_freshness_check(fn: MemFn) -> bool:
         raise TypeError(f"expected a memfn node, got {fn!r}")
 
     def ok(c: Comp, bound: frozenset[Ident]) -> bool:
-        if isinstance(c, Return):
-            return True
-        if isinstance(c, Let):
-            return ok(c.bound, bound) and ok(c.body, bound | {c.name})
-        if isinstance(c, If):
-            return ok(c.then, bound) and ok(c.orelse, bound)
-        if isinstance(c, Match):
-            return ok(c.body, bound | {c.fst_name, c.snd_name})
-        if isinstance(c, (Flip, Fresh, Eq)):
-            return True
-        if isinstance(c, MemFn):
-            return ok(c.body, bound | {c.binder})
+        vals, scopes = _parts(c)
         if isinstance(c, App):
-            return not (isinstance(c.arg, Var) and c.arg.name in bound)
-        raise TypeError(f"not a computation: {c!r}")
+            _, arg = vals
+            return not (isinstance(arg, Var) and arg.name in bound)
+        return all(ok(body, bound.union(binders)) for binders, body in scopes)
 
-    return ok(fn.body, frozenset([fn.binder]))
+    return ok(fn, frozenset())

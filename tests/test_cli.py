@@ -229,3 +229,59 @@ def test_source_that_is_not_utf8_is_usage_error(capsys, tmp_path, command):
 
 def test_soundness_requires_target(capsys):
     assert cli.main(["soundness"]) == 64
+
+
+def assert_usage_error(capsys, *argv) -> str:
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_let_split_budget_bounds_the_edges_read(capsys, monkeypatch, tmp_path):
+    # the let binding f splits its class on three pending row edges, one per read
+    program = tmp_path / "reads.mem"
+    program.write_text(
+        "let val a0 <- fresh() in let val a1 <- fresh() in let val a2 <- fresh() in "
+        "let val f <- memfn x. flip(1/2) in "
+        "let val b0 <- f @ a0 in let val b1 <- f @ a1 in let val b2 <- f @ a2 in return b0\n"
+    )
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "2")
+    assert "MEMLANG_MAX_UNDEF" in assert_usage_error(capsys, "denote", str(program))
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "3")
+    code, payload = run_cli(capsys, "denote", str(program))
+    assert code == 0
+    assert [(row["value"], row["prob"]) for row in payload["distribution"]] == [
+        (False, "1/2"), (True, "1/2")
+    ]
+
+
+@pytest.mark.parametrize("command", ["check", "run", "enumerate", "denote", "soundness"])
+def test_non_ascii_digit_is_a_syntax_error(capsys, tmp_path, command):
+    program = tmp_path / "superscript.mem"
+    program.write_text("flip(²)\n", encoding="utf-8")
+    code = cli.main([command, str(program)])
+    captured = capsys.readouterr()
+    assert code == 1
+    if command == "check":
+        assert "unexpected character" in json.loads(captured.out)["error"]
+    else:
+        assert captured.out == "" and "unexpected character" in captured.err
+
+
+def test_laws_negative_count_is_usage_error(capsys):
+    assert "--count" in assert_usage_error(capsys, "laws", "--mem", "--count", "-3")
+
+
+@pytest.mark.parametrize("target", ["missing", "file"])
+def test_soundness_dir_must_be_a_directory(capsys, tmp_path, target):
+    path = tmp_path / "programs"
+    if target == "file":
+        path.write_text("return true\n")
+    assert "not a directory" in assert_usage_error(capsys, "soundness", "--dir", str(path))
+
+
+def test_soundness_file_and_dir_is_usage_error(capsys):
+    path = str(PROGRAMS / "sound" / "p1_third.mem")
+    assert "not both" in assert_usage_error(capsys, "soundness", path, "--dir", str(PROGRAMS / "sound"))

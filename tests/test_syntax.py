@@ -186,3 +186,19 @@ def test_freshness_check_rejects_binder_application():
 def test_freshness_check_rejects_locally_bound_argument():
     fn = _parse_memfn("memfn y. let val z <- fresh() in f @ z")
     assert not S.syntactic_freshness_check(fn)
+
+
+@pytest.mark.parametrize("digit", ["²", "٣", "１"])
+def test_only_ascii_digits_are_numbers(digit):
+    with pytest.raises(S.ParseError, match="unexpected character"):
+        S.parse_program(f"flip({digit})")
+    with pytest.raises(S.ParseError, match="unexpected character"):
+        S.parse_program(f"flip(1/{digit})")
+
+
+@pytest.mark.parametrize(
+    "text", ["flip(1/" + "9" * 5000 + ")", "flip(0." + "0" * 5000 + "1)"], ids=["fraction", "decimal"]
+)
+def test_number_with_too_many_digits_is_a_parse_error(text):
+    with pytest.raises(S.ParseError, match="too many digits"):
+        S.parse_program(text)
