@@ -318,7 +318,8 @@ def main(argv=None) -> int:
     except D.FreshnessViolation as exc:
         print(f"freshness violation: {exc}", file=sys.stderr)
         return EXIT_FRESHNESS
-    except (OSError, UnreadableSource, B.TooManyUndefined, B.InvalidLimit) as exc:
+    except (OSError, UnreadableSource, B.TooManyUndefined, B.InvalidLimit,
+            O.StepBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -41,7 +41,8 @@ of ``den_config`` and the law suites.
 A configuration's unsampled edges are split the same way: ``den_config``
 gives each a placeholder, splits one only when the closure biases, the
 chain-rule probabilities or the term read it, and leaves every other one
-to ``expand`` as a coin.
+to ``expand`` as a coin.  ``check_soundness`` splits once for all the
+terminals that share a memo-table and closures.
 """
 
 from __future__ import annotations
@@ -397,18 +398,9 @@ def prob_true(dist: FinDist[CanonicalClass]) -> Fraction:
     return total
 
 
-_PROB_CACHE: dict = {}
-
-
 def clear_caches() -> None:
-    _PROB_CACHE.clear()
-
-
-def _cached_prob_true(body: S.Comp, graph: B.TotalBigraph, env: O.FrozenMap, bias: BiasState) -> Fraction:
-    key = (body, graph, env, tuple(sorted(bias.items())))
-    if key not in _PROB_CACHE:
-        _PROB_CACHE[key] = prob_true(den_comp(body, graph, env, bias))
-    return _PROB_CACHE[key]
+    """Does nothing: this module keeps no state between calls.  Kept for
+    callers that still clear before each run."""
 
 
 def _fresh_bias(
@@ -433,7 +425,7 @@ def _fresh_bias(
         B.check_undefined_budget(len(assign))
         world, atom = graph.add_right_defined({f: assign.get(f, _UNASSIGNED) for f in funs})
         try:
-            q = _cached_prob_true(body, world, env.set(binder, O.AtomV(atom)), bias)
+            q = prob_true(den_comp(body, world, env.set(binder, O.AtomV(atom)), bias))
         except EdgeRead as read:
             fun, read_atom = read.pair
             if read_atom != atom:
@@ -461,7 +453,7 @@ def den_mem(
     body's (wiring-independent) probability on a new atom."""
     bias = _bias_state(graph, bias)
     row = {
-        a: _edge(_cached_prob_true(body, graph, env.set(binder, O.AtomV(a)), bias))
+        a: _edge(prob_true(den_comp(body, graph, env.set(binder, O.AtomV(a)), bias)))
         for a in sorted(graph.right)
     }
     new_bias = _fresh_bias(graph, env, binder, body, bias)
@@ -516,6 +508,7 @@ def den_comp(
 def den_program(program: S.Comp) -> FinDist[CanonicalClass]:
     """Denotation of a closed program at the empty world, with every edge
     it returns drawn."""
+    B.check_undefined_budget(0)  # an invalid MEMLANG_MAX_UNDEF fails even where nothing expands
     return expand(den_comp(program, EMPTY_WORLD, O.EMPTY_MAP, {}))
 
 
@@ -549,14 +542,14 @@ def mem_phi(
 # Configuration denotation and the checkers
 
 
-def _closure_biases(config: O.Configuration, world: B.TotalBigraph) -> dict[int, Fraction]:
+def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph) -> dict[int, Fraction]:
     """Bias of every function, derived from its closure at the world.
     Computed in creation order; a body can only mention older functions,
     and wirings to unmentioned ones marginalize out, so the 1/2 placeholder
     for not-yet-computed entries cannot influence the result."""
     biases: dict[int, Fraction] = {}
     for fun in sorted(world.left):
-        closure = config.closures[fun]
+        closure = closures[fun]
         lam = {f: biases.get(f, HALF) for f in world.left}
         biases[fun] = _fresh_bias(world, closure.captured, closure.binder, closure.body, lam)
     return biases
@@ -578,14 +571,16 @@ def _observed(config: O.Configuration, world: B.TotalBigraph, biases: BiasState)
     return expand(FinDist([(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in result.items()]))
 
 
-def _den_config(
-    config: O.Configuration,
-) -> tuple[FinDist[CanonicalClass], FinDist[CanonicalClass]]:
-    """Both weightings of a configuration's completions, from one pass:
-    (chain rule, single bias).  See ``den_config``."""
-    if O.memo_stack(config.term):
+def _den_config(group: list[tuple[O.Configuration, Fraction]]) -> tuple[list, list]:
+    """Both weightings, as (weight, distribution) branches, of a group of
+    configurations that share one memo-table and closure map, each member
+    weighted by its own probability: (chain rule, single bias).  One split
+    serves the group, so the closure biases and chain-rule probabilities
+    are computed once per node, and ``MEMLANG_MAX_UNDEF`` bounds the edges
+    that the closures or any member's term read on one path."""
+    if any(O.memo_stack(config.term) for config, _ in group):
         raise ValueError("configuration denotation requires a marker-free term")
-    graph = config.graph
+    graph, closures = group[0][0].graph, group[0][0].closures
     undef = graph.undefined_pairs()
     chain, single = [], []
     todo: list[dict[tuple[int, int], bool]] = [{}]
@@ -594,19 +589,20 @@ def _den_config(
         B.check_undefined_budget(len(assign))
         world = _completed(graph, assign, lambda pair: _UNASSIGNED)
         try:
-            biases = _closure_biases(config, world)
+            biases = _closure_biases(closures, world)
             p = {}
             for fun, atom in sorted(undef):
-                closure = config.closures[fun]
+                closure = closures[fun]
                 env = closure.captured.set(closure.binder, O.AtomV(atom))
-                p[(fun, atom)] = _cached_prob_true(closure.body, world, env, biases)
+                p[(fun, atom)] = prob_true(den_comp(closure.body, world, env, biases))
             chain_w = single_w = ONE
             for (fun, atom), bit in assign.items():
                 chain_w *= p[(fun, atom)] if bit else ONE - p[(fun, atom)]
                 single_w *= biases[fun] if bit else ONE - biases[fun]
             if chain_w == ZERO and single_w == ZERO:
                 continue
-            den_comp(config.term, world, config.env, biases)  # only to find its reads
+            for config, _ in group:
+                den_comp(config.term, world, config.env, biases)  # only to find its reads
         except EdgeRead as read:
             if read.pair not in undef:
                 raise
@@ -616,11 +612,13 @@ def _den_config(
         # two values is the coin ``expand`` draws where the edge survives
         chain_world = _completed(graph, assign, lambda pair: _edge(p[pair]))
         single_world = _completed(graph, assign, lambda pair: _edge(biases[pair[0]]))
-        chain_dist = _observed(config, chain_world, biases)
-        single_dist = chain_dist if single_world == chain_world else _observed(config, single_world, biases)
-        chain.append((chain_w, chain_dist))
-        single.append((single_w, single_dist))
-    return weighted_mix(chain), weighted_mix(single)
+        same = single_world == chain_world
+        for config, w in group:
+            chain_dist = _observed(config, chain_world, biases)
+            single_dist = chain_dist if same else _observed(config, single_world, biases)
+            chain.append((w * chain_w, chain_dist))
+            single.append((w * single_w, single_dist))
+    return chain, single
 
 
 def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
@@ -641,7 +639,7 @@ def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
     if the result mentions the edge.  ``MEMLANG_MAX_UNDEF`` bounds the
     edges read on one path.
     """
-    return _den_config(config)[0]
+    return weighted_mix(_den_config([(config, ONE)])[0])
 
 
 @dataclass
@@ -655,19 +653,17 @@ class SoundnessReport:
 
 def check_soundness(program: S.Comp) -> SoundnessReport:
     """Compare the compositional denotation of a closed program with the
-    weighted sum of its terminal configurations' denotations."""
+    weighted sum of its terminal configurations' denotations.  Terminals
+    that share a memo-table and closures are denoted together, in order of
+    first occurrence."""
     lhs = den_program(program)
-    terminals = O.enumerate_bigstep(program)
-    halves = [(w, _den_config(cfg)) for cfg, w in terminals.items()]
-    rhs = weighted_mix([(w, chain) for w, (chain, _) in halves])
-    bias_rhs = weighted_mix([(w, single) for w, (_, single) in halves])
-    return SoundnessReport(
-        lhs=lhs,
-        rhs=rhs,
-        equal=dist_eq(lhs, rhs),
-        bias_formula_rhs=bias_rhs,
-        bias_formula_agrees=dist_eq(rhs, bias_rhs),
-    )
+    groups: dict[tuple[B.PartialBigraph, O.FrozenMap], list] = {}
+    for cfg, w in O.enumerate_bigstep(program).items():
+        groups.setdefault((cfg.graph, cfg.closures), []).append((cfg, w))
+    halves = [_den_config(group) for group in groups.values()]
+    rhs = weighted_mix([branch for chain, _ in halves for branch in chain])
+    bias_rhs = weighted_mix([branch for _, single in halves for branch in single])
+    return SoundnessReport(lhs, rhs, dist_eq(lhs, rhs), bias_rhs, dist_eq(rhs, bias_rhs))
 
 
 def check_dataflow(t1: S.Comp, t2: S.Comp, u: S.Comp, x1: S.Ident, x2: S.Ident) -> bool:

@@ -36,6 +36,10 @@ class MalformedConfiguration(Exception):
     pass
 
 
+class StepBudgetExceeded(Exception):
+    """``enumerate_bigstep`` took more than ``_STEP_BUDGET`` steps."""
+
+
 class JudgementFailure(Exception):
     pass
 
@@ -466,7 +470,7 @@ def enumerate_bigstep(program: S.Comp) -> FinDist[Configuration]:
             continue
         steps += 1
         if steps > _STEP_BUDGET:
-            raise MalformedConfiguration("step budget exceeded")
+            raise StepBudgetExceeded(f"exhaustive enumeration exceeded {_STEP_BUDGET} steps")
         for successor, q in step(config).items():
             pending.append((successor, weight * q))
     return FinDist(acc)

@@ -22,10 +22,10 @@ from . import syntax as S
 from . import typecheck as TC
 from .dist import dist_eq
 
-BIASES = [
+BIASES = (
     Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
     Fraction(2, 3), Fraction(3, 4), Fraction(1),
-]
+)
 
 
 def let_chain(bindings: list[tuple[str, S.Comp]], tail: S.Comp) -> S.Comp:
@@ -40,9 +40,6 @@ class _Scope:
     types: tuple[tuple[str, TC.Ty], ...]
     clean_atoms: frozenset[str]  # atoms usable as application arguments
     in_memfn: bool
-
-    def lookup(self) -> dict[str, TC.Ty]:
-        return dict(self.types)
 
 
 def _scope_from(types: Mapping[str, TC.Ty]) -> _Scope:

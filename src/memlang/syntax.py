@@ -210,7 +210,7 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent; the grammar is LL(1) over this token stream)
 
-_VAL_STARTERS = {("kw", "true"), ("kw", "false")}
+_VAL_STARTERS = frozenset({("kw", "true"), ("kw", "false")})
 
 
 def _literal(tok: Token, text: str) -> Fraction:

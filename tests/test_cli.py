@@ -171,6 +171,26 @@ def test_invalid_max_undef_is_usage_error(capsys, monkeypatch, value):
     assert err.count("\n") == 1 and "MEMLANG_MAX_UNDEF" in err
 
 
+@pytest.mark.parametrize("source", ["diffuse_eq", "flip"])
+def test_denote_rejects_an_invalid_max_undef_where_nothing_expands(capsys, monkeypatch, tmp_path, source):
+    program = PROGRAMS / "sound" / "diffuse_eq.mem"
+    if source == "flip":
+        program = tmp_path / "flip.mem"
+        program.write_text("flip(1/2)\n")
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "abc")
+    assert "MEMLANG_MAX_UNDEF" in assert_usage_error(capsys, "denote", str(program))
+    # the operational commands expand nothing and keep ignoring the limit
+    assert cli.main(["enumerate", str(program)]) == 0
+    assert cli.main(["run", str(program)]) == 0
+
+
+@pytest.mark.parametrize("command", ["enumerate", "soundness"])
+def test_step_budget_is_usage_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(O, "_STEP_BUDGET", 3)
+    err = assert_usage_error(capsys, command, str(PROGRAMS / "sound" / "memo_pair.mem"))
+    assert "3 steps" in err and "Traceback" not in err
+
+
 def test_fresh_bias_over_budget_is_usage_error(capsys, monkeypatch, tmp_path):
     # the fourth memfn's body reads three edges of a new atom's column
     program = tmp_path / "four_memfns.mem"

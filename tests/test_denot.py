@@ -329,7 +329,6 @@ def test_scaling_family_builds_linearly_many_rows_and_wirings(monkeypatch):
         (chained_family, 10, D.check_soundness, 4),
     ):
         counts.update(rows=0, wirings=0)
-        D.clear_caches()
         run(family(n))
         assert 0 < counts["rows"] <= n and 0 < counts["wirings"] <= wirings_per_n * n
 
@@ -455,7 +454,7 @@ def eager_fresh_bias(graph, env, binder, body, bias):
     for bits in itertools.product((False, True), repeat=len(funs)):
         conn = tuple(zip(funs, bits))
         world, atom = graph.add_right_defined(dict(conn))
-        q = D._cached_prob_true(body, world, env.set(binder, O.AtomV(atom)), bias)
+        q = D.prob_true(D.den_comp(body, world, env.set(binder, O.AtomV(atom)), bias))
         if first is None:
             first = (conn, q)
         elif q != first[1]:
@@ -486,7 +485,7 @@ def eager_den_config(config):
         for (fun, atom), bit in assign.items():
             closure = config.closures[fun]
             env = closure.captured.set(closure.binder, O.AtomV(atom))
-            p = D._cached_prob_true(closure.body, total, env, biases)
+            p = D.prob_true(D.den_comp(closure.body, total, env, biases))
             q = biases[fun]
             chain_w *= p if bit else ONE - p
             single_w *= q if bit else ONE - q
@@ -512,7 +511,6 @@ def test_lazy_completions_equal_the_eager_sum():
             cases.append((program, terminals))
     assert len(cases) == 46
     for program, terminals in cases:
-        D.clear_caches()
         halves = [(w, eager_den_config(cfg)) for cfg, w in terminals.items()]
         report = D.check_soundness(program)
         assert report.rhs == weighted_mix([(w, chain) for w, (chain, _) in halves])
@@ -540,6 +538,27 @@ def test_check_soundness_examples():
     for name in ("sound/p1_third.mem", "sound/memo_pair.mem", "sound/pair_mixed.mem"):
         report = D.check_soundness(load(name))
         assert report.equal, name
+
+
+def test_check_soundness_denotes_a_shared_memo_table_once(monkeypatch):
+    # four terminals, one per pair of trailing flips, share the memo-table
+    # and the closure of f; they differ only in their environments
+    p = S.parse_program(
+        "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
+        "let val b1 <- flip(1/2) in let val b2 <- flip(1/2) in return (f, b1)"
+    )
+    terminals = O.enumerate_bigstep(p)
+    assert len(terminals) == 4 and len({(c.graph, c.closures) for c in terminals.support()}) == 1
+    calls = []
+    closure_biases = D._closure_biases
+
+    def counted(*args):
+        calls.append(args)
+        return closure_biases(*args)
+
+    monkeypatch.setattr(D, "_closure_biases", counted)
+    assert D.check_soundness(p).equal
+    assert len(calls) == 1
 
 
 def test_check_soundness_logs_bias_formula_divergence():

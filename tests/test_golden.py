@@ -7,6 +7,9 @@ that alters output on purpose re-records the affected rows and says why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,6 +95,19 @@ def test_golden_output(argv, capsys, monkeypatch):
     code = cli.main(argv.split())
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[argv]
+
+
+def test_soundness_dir_is_the_same_under_python_O():
+    # `python -O` strips assert statements; the checks that remain must not
+    # depend on them
+    argv = "soundness --dir programs/sound"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("MEMLANG_MAX_UNDEF", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "memlang.cli", *argv.split()],
+        cwd=ROOT, env=env, capture_output=True, check=False,
+    )
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
 
 
 def test_golden_set_covers_every_bundled_program():
