@@ -41,8 +41,7 @@ of ``den_config`` and the law suites.
 A configuration's unsampled edges are split the same way: ``den_config``
 gives each a placeholder, splits one only when the closure biases, the
 chain-rule probabilities or the term read it, and leaves every other one
-to ``expand`` as a coin.  ``check_soundness`` splits once for all the
-terminals that share a memo-table and closures.
+to ``expand`` as a coin.
 """
 
 from __future__ import annotations
@@ -571,16 +570,15 @@ def _observed(config: O.Configuration, world: B.TotalBigraph, biases: BiasState)
     return expand(FinDist([(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in result.items()]))
 
 
-def _den_config(group: list[tuple[O.Configuration, Fraction]]) -> tuple[list, list]:
-    """Both weightings, as (weight, distribution) branches, of a group of
-    configurations that share one memo-table and closure map, each member
-    weighted by its own probability: (chain rule, single bias).  One split
-    serves the group, so the closure biases and chain-rule probabilities
-    are computed once per node, and ``MEMLANG_MAX_UNDEF`` bounds the edges
-    that the closures or any member's term read on one path."""
-    if any(O.memo_stack(config.term) for config, _ in group):
+def _den_config(
+    config: O.Configuration, shared: dict,
+) -> tuple[FinDist[CanonicalClass], FinDist[CanonicalClass]]:
+    """Both weightings of a configuration's completions, from one pass:
+    (chain rule, single bias).  See ``den_config``.  ``shared`` keeps the
+    closure biases and chain-rule probabilities per (closures, world)."""
+    if O.memo_stack(config.term):
         raise ValueError("configuration denotation requires a marker-free term")
-    graph, closures = group[0][0].graph, group[0][0].closures
+    graph, closures = config.graph, config.closures
     undef = graph.undefined_pairs()
     chain, single = [], []
     todo: list[dict[tuple[int, int], bool]] = [{}]
@@ -589,20 +587,21 @@ def _den_config(group: list[tuple[O.Configuration, Fraction]]) -> tuple[list, li
         B.check_undefined_budget(len(assign))
         world = _completed(graph, assign, lambda pair: _UNASSIGNED)
         try:
-            biases = _closure_biases(closures, world)
-            p = {}
+            if (closures, world) not in shared:
+                shared[closures, world] = (_closure_biases(closures, world), {})
+            biases, p = shared[closures, world]
             for fun, atom in sorted(undef):
-                closure = closures[fun]
-                env = closure.captured.set(closure.binder, O.AtomV(atom))
-                p[(fun, atom)] = prob_true(den_comp(closure.body, world, env, biases))
+                if (fun, atom) not in p:
+                    closure = closures[fun]
+                    env = closure.captured.set(closure.binder, O.AtomV(atom))
+                    p[(fun, atom)] = prob_true(den_comp(closure.body, world, env, biases))
             chain_w = single_w = ONE
             for (fun, atom), bit in assign.items():
                 chain_w *= p[(fun, atom)] if bit else ONE - p[(fun, atom)]
                 single_w *= biases[fun] if bit else ONE - biases[fun]
             if chain_w == ZERO and single_w == ZERO:
                 continue
-            for config, _ in group:
-                den_comp(config.term, world, config.env, biases)  # only to find its reads
+            den_comp(config.term, world, config.env, biases)  # only to find its reads
         except EdgeRead as read:
             if read.pair not in undef:
                 raise
@@ -612,13 +611,11 @@ def _den_config(group: list[tuple[O.Configuration, Fraction]]) -> tuple[list, li
         # two values is the coin ``expand`` draws where the edge survives
         chain_world = _completed(graph, assign, lambda pair: _edge(p[pair]))
         single_world = _completed(graph, assign, lambda pair: _edge(biases[pair[0]]))
-        same = single_world == chain_world
-        for config, w in group:
-            chain_dist = _observed(config, chain_world, biases)
-            single_dist = chain_dist if same else _observed(config, single_world, biases)
-            chain.append((w * chain_w, chain_dist))
-            single.append((w * single_w, single_dist))
-    return chain, single
+        chain_dist = _observed(config, chain_world, biases)
+        single_dist = chain_dist if single_world == chain_world else _observed(config, single_world, biases)
+        chain.append((chain_w, chain_dist))
+        single.append((single_w, single_dist))
+    return weighted_mix(chain), weighted_mix(single)
 
 
 def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
@@ -639,7 +636,7 @@ def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
     if the result mentions the edge.  ``MEMLANG_MAX_UNDEF`` bounds the
     edges read on one path.
     """
-    return weighted_mix(_den_config([(config, ONE)])[0])
+    return _den_config(config, {})[0]
 
 
 @dataclass
@@ -653,17 +650,20 @@ class SoundnessReport:
 
 def check_soundness(program: S.Comp) -> SoundnessReport:
     """Compare the compositional denotation of a closed program with the
-    weighted sum of its terminal configurations' denotations.  Terminals
-    that share a memo-table and closures are denoted together, in order of
-    first occurrence."""
+    weighted sum of its terminal configurations' denotations."""
     lhs = den_program(program)
-    groups: dict[tuple[B.PartialBigraph, O.FrozenMap], list] = {}
-    for cfg, w in O.enumerate_bigstep(program).items():
-        groups.setdefault((cfg.graph, cfg.closures), []).append((cfg, w))
-    halves = [_den_config(group) for group in groups.values()]
-    rhs = weighted_mix([branch for chain, _ in halves for branch in chain])
-    bias_rhs = weighted_mix([branch for _, single in halves for branch in single])
-    return SoundnessReport(lhs, rhs, dist_eq(lhs, rhs), bias_rhs, dist_eq(rhs, bias_rhs))
+    terminals = O.enumerate_bigstep(program)
+    shared: dict = {}  # lives for this call only; see ``_den_config``
+    halves = [(w, _den_config(cfg, shared)) for cfg, w in terminals.items()]
+    rhs = weighted_mix([(w, chain) for w, (chain, _) in halves])
+    bias_rhs = weighted_mix([(w, single) for w, (_, single) in halves])
+    return SoundnessReport(
+        lhs=lhs,
+        rhs=rhs,
+        equal=dist_eq(lhs, rhs),
+        bias_formula_rhs=bias_rhs,
+        bias_formula_agrees=dist_eq(rhs, bias_rhs),
+    )
 
 
 def check_dataflow(t1: S.Comp, t2: S.Comp, u: S.Comp, x1: S.Ident, x2: S.Ident) -> bool:

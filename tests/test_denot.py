@@ -561,6 +561,32 @@ def test_check_soundness_denotes_a_shared_memo_table_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_soundness_splits_each_terminal_on_its_own_reads(monkeypatch):
+    # four terminals share the memo-table and closures; each reads f at the
+    # two atoms its flips chose, two of the four unsampled edges, so it has
+    # 2^2 leaves (a split over the union of their reads would have 2^4 each)
+    p = S.parse_program(
+        "let val a0 <- fresh() in let val a1 <- fresh() in "
+        "let val a2 <- fresh() in let val a3 <- fresh() in "
+        "let val f <- memfn x. flip(1/2) in "
+        "let val b0 <- flip(1/2) in let val c0 <- if b0 then return a0 else return a1 in "
+        "let val b1 <- flip(1/2) in let val c1 <- if b1 then return a2 else return a3 in "
+        "memfn y. let val d <- f @ c0 in f @ c1"
+    )
+    terminals = O.enumerate_bigstep(p)
+    assert len(terminals) == 4 and len({(c.graph, c.closures) for c in terminals.support()}) == 1
+    calls = []
+    observed = D._observed
+
+    def counted(*args):
+        calls.append(args)
+        return observed(*args)
+
+    monkeypatch.setattr(D, "_observed", counted)
+    assert D.check_soundness(p).equal
+    assert len(calls) == 4 * 2**2
+
+
 def test_check_soundness_logs_bias_formula_divergence():
     report = D.check_soundness(load("sound/undef_edge_terminal.mem"))
     assert report.equal
