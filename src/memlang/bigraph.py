@@ -15,11 +15,14 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
+from .hashonce import HashOnce
 
-@dataclass(frozen=True)
-class Pending:
+
+@dataclass(frozen=True, slots=True)
+class Pending(HashOnce):
     """An edge not drawn yet: true with probability ``chance``, independently
     of every other edge.  Its truth value is unknown, so it has none."""
 
@@ -65,8 +68,9 @@ def check_undefined_budget(count: int) -> None:
         raise TooManyUndefined(count, limit)
 
 
-class PartialBigraph:
+class PartialBigraph(HashOnce):
     __slots__ = ("_left", "_right", "_edges", "_key")
+    _hash_key = attrgetter("_key")
 
     def __init__(
         self,
@@ -176,9 +180,6 @@ class PartialBigraph:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PartialBigraph) and self._key == other._key
 
-    def __hash__(self) -> int:
-        return hash(self._key)
-
     def __repr__(self) -> str:
         return f"PartialBigraph(left={sorted(self._left)}, right={sorted(self._right)}, edges={self.edge_items()})"
 
@@ -190,9 +191,11 @@ def _defined(value) -> bool | Pending:
 class TotalBigraph(PartialBigraph):
     """A memo-table with every edge sampled or pending."""
 
+    __slots__ = ()
+
     def __init__(self, left=(), right=(), edges=None):
         super().__init__(left, right, edges)
-        if any(v is None for _, v in self.edge_items()):
+        if any(v is None for v in self._edges.values()):
             raise ValueError("total bigraph cannot contain undefined edges")
 
     def add_left_defined(self, row: Mapping[int, bool | Pending]) -> tuple["TotalBigraph", int]:

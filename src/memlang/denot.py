@@ -56,6 +56,7 @@ from . import bigraph as B
 from . import opsem as O
 from . import syntax as S
 from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, weighted_mix
+from .hashonce import HashOnce
 
 BiasState = Mapping[int, Fraction]
 K = TypeVar("K")
@@ -104,8 +105,8 @@ def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> dict[int, Fraction]:
 # Canonical classes
 
 
-@dataclass(frozen=True)
-class CanonicalClass:
+@dataclass(frozen=True, slots=True)
+class CanonicalClass(HashOnce):
     base: B.TotalBigraph
     value: O.EnvValue
     fresh_funs: tuple[int, ...]
@@ -157,7 +158,7 @@ def canonicalize(
     edges and biases; the retained ones are renumbered to the smallest
     labels the base does not use, in first-occurrence order.
     """
-    if not (set(base.left) <= set(world.left) and set(base.right) <= set(world.right)):
+    if not (base.left <= world.left and base.right <= world.right):
         raise ValueError("world does not extend the base graph")
 
     funs, atoms = O.value_labels(value)
@@ -166,15 +167,16 @@ def canonicalize(
     fmap = dict(zip(fresh_fun_order, B.smallest_free(len(fresh_fun_order), base.left)))
     amap = dict(zip(fresh_atom_order, B.smallest_free(len(fresh_atom_order), base.right)))
 
+    # only the pairs that touch a fresh node: each fresh function with every
+    # atom, and each base function with the fresh atoms
+    pairs = [(f, a) for f in fresh_fun_order for a in [*base.right, *fresh_atom_order]]
+    pairs += [(f, a) for f in base.left for a in fresh_atom_order]
     edges: list[tuple[int, int, B.EdgeVal]] = []
-    for f in [*sorted(base.left), *fresh_fun_order]:
-        for a in [*sorted(base.right), *fresh_atom_order]:
-            if f in base.left and a in base.right:
-                continue
-            v = world.edge(f, a)
-            if v is None:
-                raise ValueError(f"world leaves edge ({f}, {a}) unsampled")
-            edges.append((fmap.get(f, f), amap.get(a, a), v))
+    for f, a in pairs:
+        v = world.edge(f, a)
+        if v is None:
+            raise ValueError(f"world leaves edge ({f}, {a}) unsampled")
+        edges.append((fmap.get(f, f), amap.get(a, a), v))
     return CanonicalClass(
         base,
         O.relabel(value, fmap, amap),

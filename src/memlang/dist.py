@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Callable, Generic, Hashable, Iterable, Iterator, Mapping, TypeVar
+from typing import Generic, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 U = TypeVar("U", bound=Hashable)
@@ -19,10 +20,20 @@ class MassError(ValueError):
 
 def as_prob(value) -> Fraction:
     """Coerce to an exact Fraction and require it to lie in [0, 1]."""
-    p = Fraction(value)
+    p = value if isinstance(value, Fraction) else Fraction(value)
     if p < ZERO or p > ONE:
         raise ValueError(f"probability out of range [0, 1]: {p}")
     return p
+
+
+def _total(weights: Iterable[Fraction]) -> Fraction:
+    """Exact sum of the weights.  The first is taken as it is: adding it to
+    0 costs a Fraction addition, and most sums here have one term."""
+    weights = iter(weights)
+    total = next(weights, ZERO)
+    for w in weights:
+        total += w
+    return total
 
 
 class FinDist(Generic[T]):
@@ -38,13 +49,14 @@ class FinDist(Generic[T]):
         pairs = weights.items() if isinstance(weights, Mapping) else weights
         acc: dict[T, Fraction] = {}
         for value, weight in pairs:
-            w = Fraction(weight)
+            w = weight if isinstance(weight, Fraction) else Fraction(weight)
             if w < ZERO:
                 raise MassError(f"negative weight {w} for {value!r}")
-            if w == ZERO:
+            if not w:
                 continue
-            acc[value] = acc.get(value, ZERO) + w
-        total = sum(acc.values(), ZERO)
+            prev = acc.get(value)
+            acc[value] = w if prev is None else prev + w
+        total = _total(acc.values())
         if total != ONE:
             raise MassError(f"total mass {total} != 1")
         self._weights = acc
@@ -85,17 +97,19 @@ def dirac(value: T) -> FinDist[T]:
 def weighted_mix(branches: Iterable[tuple[Fraction, FinDist[T]]]) -> FinDist[T]:
     """Convex combination of distributions; branch weights must sum to 1."""
     branches = list(branches)
-    total = ZERO
+    weights = []
     acc: dict[T, Fraction] = {}
     for weight, dist in branches:
-        w = Fraction(weight)
+        w = weight if isinstance(weight, Fraction) else Fraction(weight)
         if w < ZERO:
             raise MassError(f"negative branch weight {w}")
-        total += w
-        if w == ZERO:
+        weights.append(w)
+        if not w:
             continue
         for value, q in dist.items():
-            acc[value] = acc.get(value, ZERO) + w * q
+            prev = acc.get(value)
+            acc[value] = w * q if prev is None else prev + w * q
+    total = _total(weights)
     if total != ONE:
         raise MassError(f"branch weights sum to {total} != 1")
     return FinDist(acc)

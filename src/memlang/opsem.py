@@ -18,12 +18,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from . import bigraph as B
 from . import syntax as S
 from . import typecheck as TC
 from .dist import ONE, ZERO, FinDist, map_dist
+from .hashonce import HashOnce
 
 _STEP_BUDGET = 1_000_000
 
@@ -48,23 +50,23 @@ class JudgementFailure(Exception):
 # Runtime values and immutable maps
 
 
-@dataclass(frozen=True)
-class BoolV:
+@dataclass(frozen=True, slots=True)
+class BoolV(HashOnce):
     value: bool
 
 
-@dataclass(frozen=True)
-class FunV:
+@dataclass(frozen=True, slots=True)
+class FunV(HashOnce):
     label: int
 
 
-@dataclass(frozen=True)
-class AtomV:
+@dataclass(frozen=True, slots=True)
+class AtomV(HashOnce):
     label: int
 
 
-@dataclass(frozen=True)
-class PairV:
+@dataclass(frozen=True, slots=True)
+class PairV(HashOnce):
     fst: "EnvValue"
     snd: "EnvValue"
 
@@ -72,10 +74,11 @@ class PairV:
 EnvValue = Union[BoolV, FunV, AtomV, PairV]
 
 
-class FrozenMap:
+class FrozenMap(HashOnce):
     """Small immutable map with deterministic ordering, usable as a dict key."""
 
     __slots__ = ("_d", "_key")
+    _hash_key = attrgetter("_key")
 
     def __init__(self, items: Mapping | Iterable[tuple] = ()):
         d = dict(items)
@@ -111,9 +114,6 @@ class FrozenMap:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FrozenMap) and self._key == other._key
 
-    def __hash__(self) -> int:
-        return hash(self._key)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in self._key)
         return "FrozenMap({" + inner + "})"
@@ -122,15 +122,15 @@ class FrozenMap:
 EMPTY_MAP = FrozenMap()
 
 
-@dataclass(frozen=True)
-class Closure:
+@dataclass(frozen=True, slots=True)
+class Closure(HashOnce):
     binder: S.Ident
     body: S.Comp
     captured: FrozenMap  # name -> EnvValue
 
 
-@dataclass(frozen=True)
-class Configuration:
+@dataclass(frozen=True, slots=True)
+class Configuration(HashOnce):
     env: FrozenMap  # name -> EnvValue
     term: S.ExtTerm
     graph: B.PartialBigraph
@@ -285,12 +285,14 @@ def recompose(frames: Iterable[Frame], term: S.ExtTerm) -> S.ExtTerm:
 
 
 def _validate(config: Configuration) -> None:
-    if set(config.closures.keys()) != set(config.graph.left):
+    if set(config.closures.keys()) != config.graph.left:
         raise MalformedConfiguration("closure map must cover exactly the function labels")
+    funs: list[int] = []
+    atoms: list[int] = []
     for _, value in config.env.items():
-        funs, atoms = value_labels(value)
-        if not set(funs) <= config.graph.left or not set(atoms) <= config.graph.right:
-            raise MalformedConfiguration("environment mentions labels outside the graph")
+        value_labels(value, funs, atoms)
+    if not config.graph.left.issuperset(funs) or not config.graph.right.issuperset(atoms):
+        raise MalformedConfiguration("environment mentions labels outside the graph")
     for marker in _spine_markers(config.term):
         if marker.fun_label not in config.graph.left or marker.atom_label not in config.graph.right:
             raise MalformedConfiguration("memo marker mentions labels outside the graph")
@@ -298,28 +300,36 @@ def _validate(config: Configuration) -> None:
 
 def _term_size(t: S.ExtTerm) -> int:
     # Sized so that every rule except an application on an unsampled edge
-    # strictly shrinks the term: a bare return weighs only its value.
+    # strictly shrinks the term: a bare return weighs only its value.  Kept
+    # on the node: a step rebuilds only the spine above its redex.
+    try:
+        return t._size
+    except AttributeError:
+        pass
     if isinstance(t, S.Return):
-        return _val_size(t.value)
-    if isinstance(t, S.Let):
-        return 1 + _term_size(t.bound) + _term_size(t.body)
-    if isinstance(t, S.If):
-        return 1 + _val_size(t.cond) + _term_size(t.then) + _term_size(t.orelse)
-    if isinstance(t, S.Match):
-        return 1 + _val_size(t.subject) + _term_size(t.body)
-    if isinstance(t, S.Flip):
-        return 2
-    if isinstance(t, S.Fresh):
-        return 1
-    if isinstance(t, S.Eq):
-        return 1 + _val_size(t.lhs) + _val_size(t.rhs)
-    if isinstance(t, S.MemFn):
-        return 1 + _term_size(t.body)
-    if isinstance(t, S.App):
-        return 1 + _val_size(t.fn) + _val_size(t.arg)
-    if isinstance(t, S.MemoCtx):
-        return 1 + _term_size(t.inner)
-    raise TypeError(f"not a term: {t!r}")
+        n = _val_size(t.value)
+    elif isinstance(t, S.Let):
+        n = 1 + _term_size(t.bound) + _term_size(t.body)
+    elif isinstance(t, S.If):
+        n = 1 + _val_size(t.cond) + _term_size(t.then) + _term_size(t.orelse)
+    elif isinstance(t, S.Match):
+        n = 1 + _val_size(t.subject) + _term_size(t.body)
+    elif isinstance(t, S.Flip):
+        n = 2
+    elif isinstance(t, S.Fresh):
+        n = 1
+    elif isinstance(t, S.Eq):
+        n = 1 + _val_size(t.lhs) + _val_size(t.rhs)
+    elif isinstance(t, S.MemFn):
+        n = 1 + _term_size(t.body)
+    elif isinstance(t, S.App):
+        n = 1 + _val_size(t.fn) + _val_size(t.arg)
+    elif isinstance(t, S.MemoCtx):
+        n = 1 + _term_size(t.inner)
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_size", n)
+    return n
 
 
 def _val_size(v: S.Val) -> int:
@@ -340,9 +350,15 @@ def _step_outcomes(
     """Successors of one reduction with their weights; at a flip the true
     branch comes first."""
     env, graph, closures = config.env, config.graph, config.closures
+    before = _term_size(config.term)
 
-    def out(term, new_env=env, new_graph=graph, new_closures=closures):
-        return Configuration(new_env, recompose(frames, term), new_graph, new_closures)
+    def out(term, new_env=env, new_graph=graph, new_closures=closures, shrinks=True):
+        successor = Configuration(new_env, recompose(frames, term), new_graph, new_closures)
+        # progress: every rule shrinks the term except entering a pending
+        # memoization, which permanently claims one unsampled edge
+        if shrinks and _term_size(successor.term) >= before:
+            raise MalformedConfiguration(f"step did not shrink {S.pretty(config.term)}")
+        return successor
 
     if isinstance(redex, S.Let):
         bound = redex.bound
@@ -381,7 +397,7 @@ def _step_outcomes(
             raise MalformedConfiguration(f"no closure for function label {fn.label}")
         call_env = closure.captured.set(closure.binder, arg)
         marker = S.MemoCtx(closure.body, fn.label, arg.label, env)
-        return [(out(marker, call_env), ONE)]
+        return [(out(marker, call_env, shrinks=False), ONE)]
     if isinstance(redex, S.Eq):
         lhs = eval_value(env, redex.lhs)
         rhs = eval_value(env, redex.rhs)
@@ -413,22 +429,7 @@ def step(config: Configuration) -> FinDist[Configuration]:
     if dec is None:
         raise MalformedConfiguration("configuration is terminal")
     frames, redex = dec
-    outcomes = _step_outcomes(config, frames, redex)
-    before = _term_size(config.term)
-    app_on_undef = (
-        isinstance(redex, S.App)
-        and config.graph.edge(
-            eval_value(config.env, redex.fn).label,
-            eval_value(config.env, redex.arg).label,
-        )
-        is None
-    )
-    for successor, _ in outcomes:
-        # progress: every rule shrinks the term except entering a pending
-        # memoization, which permanently claims one unsampled edge
-        if not app_on_undef and _term_size(successor.term) >= before:
-            raise MalformedConfiguration(f"step did not shrink {S.pretty(config.term)}")
-    return FinDist(outcomes)
+    return FinDist(_step_outcomes(config, frames, redex))
 
 
 def is_terminal(config: Configuration) -> bool:
@@ -541,8 +542,8 @@ def check_stack_invariants(config: Configuration) -> bool:
 # Observations of terminal configurations
 
 
-@dataclass(frozen=True)
-class Observation:
+@dataclass(frozen=True, slots=True)
+class Observation(HashOnce):
     """What a caller can distinguish about a terminal configuration: the
     returned value, the slice of the memo-table reachable from it, and the
     retained closures with bound variables renamed canonically.  Labels are

@@ -17,24 +17,34 @@ from fractions import Fraction
 from itertools import count
 from typing import Any, Optional, Union
 
+from .hashonce import HashOnce
+
 Ident = str
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
+#
+# Nodes are immutable and keep their hash after the first ``hash()``
+# (``HashOnce``).  Computations and memo markers also keep the evaluator's
+# progress measure, once ``opsem._term_size`` has computed it.
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class _Term(HashOnce):
+    __slots__ = ("_size",)
+
+
+@dataclass(frozen=True, slots=True)
+class BoolLit(HashOnce):
     value: bool
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, slots=True)
+class Var(HashOnce):
     name: Ident
 
 
-@dataclass(frozen=True)
-class PairVal:
+@dataclass(frozen=True, slots=True)
+class PairVal(HashOnce):
     fst: "Val"
     snd: "Val"
 
@@ -42,57 +52,57 @@ class PairVal:
 Val = Union[BoolLit, Var, PairVal]
 
 
-@dataclass(frozen=True)
-class Return:
+@dataclass(frozen=True, slots=True)
+class Return(_Term):
     value: Val
 
 
-@dataclass(frozen=True)
-class Let:
+@dataclass(frozen=True, slots=True)
+class Let(_Term):
     name: Ident
     bound: "Comp"
     body: "Comp"
 
 
-@dataclass(frozen=True)
-class If:
+@dataclass(frozen=True, slots=True)
+class If(_Term):
     cond: Val
     then: "Comp"
     orelse: "Comp"
 
 
-@dataclass(frozen=True)
-class Match:
+@dataclass(frozen=True, slots=True)
+class Match(_Term):
     subject: Val
     fst_name: Ident
     snd_name: Ident
     body: "Comp"
 
 
-@dataclass(frozen=True)
-class Flip:
+@dataclass(frozen=True, slots=True)
+class Flip(_Term):
     bias: Fraction
 
 
-@dataclass(frozen=True)
-class Fresh:
+@dataclass(frozen=True, slots=True)
+class Fresh(_Term):
     pass
 
 
-@dataclass(frozen=True)
-class Eq:
+@dataclass(frozen=True, slots=True)
+class Eq(_Term):
     lhs: Val
     rhs: Val
 
 
-@dataclass(frozen=True)
-class MemFn:
+@dataclass(frozen=True, slots=True)
+class MemFn(_Term):
     binder: Ident
     body: "Comp"
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, slots=True)
+class App(_Term):
     fn: Val
     arg: Val
 
@@ -100,8 +110,8 @@ class App:
 Comp = Union[Return, Let, If, Match, Flip, Fresh, Eq, MemFn, App]
 
 
-@dataclass(frozen=True)
-class MemoCtx:
+@dataclass(frozen=True, slots=True)
+class MemoCtx(_Term):
     """Pending memoization marker produced only by the evaluator.
 
     Wraps a computation whose boolean result must be written to the

@@ -135,6 +135,62 @@ def test_step_progress_check_survives_optimization(monkeypatch):
         O.run_sampled(program, seed=0)
 
 
+def _val_size(v) -> int:
+    return 1 + _val_size(v.fst) + _val_size(v.snd) if isinstance(v, S.PairVal) else 1
+
+
+def _walked_size(t) -> int:
+    # the progress measure computed afresh, with nothing kept on the nodes
+    if isinstance(t, S.Return):
+        return _val_size(t.value)
+    if isinstance(t, S.Let):
+        return 1 + _walked_size(t.bound) + _walked_size(t.body)
+    if isinstance(t, S.If):
+        return 1 + _val_size(t.cond) + _walked_size(t.then) + _walked_size(t.orelse)
+    if isinstance(t, S.Match):
+        return 1 + _val_size(t.subject) + _walked_size(t.body)
+    if isinstance(t, S.Flip):
+        return 2
+    if isinstance(t, S.Fresh):
+        return 1
+    if isinstance(t, S.Eq):
+        return 1 + _val_size(t.lhs) + _val_size(t.rhs)
+    if isinstance(t, S.MemFn):
+        return 1 + _walked_size(t.body)
+    if isinstance(t, S.App):
+        return 1 + _val_size(t.fn) + _val_size(t.arg)
+    return 1 + _walked_size(t.inner)  # MemoCtx
+
+
+def _subterms(t):
+    yield t
+    for child in (getattr(t, name, None) for name in ("bound", "body", "then", "orelse", "inner")):
+        if child is not None:
+            yield from _subterms(child)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PROGRAMS.rglob("*.mem")), ids=lambda p: str(p.relative_to(PROGRAMS))
+)
+def test_kept_term_size_equals_a_fresh_walk(monkeypatch, path):
+    # every configuration the enumeration visits, with the sizes that step
+    # kept on its nodes while it ran
+    visited = []
+    step = O.step
+
+    def recording_step(config):
+        visited.append(config)
+        return step(config)
+
+    monkeypatch.setattr(O, "step", recording_step)
+    terminals = O.enumerate_bigstep(S.parse_program(path.read_text()))
+    visited += terminals.support()
+    assert len(visited) > len(terminals)
+    for config in visited:
+        for t in _subterms(config.term):
+            assert O._term_size(t) == _walked_size(t), S.pretty(t)
+
+
 @pytest.mark.parametrize("fun, atom", [(1, 0), (0, 1)])
 def test_step_rejects_marker_outside_graph(fun, atom):
     graph, _ = B.empty().add_right_undef()
