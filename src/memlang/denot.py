@@ -14,7 +14,10 @@ labels with their biases (the chance of answering true on atoms that do not
 exist yet), fresh atom labels, and every edge touching a fresh node.  Fresh
 labels are renumbered to the smallest labels absent from the base, in first
 occurrence order of a left-to-right traversal of the value, which makes the
-representative canonical.
+representative canonical.  A value that mentions no fresh node lives at the
+identity extension: its class has no fresh part, and ``class_world`` gives
+back the base world itself, so such a result is neither rebuilt nor
+relabelled.
 
 Memoized functions are interpreted by a row of answers over the existing
 atoms (one probability per atom, obtained by running the body on that
@@ -96,7 +99,7 @@ class FreshnessViolation(Exception):
 def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> dict[int, Fraction]:
     """The bias state as exact probabilities; it must assign exactly the
     world's functions, each a probability in [0, 1]."""
-    if set(bias) != graph.left:
+    if bias.keys() != graph.left:
         raise ValueError(f"bias state must assign exactly the functions {sorted(graph.left)}")
     return {f: as_prob(p) for f, p in bias.items()}
 
@@ -156,7 +159,9 @@ def canonicalize(
 
     Fresh nodes absent from the value are discarded together with their
     edges and biases; the retained ones are renumbered to the smallest
-    labels the base does not use, in first-occurrence order.
+    labels the base does not use, in first-occurrence order.  A value that
+    mentions no fresh node lives at the identity extension of the base:
+    its class holds the value as it is, with no fresh part.
     """
     if not (base.left <= world.left and base.right <= world.right):
         raise ValueError("world does not extend the base graph")
@@ -164,6 +169,9 @@ def canonicalize(
     funs, atoms = O.value_labels(value)
     fresh_fun_order = [f for f in funs if f not in base.left]
     fresh_atom_order = [a for a in atoms if a not in base.right]
+    if not fresh_fun_order and not fresh_atom_order:
+        # the identity extension: no relabelling, no edge leaves the base
+        return CanonicalClass(base, value, (), (), (), ())
     fmap = dict(zip(fresh_fun_order, B.smallest_free(len(fresh_fun_order), base.left)))
     amap = dict(zip(fresh_atom_order, B.smallest_free(len(fresh_atom_order), base.right)))
 
@@ -188,7 +196,11 @@ def canonicalize(
 
 
 def class_world(cls: CanonicalClass) -> B.TotalBigraph:
-    """Rebuild the total world a class describes: base plus fresh nodes."""
+    """Rebuild the total world a class describes: base plus fresh nodes.
+    A class with no fresh part describes its base world, which is returned
+    as it is."""
+    if not (cls.fresh_funs or cls.fresh_atoms or cls.ext_edges):
+        return cls.base
     edges = {pair: v for pair, v in cls.base.edge_items()}
     for f, a, v in cls.ext_edges:
         edges[(f, a)] = v

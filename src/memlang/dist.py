@@ -21,7 +21,8 @@ class MassError(ValueError):
 def as_prob(value) -> Fraction:
     """Coerce to an exact Fraction and require it to lie in [0, 1]."""
     p = value if isinstance(value, Fraction) else Fraction(value)
-    if p < ZERO or p > ONE:
+    # on the integer parts: a Fraction's denominator is always positive
+    if p.numerator < 0 or p.numerator > p.denominator:
         raise ValueError(f"probability out of range [0, 1]: {p}")
     return p
 
@@ -50,14 +51,14 @@ class FinDist(Generic[T]):
         acc: dict[T, Fraction] = {}
         for value, weight in pairs:
             w = weight if isinstance(weight, Fraction) else Fraction(weight)
-            if w < ZERO:
+            if w.numerator < 0:
                 raise MassError(f"negative weight {w} for {value!r}")
             if not w:
                 continue
             prev = acc.get(value)
             acc[value] = w if prev is None else prev + w
         total = _total(acc.values())
-        if total != ONE:
+        if total.numerator != total.denominator:  # a lowest-terms 1 is 1/1
             raise MassError(f"total mass {total} != 1")
         self._weights = acc
 
@@ -101,7 +102,7 @@ def weighted_mix(branches: Iterable[tuple[Fraction, FinDist[T]]]) -> FinDist[T]:
     acc: dict[T, Fraction] = {}
     for weight, dist in branches:
         w = weight if isinstance(weight, Fraction) else Fraction(weight)
-        if w < ZERO:
+        if w.numerator < 0:
             raise MassError(f"negative branch weight {w}")
         weights.append(w)
         if not w:
@@ -110,7 +111,7 @@ def weighted_mix(branches: Iterable[tuple[Fraction, FinDist[T]]]) -> FinDist[T]:
             prev = acc.get(value)
             acc[value] = w * q if prev is None else prev + w * q
     total = _total(weights)
-    if total != ONE:
+    if total.numerator != total.denominator:
         raise MassError(f"branch weights sum to {total} != 1")
     return FinDist(acc)
 

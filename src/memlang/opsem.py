@@ -433,7 +433,11 @@ def step(config: Configuration) -> FinDist[Configuration]:
 
 
 def is_terminal(config: Configuration) -> bool:
-    return decompose(config.term) is None
+    """Whether the configuration has finished: ``decompose`` finds no redex
+    only in a return, a function abstraction or a bare ``fresh()`` at the
+    top of the term, so the top of the term decides it without a
+    decomposition.  A malformed term is left for ``step`` to reject."""
+    return _is_terminal_comp(config.term)
 
 
 def run_sampled(program: S.Comp, seed: int) -> tuple[Configuration, list[Configuration]]:

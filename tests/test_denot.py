@@ -89,6 +89,77 @@ def test_class_world_roundtrip():
     assert world.edge(0, cls.fresh_atoms[0]) is False
 
 
+def rebuilt_world(cls: D.CanonicalClass) -> B.TotalBigraph:
+    """The world a class describes, built anew: base edges plus ext_edges."""
+    edges = dict(cls.base.edge_items())
+    edges.update({(f, a): v for f, a, v in cls.ext_edges})
+    return B.TotalBigraph(
+        cls.base.left | set(cls.fresh_funs), cls.base.right | set(cls.fresh_atoms), edges
+    )
+
+
+def general_canonicalize(base, world, value, biases) -> D.CanonicalClass:
+    """canonicalize's general construction written out: relabel the fresh
+    nodes the value mentions and keep every world edge that touches one of
+    them and no other fresh node."""
+    funs, atoms = O.value_labels(value)
+    fresh_funs = [f for f in funs if f not in base.left]
+    fresh_atoms = [a for a in atoms if a not in base.right]
+    fmap = dict(zip(fresh_funs, B.smallest_free(len(fresh_funs), base.left)))
+    amap = dict(zip(fresh_atoms, B.smallest_free(len(fresh_atoms), base.right)))
+    edges = sorted(
+        (fmap.get(f, f), amap.get(a, a), v)
+        for (f, a), v in world.edge_items()
+        if (f in fmap or a in amap)
+        and (f in fmap or f in base.left)
+        and (a in amap or a in base.right)
+    )
+    return D.CanonicalClass(
+        base,
+        O.relabel(value, fmap, amap),
+        tuple(fmap.values()),
+        tuple(biases[f] for f in fresh_funs),
+        tuple(amap.values()),
+        tuple(edges),
+    )
+
+
+def test_identity_extension_equals_the_general_construction(monkeypatch):
+    # every class bind sequences and _rebase re-expresses, over the sound
+    # programs and a slice of criterion 6's corpus
+    bound, rebased = [], []
+    bind, rebase = D.bind, D._rebase
+
+    def recording_bind(graph, bias, dist, *rest):
+        bound.extend(dist)
+        return bind(graph, bias, dist, *rest)
+
+    def recording_rebase(base, cls, biases):
+        rebased.append((base, cls, dict(biases)))
+        return rebase(base, cls, biases)
+
+    monkeypatch.setattr(D, "bind", recording_bind)
+    monkeypatch.setattr(D, "_rebase", recording_rebase)
+    programs = [load(str(p.relative_to(PROGRAMS))) for p in sorted((PROGRAMS / "sound").glob("*.mem"))]
+    for program in programs + soundness_corpus(20, 20243):
+        D.check_soundness(program)
+    classes = bound + [cls for _, cls, _ in rebased]
+    identity = [not (cls.fresh_funs or cls.fresh_atoms or cls.ext_edges) for cls in classes]
+    assert any(identity) and not all(identity)
+    assert any(cls.fresh_atoms and not cls.fresh_funs for cls in classes)
+    for cls, is_identity in zip(classes, identity):
+        world = D.class_world(cls)
+        assert world == rebuilt_world(cls)
+        assert (world is cls.base) == is_identity
+        carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
+        again = D.canonicalize(cls.base, world, cls.value, carried)
+        assert again == general_canonicalize(cls.base, rebuilt_world(cls), cls.value, carried) == cls
+    for base, cls, biases in rebased:
+        biases.update(zip(cls.fresh_funs, cls.fresh_biases))
+        expected = general_canonicalize(base, rebuilt_world(cls), cls.value, biases)
+        assert rebase(base, cls, biases) == expected
+
+
 # -- unit, bind, transport ------------------------------------------------------
 
 

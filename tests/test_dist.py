@@ -35,6 +35,14 @@ def test_weighted_mix_merges_and_checks_mass():
         weighted_mix([(HALF, dirac(True))])
 
 
+def test_weighted_mix_rejects_a_negative_branch():
+    # the weights sum to 1, so only the sign check can reject them
+    with pytest.raises(MassError, match="negative branch weight -1/2"):
+        weighted_mix([(Fraction(-1, 2), dirac(True)), (Fraction(3, 2), dirac(False))])
+    with pytest.raises(MassError, match="negative branch weight -1"):
+        weighted_mix([(-1, dirac(True)), (2, dirac(False))])
+
+
 def test_weighted_mix_order_insensitive():
     a = weighted_mix([(THIRD, dirac(1)), (Fraction(2, 3), dirac(2))])
     b = weighted_mix([(Fraction(2, 3), dirac(2)), (THIRD, dirac(1))])
@@ -65,8 +73,13 @@ def test_zero_weights_dropped_and_negative_rejected():
 
 def test_as_prob_bounds():
     assert as_prob("1/3") == THIRD
+    assert as_prob(0) == Fraction(0) and as_prob(Fraction(1)) == ONE
     with pytest.raises(ValueError):
         as_prob(Fraction(3, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        as_prob(Fraction(-1, 3))
+    with pytest.raises(ValueError, match="out of range"):
+        as_prob("-1/3")
 
 
 def bind(d, kont):

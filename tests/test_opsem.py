@@ -191,6 +191,38 @@ def test_kept_term_size_equals_a_fresh_walk(monkeypatch, path):
             assert O._term_size(t) == _walked_size(t), S.pretty(t)
 
 
+@pytest.mark.parametrize(
+    "path", sorted(PROGRAMS.rglob("*.mem")), ids=lambda p: str(p.relative_to(PROGRAMS))
+)
+def test_is_terminal_agrees_with_decompose(monkeypatch, path):
+    # is_terminal reads only the top of the term; decompose must find no
+    # redex in exactly those configurations the enumeration meets
+    met = []
+    is_terminal = O.is_terminal
+
+    def recording_is_terminal(config):
+        met.append(config)
+        return is_terminal(config)
+
+    monkeypatch.setattr(O, "is_terminal", recording_is_terminal)
+    terminals = O.enumerate_bigstep(S.parse_program(path.read_text()))
+    assert len(met) > len(terminals)
+    for config in met:
+        assert is_terminal(config) == (O.decompose(config.term) is None), S.pretty(config.term)
+
+
+def test_terminal_under_a_marker_is_stuck_in_step():
+    # not terminal at the top, and step, not is_terminal, rejects it
+    graph, atom = B.empty().add_right_undef()
+    graph, label = graph.add_left_undef()
+    closures = O.FrozenMap({label: O.Closure("y", S.Flip(HALF), O.EMPTY_MAP)})
+    marker = S.MemoCtx(S.MemFn("z", S.Flip(HALF)), label, atom, O.EMPTY_MAP)
+    cfg = O.Configuration(O.EMPTY_MAP, marker, graph, closures)
+    assert not O.is_terminal(cfg)
+    with pytest.raises(O.Stuck, match="under a reduction context"):
+        O.step(cfg)
+
+
 @pytest.mark.parametrize("fun, atom", [(1, 0), (0, 1)])
 def test_step_rejects_marker_outside_graph(fun, atom):
     graph, _ = B.empty().add_right_undef()
