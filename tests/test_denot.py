@@ -140,7 +140,7 @@ def test_identity_extension_equals_the_general_construction(monkeypatch):
 
     monkeypatch.setattr(D, "bind", recording_bind)
     monkeypatch.setattr(D, "_rebase", recording_rebase)
-    programs = [load(str(p.relative_to(PROGRAMS))) for p in sorted((PROGRAMS / "sound").glob("*.mem"))]
+    programs = [S.parse_program(p.read_text()) for p in sorted((PROGRAMS / "sound").glob("*.mem"))]
     for program in programs + soundness_corpus(20, 20243):
         D.check_soundness(program)
     classes = bound + [cls for _, cls, _ in rebased]
@@ -154,6 +154,7 @@ def test_identity_extension_equals_the_general_construction(monkeypatch):
         carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
         again = D.canonicalize(cls.base, world, cls.value, carried)
         assert again == general_canonicalize(cls.base, rebuilt_world(cls), cls.value, carried) == cls
+        assert (again.value is cls.value) == is_identity  # kept, not relabelled
     for base, cls, biases in rebased:
         biases.update(zip(cls.fresh_funs, cls.fresh_biases))
         expected = general_canonicalize(base, rebuilt_world(cls), cls.value, biases)
