@@ -282,8 +282,8 @@ def bind(
     the bias state extended by the class's fresh function biases.
 
     The body's classes, living over the extended world, are re-expressed
-    over graph by unioning the fresh parts; garbage collection then merges
-    branches that differ only in discarded nodes.
+    over graph by unioning the fresh parts; one ``FinDist`` of them all
+    merges branches that differ only in discarded nodes.
 
     A class's pending edges stay pending while the body runs.  When the
     body reads one, the class is split into its two outcomes and the body
@@ -293,7 +293,7 @@ def bind(
     each split False before True, so the first ``FreshnessViolation``
     raised is always the same.
     """
-    branches = []
+    weighted = []
     todo = [(cls, p, 0) for cls, p in dist.items()[::-1]]
     while todo:
         cls, p, drawn = todo.pop()
@@ -311,13 +311,11 @@ def bind(
             todo.append((cls.drawn({read.pair: True}), p * chance, drawn + 1))
             todo.append((cls.drawn({read.pair: False}), p * (ONE - chance), drawn + 1))
             continue
-        flattened = []
         for cls2, q in result.items():
             if cls2.base != world:
                 raise ValueError("let body must answer at the extended world")
-            flattened.append((_rebase(graph, cls2, carried), q))
-        branches.append((p, FinDist(flattened)))
-    return weighted_mix(branches)
+            weighted.append((_rebase(graph, cls2, carried), p * q))
+    return FinDist(weighted)
 
 
 def transport(
@@ -578,10 +576,11 @@ def _completed(graph: B.PartialBigraph, assign: Mapping[tuple[int, int], bool], 
     return B.TotalBigraph(graph.left, graph.right, edges)
 
 
-def _observed(config: O.Configuration, world: B.TotalBigraph, biases: BiasState) -> FinDist[CanonicalClass]:
-    """The configuration's term at a world, over the empty world, drawn."""
-    result = den_comp(config.term, world, config.env, biases)
-    return expand(FinDist([(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in result.items()]))
+def _observed(result: FinDist[CanonicalClass], world: B.TotalBigraph, biases: BiasState) -> FinDist[CanonicalClass]:
+    """A term's result moved onto ``world``, which differs from its base only
+    on edges the term did not read, over the empty world, drawn."""
+    moved = [(dataclasses.replace(cls, base=world), q) for cls, q in result.items()]
+    return expand(FinDist([(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in moved]))
 
 
 def _den_config(
@@ -615,7 +614,7 @@ def _den_config(
                 single_w *= biases[fun] if bit else ONE - biases[fun]
             if chain_w == ZERO and single_w == ZERO:
                 continue
-            den_comp(config.term, world, config.env, biases)  # only to find its reads
+            result = den_comp(config.term, world, config.env, biases)
         except EdgeRead as read:
             if read.pair not in undef:
                 raise
@@ -625,8 +624,8 @@ def _den_config(
         # two values is the coin ``expand`` draws where the edge survives
         chain_world = _completed(graph, assign, lambda pair: _edge(p[pair]))
         single_world = _completed(graph, assign, lambda pair: _edge(biases[pair[0]]))
-        chain_dist = _observed(config, chain_world, biases)
-        single_dist = chain_dist if single_world == chain_world else _observed(config, single_world, biases)
+        chain_dist = _observed(result, chain_world, biases)
+        single_dist = chain_dist if single_world == chain_world else _observed(result, single_world, biases)
         chain.append((chain_w, chain_dist))
         single.append((single_w, single_dist))
     return weighted_mix(chain), weighted_mix(single)

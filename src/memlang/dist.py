@@ -97,23 +97,18 @@ def dirac(value: T) -> FinDist[T]:
 
 def weighted_mix(branches: Iterable[tuple[Fraction, FinDist[T]]]) -> FinDist[T]:
     """Convex combination of distributions; branch weights must sum to 1."""
-    branches = list(branches)
     weights = []
-    acc: dict[T, Fraction] = {}
+    pairs = []
     for weight, dist in branches:
         w = weight if isinstance(weight, Fraction) else Fraction(weight)
         if w.numerator < 0:
             raise MassError(f"negative branch weight {w}")
         weights.append(w)
-        if not w:
-            continue
-        for value, q in dist.items():
-            prev = acc.get(value)
-            acc[value] = w * q if prev is None else prev + w * q
+        pairs += [(value, w * q) for value, q in dist.items()]
     total = _total(weights)
     if total.numerator != total.denominator:
         raise MassError(f"branch weights sum to {total} != 1")
-    return FinDist(acc)
+    return FinDist(pairs)
 
 
 def map_dist(dist: FinDist[T], fn: Callable[[T], U]) -> FinDist[U]:

@@ -466,19 +466,19 @@ def enumerate_bigstep(program: S.Comp) -> FinDist[Configuration]:
     pending: list[tuple[Configuration, Fraction]] = [
         (initial_configuration(program), ONE)
     ]
-    acc: dict[Configuration, Fraction] = {}
+    terminals: list[tuple[Configuration, Fraction]] = []
     steps = 0
     while pending:
         config, weight = pending.pop()
         if is_terminal(config):
-            acc[config] = acc.get(config, ZERO) + weight
+            terminals.append((config, weight))
             continue
         steps += 1
         if steps > _STEP_BUDGET:
             raise StepBudgetExceeded(f"exhaustive enumeration exceeded {_STEP_BUDGET} steps")
         for successor, q in step(config).items():
             pending.append((successor, weight * q))
-    return FinDist(acc)
+    return FinDist(terminals)
 
 
 # ---------------------------------------------------------------------------

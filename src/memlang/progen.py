@@ -397,6 +397,7 @@ def run_monad_suite(count: int, seed: int) -> SuiteResult:
     rng = random.Random(seed)
     failures = []
     for index in range(count):
+        B.check_undefined_budget(0)  # as den_program does, whatever the case reaches
         graph, types, env = _random_world(rng)
         ctx = TC.TyCtx(types.items())
         m_comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types)

@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
 line and enforcing its stated time budget."""
 
+import hashlib
 import json
 import math
 import time
@@ -224,6 +225,32 @@ def test_criterion_5_dataflow_and_monad_laws():
 
 
 CORPUS_SEED = 20243
+BENCH_DIGESTS = json.loads(
+    (PROGRAMS.parent / "membench" / "baseline.json").read_text(encoding="utf-8")
+)["digests"]
+
+
+def bench_digest(payloads) -> str:
+    """sha256 of each payload as ``memlang`` prints it, in order: the
+    digest ``membench/run.py`` checks against ``baseline.json``."""
+    h = hashlib.sha256()
+    for payload in payloads:
+        h.update(json.dumps(payload, sort_keys=True, indent=2).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def soundness_payload(report: D.SoundnessReport) -> dict:
+    """The payload of ``memlang soundness FILE``, less the file name."""
+    payload = {
+        "equal": report.equal,
+        "lhs": cli._sorted_dist(report.lhs, cli._class_row),
+        "rhs": cli._sorted_dist(report.rhs, cli._class_row),
+        "bias_formula_agrees": report.bias_formula_agrees,
+    }
+    if not report.bias_formula_agrees:
+        payload["bias_formula_rhs"] = cli._sorted_dist(report.bias_formula_rhs, cli._class_row)
+    return payload
 
 
 def test_criterion_6_soundness_corpus():
@@ -231,9 +258,11 @@ def test_criterion_6_soundness_corpus():
         corpus = soundness_corpus(200, CORPUS_SEED)
         divergences = 0
         undef_terminal_programs = 0
+        payloads = []
         for index, program in enumerate(corpus):
             report = D.check_soundness(program)
             assert report.equal, (index, S.pretty(program))
+            payloads.append(soundness_payload(report))
             if not report.bias_formula_agrees:
                 divergences += 1
             if any(
@@ -247,11 +276,25 @@ def test_criterion_6_soundness_corpus():
             if not report.bias_formula_agrees:
                 divergences += 1
         assert undef_terminal_programs > 0, "corpus must cover unsampled-edge terminals"
+        assert bench_digest(payloads) == BENCH_DIGESTS["soundness_corpus"]
         print(
             f"  (criterion 6 note: {undef_terminal_programs} programs kept unsampled "
             f"edges; single-bias completion weights diverged on {divergences} programs, "
             f"logged not failed)"
         )
+
+
+def test_scaling_family_matches_the_benchmark_digest():
+    # n fresh atoms, then two memfns of which only the first is applied
+    payloads = []
+    for n in range(1, 6):
+        atoms = "".join(f"let val a{i} <- fresh() in " for i in range(n))
+        program = S.parse_program(
+            atoms + "let val f <- memfn x. flip(1/2) in "
+            "let val g <- memfn x. flip(1/2) in f @ a0"
+        )
+        payloads.append({"distribution": cli._sorted_dist(D.den_program(program), cli._class_row)})
+    assert bench_digest(payloads) == BENCH_DIGESTS["fresh_denote"]
 
 
 def _check_class_shape(cls: D.CanonicalClass, ty) -> None:

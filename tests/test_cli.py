@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,8 @@ from memlang import denot as D
 from memlang import opsem as O
 from memlang.dist import FinDist, ONE
 
-PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAMS = ROOT / "programs"
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict]:
@@ -62,6 +66,32 @@ def test_denote_and_soundness_accept_400_deep_nesting(capsys, tmp_path, command)
     assert code == 0
     rows = payload["distribution"] if command == "denote" else payload["lhs"]
     assert [(row["value"], row["prob"]) for row in rows] == [(True, "1")]
+
+
+# the deepest `let` chain each command accepts, as README documents it
+NESTING_LIMITS = {"check": 988, "enumerate": 492, "run": 492, "denote": 491, "soundness": 490}
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the documented limits are CPython 3.11's",
+)
+@pytest.mark.parametrize("command", sorted(NESTING_LIMITS))
+def test_documented_nesting_limit_is_exact(tmp_path, command):
+    # a fresh interpreter, so the stack under the command is the CLI's own;
+    # an extra frame per `let` in an evaluator lowers the limit
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("MEMLANG_MAX_UNDEF", None)
+    codes = []
+    for depth in (NESTING_LIMITS[command], NESTING_LIMITS[command] + 1):
+        deep = tmp_path / f"deep{depth}.mem"
+        deep.write_text("".join(f"let val x{i} <- return true in " for i in range(depth)) + "return x0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "memlang.cli", command, str(deep)],
+            cwd=ROOT, env=env, capture_output=True, check=False,
+        )
+        codes.append(proc.returncode)
+    assert codes == [0, 64]
 
 
 def test_run_deterministic_per_seed(capsys):
@@ -288,6 +318,15 @@ def test_non_ascii_digit_is_a_syntax_error(capsys, tmp_path, command):
         assert "unexpected character" in json.loads(captured.out)["error"]
     else:
         assert captured.out == "" and "unexpected character" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["--mem", "--dataflow", "--monad"])
+def test_every_laws_suite_rejects_an_invalid_max_undef(capsys, monkeypatch, suite):
+    # seed 13's one monad case reaches no memfn, split or drawn edge
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "abc")
+    assert "MEMLANG_MAX_UNDEF" in assert_usage_error(capsys, "laws", suite, "--count", "1", "--seed", "13")
+    code, payload = run_cli(capsys, "laws", suite, "--count", "0")
+    assert code == 0 and payload["failures"] == []
 
 
 def test_laws_negative_count_is_usage_error(capsys):

@@ -83,8 +83,9 @@ def test_as_prob_bounds():
 
 
 def bind(d, kont):
-    """Kleisli extension, written with weighted_mix as the evaluators do."""
-    return weighted_mix([(w, kont(value)) for value, w in d.items()])
+    """Kleisli extension, written as ``denot.bind`` builds it: one FinDist
+    of every continuation outcome, weighted by its branch's weight."""
+    return FinDist([(out, w * q) for value, w in d.items() for out, q in kont(value).items()])
 
 
 @st.composite
