@@ -17,7 +17,11 @@ occurrence order of a left-to-right traversal of the value, which makes the
 representative canonical.  A value that mentions no fresh node lives at the
 identity extension: its class has no fresh part, and ``class_world`` gives
 back the base world itself, so such a result is neither rebuilt nor
-relabelled.
+relabelled.  ``bind`` runs its body at that very world, so the body's
+classes are already canonical over the base and are kept un-rebased; when
+such a class is the whole bound result, the body's result is ``bind``'s,
+by the monad's left unit law ``return x >>= f = f x`` (Moggi, "Notions of
+computation and monads", 1991).
 
 Memoized functions are interpreted by a row of answers over the existing
 atoms (one probability per atom, obtained by running the body on that
@@ -58,7 +62,7 @@ from typing import Iterator, Mapping, TypeVar, Union
 from . import bigraph as B
 from . import opsem as O
 from . import syntax as S
-from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, weighted_mix
+from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, mixed
 from .hashonce import HashOnce
 
 BiasState = Mapping[int, Fraction]
@@ -163,7 +167,7 @@ def canonicalize(
     mentions no fresh node lives at the identity extension of the base:
     its class holds the value as it is, with no fresh part.
     """
-    if not (base.left <= world.left and base.right <= world.right):
+    if base is not world and not (base.left <= world.left and base.right <= world.right):
         raise ValueError("world does not extend the base graph")
 
     funs, atoms = O.value_labels(value)
@@ -283,7 +287,12 @@ def bind(
 
     The body's classes, living over the extended world, are re-expressed
     over graph by unioning the fresh parts; one ``FinDist`` of them all
-    merges branches that differ only in discarded nodes.
+    merges branches that differ only in discarded nodes.  A class whose
+    world is graph itself (the identity extension) adds nothing to
+    re-express: the body's classes are already canonical over graph and
+    are kept as they are, and a weight that is the ``ONE`` object is not
+    multiplied.  If that class is the whole of ``dist``, the body's result
+    is the result: the left unit law, ``return x >>= f = f x``.
 
     A class's pending edges stay pending while the body runs.  When the
     body reads one, the class is split into its two outcomes and the body
@@ -299,8 +308,8 @@ def bind(
         cls, p, drawn = todo.pop()
         world = class_world(cls)
         carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
-        lam = dict(bias)
-        lam.update(carried)
+        # at the identity extension nothing is carried; den_comp copies the bias
+        lam = bias if world is graph else {**bias, **carried}
         try:
             result = den_comp(body, world, env.set(name, cls.value), lam)
         except EdgeRead as read:
@@ -311,10 +320,15 @@ def bind(
             todo.append((cls.drawn({read.pair: True}), p * chance, drawn + 1))
             todo.append((cls.drawn({read.pair: False}), p * (ONE - chance), drawn + 1))
             continue
-        for cls2, q in result.items():
-            if cls2.base != world:
+        items = result.items()
+        for cls2, _ in items:
+            if cls2.base is not world and cls2.base != world:
                 raise ValueError("let body must answer at the extended world")
-            weighted.append((_rebase(graph, cls2, carried), p * q))
+        if world is not graph:
+            items = [(_rebase(graph, cls2, carried), q) for cls2, q in items]
+        elif len(dist) == 1:
+            return result
+        weighted += items if p is ONE else [(cls2, p if q is ONE else p * q) for cls2, q in items]
     return FinDist(weighted)
 
 
@@ -405,7 +419,8 @@ def prob_true(dist: FinDist[CanonicalClass]) -> Fraction:
         if cls.fresh_funs or cls.fresh_atoms or not isinstance(cls.value, O.BoolV):
             raise NonCollapsedClass(f"boolean result carries world data: {cls!r}")
         if cls.value.value:
-            total += p
+            # the first true weight is taken as it is, not added to 0
+            total = p if total is ZERO else total + p
     return total
 
 
@@ -583,12 +598,15 @@ def _observed(result: FinDist[CanonicalClass], world: B.TotalBigraph, biases: Bi
     return expand(FinDist([(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in moved]))
 
 
-def _den_config(
-    config: O.Configuration, shared: dict,
-) -> tuple[FinDist[CanonicalClass], FinDist[CanonicalClass]]:
+# a weight and the weighted classes of one leaf, per leaf
+Leaves = list[tuple[Fraction, list[tuple[CanonicalClass, Fraction]]]]
+
+
+def _den_config(config: O.Configuration, shared: dict) -> tuple[Leaves, Leaves]:
     """Both weightings of a configuration's completions, from one pass:
-    (chain rule, single bias).  See ``den_config``.  ``shared`` keeps the
-    closure biases and chain-rule probabilities per (closures, world)."""
+    (chain rule, single bias), each as its weighted leaves, not yet mixed.
+    See ``den_config``.  ``shared`` keeps the closure biases and chain-rule
+    probabilities per (closures, world)."""
     if O.memo_stack(config.term):
         raise ValueError("configuration denotation requires a marker-free term")
     graph, closures = config.graph, config.closures
@@ -626,9 +644,9 @@ def _den_config(
         single_world = _completed(graph, assign, lambda pair: _edge(biases[pair[0]]))
         chain_dist = _observed(result, chain_world, biases)
         single_dist = chain_dist if single_world == chain_world else _observed(result, single_world, biases)
-        chain.append((chain_w, chain_dist))
-        single.append((single_w, single_dist))
-    return weighted_mix(chain), weighted_mix(single)
+        chain.append((chain_w, chain_dist.items()))
+        single.append((single_w, single_dist.items()))
+    return chain, single
 
 
 def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
@@ -649,7 +667,7 @@ def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
     if the result mentions the edge.  ``MEMLANG_MAX_UNDEF`` bounds the
     edges read on one path.
     """
-    return _den_config(config, {})[0]
+    return FinDist(mixed(_den_config(config, {})[0]))
 
 
 @dataclass
@@ -663,13 +681,19 @@ class SoundnessReport:
 
 def check_soundness(program: S.Comp) -> SoundnessReport:
     """Compare the compositional denotation of a closed program with the
-    weighted sum of its terminal configurations' denotations."""
+    weighted sum of its terminal configurations' denotations.  Each sum is
+    merged once, over every terminal's leaves; the leaf weights of each
+    terminal and the terminal weights are each checked to sum to 1."""
     lhs = den_program(program)
     terminals = O.enumerate_bigstep(program)
     shared: dict = {}  # lives for this call only; see ``_den_config``
-    halves = [(w, _den_config(cfg, shared)) for cfg, w in terminals.items()]
-    rhs = weighted_mix([(w, chain) for w, (chain, _) in halves])
-    bias_rhs = weighted_mix([(w, single) for w, (_, single) in halves])
+    chain_terms, single_terms = [], []
+    for cfg, w in terminals.items():
+        chain, single = _den_config(cfg, shared)
+        chain_terms.append((w, mixed(chain)))
+        single_terms.append((w, mixed(single)))
+    rhs = FinDist(mixed(chain_terms))
+    bias_rhs = FinDist(mixed(single_terms))
     return SoundnessReport(
         lhs=lhs,
         rhs=rhs,

@@ -91,24 +91,40 @@ class FinDist(Generic[T]):
 
 
 def dirac(value: T) -> FinDist[T]:
-    """Point mass at ``value``."""
-    return FinDist({value: ONE})
+    """Point mass at ``value``.  Its one weight is 1 by construction, so it
+    is stored as it is, without ``FinDist``'s merge and mass check."""
+    dist: FinDist[T] = FinDist.__new__(FinDist)
+    dist._weights = {value: ONE}
+    return dist
 
 
-def weighted_mix(branches: Iterable[tuple[Fraction, FinDist[T]]]) -> FinDist[T]:
-    """Convex combination of distributions; branch weights must sum to 1."""
+def mixed(
+    branches: Iterable[tuple[Fraction, Iterable[tuple[T, Fraction]]]]
+) -> list[tuple[T, Fraction]]:
+    """The weighted items of a convex combination, not yet merged: each
+    branch's (value, weight) pairs scaled by the branch weight.  Branch
+    weights must be non-negative and sum to 1.  A factor that is the ``ONE``
+    object is not multiplied."""
     weights = []
-    pairs = []
-    for weight, dist in branches:
+    pairs: list[tuple[T, Fraction]] = []
+    for weight, items in branches:
         w = weight if isinstance(weight, Fraction) else Fraction(weight)
         if w.numerator < 0:
             raise MassError(f"negative branch weight {w}")
         weights.append(w)
-        pairs += [(value, w * q) for value, q in dist.items()]
+        if w is ONE:
+            pairs += items
+        else:
+            pairs += [(value, w if q is ONE else w * q) for value, q in items]
     total = _total(weights)
     if total.numerator != total.denominator:
         raise MassError(f"branch weights sum to {total} != 1")
-    return FinDist(pairs)
+    return pairs
+
+
+def weighted_mix(branches: Iterable[tuple[Fraction, FinDist[T]]]) -> FinDist[T]:
+    """Convex combination of distributions; branch weights must sum to 1."""
+    return FinDist(mixed((weight, dist.items()) for weight, dist in branches))
 
 
 def map_dist(dist: FinDist[T], fn: Callable[[T], U]) -> FinDist[U]:

@@ -477,7 +477,8 @@ def enumerate_bigstep(program: S.Comp) -> FinDist[Configuration]:
         if steps > _STEP_BUDGET:
             raise StepBudgetExceeded(f"exhaustive enumeration exceeded {_STEP_BUDGET} steps")
         for successor, q in step(config).items():
-            pending.append((successor, weight * q))
+            # a factor that is the ONE object is not multiplied
+            pending.append((successor, q if weight is ONE else weight if q is ONE else weight * q))
     return FinDist(terminals)
 
 

@@ -23,6 +23,19 @@ def test_dirac_point_masses():
     assert dirac(True).items() == [(True, ONE)]
     assert dirac(7).prob(7) == 1
     assert dirac(("a", "b")).support() == {("a", "b")}
+    for value in (True, 7, ("a", "b")):
+        assert dirac(value) == FinDist({value: ONE})
+        assert repr(dirac(value)) == repr(FinDist({value: ONE}))
+    # a weight equal to 1 that is not the ONE object is multiplied, with
+    # the same result as the ONE object, which is not
+    one = Fraction(2, 2)
+    assert one == ONE and one is not ONE
+    mix = weighted_mix([(one, FinDist({True: THIRD, False: 2 * THIRD}))])
+    assert mix.items() == weighted_mix([(ONE, FinDist({True: THIRD, False: 2 * THIRD}))]).items()
+    assert mix.items() == [(True, THIRD), (False, 2 * THIRD)]
+    mix = weighted_mix([(HALF, FinDist({7: one})), (HALF, dirac(8))])
+    assert mix.items() == weighted_mix([(HALF, dirac(7)), (HALF, dirac(8))]).items()
+    assert mix.items() == [(7, HALF), (8, HALF)]
 
 
 def test_weighted_mix_merges_and_checks_mass():
