@@ -4,7 +4,11 @@ A configuration bundles an environment (variables to runtime values), the
 term under evaluation, the partial memo-table, and the closures backing the
 function labels.  Reduction finds the unique leftmost-outermost redex, fires
 one rule, and either stays deterministic or, at a coin flip, splits into an
-exact two-point distribution over successor configurations.
+exact two-point distribution over successor configurations.  The redex's
+evaluation context is the term's own spine above it: the lets whose bound
+term, and the memo markers whose body, hold the redex, outermost first.  A
+step rebuilds that spine around the rule's result and reads the pending
+memoizations off its markers.
 
 ``enumerate_bigstep`` unfolds ``step`` exhaustively with exact rational
 weights; ``run_sampled`` follows one trace of ``step`` with a seeded generator;
@@ -24,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from . import bigraph as B
 from . import syntax as S
 from . import typecheck as TC
-from .dist import ONE, ZERO, FinDist, map_dist
+from .dist import ONE, ZERO, FinDist, dirac, map_dist
 from .hashonce import HashOnce
 
 _STEP_BUDGET = 1_000_000
@@ -206,85 +210,70 @@ def relabel(value: EnvValue, fmap: Mapping[int, int], amap: Mapping[int, int]) -
 # Redex decomposition
 
 
-@dataclass(frozen=True)
-class LetFrame:
-    name: S.Ident
-    body: S.Comp
-
-
-@dataclass(frozen=True)
-class MemoFrame:
-    fun_label: int
-    atom_label: int
-    restore_env: FrozenMap
-
-
-Frame = Union[LetFrame, MemoFrame]
+Spine = tuple[S.ExtTerm, ...]  # the Let and MemoCtx nodes above a redex
+Decomposition = tuple[Spine, S.ExtTerm]
 
 
 def _is_terminal_comp(t: S.ExtTerm) -> bool:
     return isinstance(t, (S.Return, S.MemFn, S.Fresh))
 
 
-def decompose(term: S.ExtTerm) -> Optional[tuple[tuple[Frame, ...], S.ExtTerm]]:
-    """Split a term into its reduction context and unique redex.
+def decompose(term: S.ExtTerm) -> Optional[Decomposition]:
+    """Split a term into its reduction context and unique redex.  The
+    context is the term's own spine above the redex, outermost first: each
+    let whose bound term, and each memo marker whose body, holds the redex.
 
     Returns None when the term is terminal (a return, a function
     abstraction, or a bare fresh() at the top level).
     """
-    frames: list[Frame] = []
+    spine: list[S.ExtTerm] = []
     t = term
     while True:
         if isinstance(t, S.Let):
             if _is_terminal_comp(t.bound):
-                return tuple(frames), t
-            frames.append(LetFrame(t.name, t.body))
+                return tuple(spine), t
+            spine.append(t)
             t = t.bound
         elif isinstance(t, S.MemoCtx):
             if isinstance(t.inner, S.Return):
-                return tuple(frames), t
-            frames.append(MemoFrame(t.fun_label, t.atom_label, t.restore_env))
+                return tuple(spine), t
+            spine.append(t)
             t = t.inner
         elif _is_terminal_comp(t):
-            if frames:
+            if spine:
                 raise Stuck(f"terminal {S.pretty(t)} under a reduction context")
             return None
         elif isinstance(t, (S.If, S.Match, S.Flip, S.Eq, S.App)):
-            return tuple(frames), t
+            return tuple(spine), t
         else:
             raise Stuck(f"no redex in {t!r}")
 
 
-def _spine_markers(term: S.ExtTerm) -> list[S.MemoCtx]:
-    """The memo markers along the evaluation spine (through let-bound terms
-    and marker bodies), outermost first."""
-    markers = []
-    t = term
-    while True:
-        if isinstance(t, S.MemoCtx):
-            markers.append(t)
-            t = t.inner
-        elif isinstance(t, S.Let):
-            t = t.bound
-        else:
-            return markers
-
-
-def recompose(frames: Iterable[Frame], term: S.ExtTerm) -> S.ExtTerm:
+def recompose(spine: Spine, term: S.ExtTerm) -> S.ExtTerm:
+    """The spine rebuilt around ``term`` in place of its redex."""
     out = term
-    for frame in reversed(list(frames)):
-        if isinstance(frame, LetFrame):
-            out = S.Let(frame.name, out, frame.body)
+    for node in reversed(spine):
+        if isinstance(node, S.Let):
+            out = S.Let(node.name, out, node.body)
         else:
-            out = S.MemoCtx(out, frame.fun_label, frame.atom_label, frame.restore_env)
+            out = S.MemoCtx(out, node.fun_label, node.atom_label, node.restore_env)
     return out
+
+
+def _markers(dec: Optional[Decomposition]) -> list[S.MemoCtx]:
+    """The memo markers of a decomposition, outermost first: those on its
+    spine, then the redex when it is one."""
+    if dec is None:
+        return []
+    spine, redex = dec
+    return [t for t in (*spine, redex) if isinstance(t, S.MemoCtx)]
 
 
 # ---------------------------------------------------------------------------
 # One-step reduction
 
 
-def _validate(config: Configuration) -> None:
+def _validate(config: Configuration, dec: Optional[Decomposition]) -> None:
     if set(config.closures.keys()) != config.graph.left:
         raise MalformedConfiguration("closure map must cover exactly the function labels")
     funs: list[int] = []
@@ -293,41 +282,34 @@ def _validate(config: Configuration) -> None:
         value_labels(value, funs, atoms)
     if not config.graph.left.issuperset(funs) or not config.graph.right.issuperset(atoms):
         raise MalformedConfiguration("environment mentions labels outside the graph")
-    for marker in _spine_markers(config.term):
+    for marker in _markers(dec):
         if marker.fun_label not in config.graph.left or marker.atom_label not in config.graph.right:
             raise MalformedConfiguration("memo marker mentions labels outside the graph")
 
 
 def _term_size(t: S.ExtTerm) -> int:
     # Sized so that every rule except an application on an unsampled edge
-    # strictly shrinks the term: a bare return weighs only its value.  Kept
-    # on the node: a step rebuilds only the spine above its redex.
+    # strictly shrinks the term: one plus the sizes of the parts, except
+    # that a bare return weighs only its value and a flip weighs 2.  Kept
+    # on the node: a step rebuilds only the spine above its redex.  A loop,
+    # not a generator, so that a nested term costs one frame per level.
     try:
         return t._size
     except AttributeError:
         pass
     if isinstance(t, S.Return):
         n = _val_size(t.value)
-    elif isinstance(t, S.Let):
-        n = 1 + _term_size(t.bound) + _term_size(t.body)
-    elif isinstance(t, S.If):
-        n = 1 + _val_size(t.cond) + _term_size(t.then) + _term_size(t.orelse)
-    elif isinstance(t, S.Match):
-        n = 1 + _val_size(t.subject) + _term_size(t.body)
     elif isinstance(t, S.Flip):
         n = 2
-    elif isinstance(t, S.Fresh):
-        n = 1
-    elif isinstance(t, S.Eq):
-        n = 1 + _val_size(t.lhs) + _val_size(t.rhs)
-    elif isinstance(t, S.MemFn):
-        n = 1 + _term_size(t.body)
-    elif isinstance(t, S.App):
-        n = 1 + _val_size(t.fn) + _val_size(t.arg)
     elif isinstance(t, S.MemoCtx):
         n = 1 + _term_size(t.inner)
     else:
-        raise TypeError(f"not a term: {t!r}")
+        vals, scopes = S._parts(t)
+        n = 1
+        for v in vals:
+            n += _val_size(v)
+        for _, body in scopes:
+            n += _term_size(body)
     object.__setattr__(t, "_size", n)
     return n
 
@@ -345,15 +327,15 @@ def _as_bool(value: EnvValue, what: str) -> bool:
 
 
 def _step_outcomes(
-    config: Configuration, frames: tuple[Frame, ...], redex: S.ExtTerm
-) -> list[tuple[Configuration, Fraction]]:
-    """Successors of one reduction with their weights; at a flip the true
-    branch comes first."""
+    config: Configuration, spine: Spine, redex: S.ExtTerm
+) -> FinDist[Configuration]:
+    """The distribution of successors of one reduction: a point mass except
+    at a flip, whose true branch comes first."""
     env, graph, closures = config.env, config.graph, config.closures
     before = _term_size(config.term)
 
     def out(term, new_env=env, new_graph=graph, new_closures=closures, shrinks=True):
-        successor = Configuration(new_env, recompose(frames, term), new_graph, new_closures)
+        successor = Configuration(new_env, recompose(spine, term), new_graph, new_closures)
         # progress: every rule shrinks the term except entering a pending
         # memoization, which permanently claims one unsampled edge
         if shrinks and _term_size(successor.term) >= before:
@@ -364,16 +346,14 @@ def _step_outcomes(
         bound = redex.bound
         if isinstance(bound, S.Return):
             value = eval_value(env, bound.value)
-            return [(out(redex.body, env.set(redex.name, value)), ONE)]
+            return dirac(out(redex.body, env.set(redex.name, value)))
         if isinstance(bound, S.MemFn):
             graph2, fun = graph.add_left_undef()
             closures2 = closures.set(fun, Closure(bound.binder, bound.body, env))
-            return [
-                (out(redex.body, env.set(redex.name, FunV(fun)), graph2, closures2), ONE)
-            ]
+            return dirac(out(redex.body, env.set(redex.name, FunV(fun)), graph2, closures2))
         if isinstance(bound, S.Fresh):
             graph2, atom = graph.add_right_undef()
-            return [(out(redex.body, env.set(redex.name, AtomV(atom)), graph2), ONE)]
+            return dirac(out(redex.body, env.set(redex.name, AtomV(atom)), graph2))
         raise Stuck(f"let-bound term is not terminal: {S.pretty(bound)}")
     if isinstance(redex, S.MemoCtx):
         inner = redex.inner
@@ -383,7 +363,7 @@ def _step_outcomes(
         flag = _as_bool(result, "memoized result")
         graph2 = graph.set_edge(redex.fun_label, redex.atom_label, flag)
         restored = redex.restore_env
-        return [(out(S.Return(S.BoolLit(flag)), restored, graph2), ONE)]
+        return dirac(out(S.Return(S.BoolLit(flag)), restored, graph2))
     if isinstance(redex, S.App):
         fn = eval_value(env, redex.fn)
         arg = eval_value(env, redex.arg)
@@ -391,45 +371,46 @@ def _step_outcomes(
             raise MalformedConfiguration("application needs a function and an atom")
         edge = graph.edge(fn.label, arg.label)
         if edge is not None:
-            return [(out(S.Return(S.BoolLit(edge))), ONE)]
+            return dirac(out(S.Return(S.BoolLit(edge))))
         closure = closures.get(fn.label)
         if closure is None:
             raise MalformedConfiguration(f"no closure for function label {fn.label}")
         call_env = closure.captured.set(closure.binder, arg)
         marker = S.MemoCtx(closure.body, fn.label, arg.label, env)
-        return [(out(marker, call_env, shrinks=False), ONE)]
+        return dirac(out(marker, call_env, shrinks=False))
     if isinstance(redex, S.Eq):
         lhs = eval_value(env, redex.lhs)
         rhs = eval_value(env, redex.rhs)
         if not isinstance(lhs, AtomV) or not isinstance(rhs, AtomV):
             raise MalformedConfiguration("equality compares atoms")
-        return [(out(S.Return(S.BoolLit(lhs == rhs))), ONE)]
+        return dirac(out(S.Return(S.BoolLit(lhs == rhs))))
     if isinstance(redex, S.Flip):
         theta = Fraction(redex.bias)
-        return [
-            (out(S.Return(S.BoolLit(True))), theta),
-            (out(S.Return(S.BoolLit(False))), ONE - theta),
-        ]
+        return FinDist(
+            [
+                (out(S.Return(S.BoolLit(True))), theta),
+                (out(S.Return(S.BoolLit(False))), ONE - theta),
+            ]
+        )
     if isinstance(redex, S.If):
         flag = _as_bool(eval_value(env, redex.cond), "if scrutinee")
-        return [(out(redex.then if flag else redex.orelse), ONE)]
+        return dirac(out(redex.then if flag else redex.orelse))
     if isinstance(redex, S.Match):
         subject = eval_value(env, redex.subject)
         if not isinstance(subject, PairV):
             raise MalformedConfiguration("match scrutinee must be a pair")
         env2 = env.set(redex.fst_name, subject.fst).set(redex.snd_name, subject.snd)
-        return [(out(redex.body, env2), ONE)]
+        return dirac(out(redex.body, env2))
     raise Stuck(f"unrecognized redex {redex!r}")
 
 
 def step(config: Configuration) -> FinDist[Configuration]:
     """One reduction: a point mass except at a coin flip."""
-    _validate(config)
     dec = decompose(config.term)
+    _validate(config, dec)
     if dec is None:
         raise MalformedConfiguration("configuration is terminal")
-    frames, redex = dec
-    return FinDist(_step_outcomes(config, frames, redex))
+    return _step_outcomes(config, *dec)
 
 
 def is_terminal(config: Configuration) -> bool:
@@ -496,9 +477,13 @@ def _shape_type(value: EnvValue) -> TC.Ty:
     return TC.ProdT(_shape_type(value.fst), _shape_type(value.snd))
 
 
+def _pairs(markers: list[S.MemoCtx]) -> tuple[tuple[int, int], ...]:
+    return tuple((m.fun_label, m.atom_label) for m in markers)
+
+
 def memo_stack(term: S.ExtTerm) -> tuple[tuple[int, int], ...]:
     """Pending memoization pairs along the evaluation spine, outermost first."""
-    return tuple((m.fun_label, m.atom_label) for m in _spine_markers(term))
+    return _pairs(_markers(decompose(term)))
 
 
 def config_judgement(config: Configuration) -> tuple[TC.TyCtx, tuple[tuple[int, int], ...], TC.Ty]:
@@ -511,13 +496,13 @@ def config_judgement(config: Configuration) -> tuple[TC.TyCtx, tuple[tuple[int, 
     variables stored in that marker's restore environment.  The context
     therefore merges the restore environments along the spine (oldest
     first) with the running environment, newer entries shadowing."""
+    markers = _markers(decompose(config.term))
     decls: dict[str, TC.Ty] = {}
-    restore_envs = [m.restore_env for m in _spine_markers(config.term)]
-    for env in [*restore_envs, config.env]:
+    for env in [*(m.restore_env for m in markers), config.env]:
         for name, value in env.items():
             decls[name] = _shape_type(value)
     ctx = TC.TyCtx(sorted(decls.items()))
-    stack = memo_stack(config.term)
+    stack = _pairs(markers)
     try:
         ty = TC.type_of_ext(ctx, stack, config.term)
     except (TC.TypeMismatch, TC.UnboundVariable, TC.StackMismatch, TC.DuplicateStackPair) as exc:
@@ -528,10 +513,10 @@ def config_judgement(config: Configuration) -> tuple[TC.TyCtx, tuple[tuple[int, 
 def check_stack_invariants(config: Configuration) -> bool:
     """Pending pairs are duplicate-free, and an application about to sample
     a new edge never targets a function already being memoized."""
-    pairs = memo_stack(config.term)
+    dec = decompose(config.term)
+    pairs = _pairs(_markers(dec))
     if len(pairs) != len(set(pairs)):
         return False
-    dec = decompose(config.term)
     if dec is not None and isinstance(dec[1], S.App):
         redex = dec[1]
         fn = eval_value(config.env, redex.fn)

@@ -81,7 +81,7 @@ def test_decompose_examples():
     p = S.parse_program("let val x <- flip(1/2) in return x")
     frames, redex = O.decompose(p)
     assert redex == S.Flip(HALF)
-    assert frames == (O.LetFrame("x", S.Return(S.Var("x"))),)
+    assert frames == (p,)
     assert O.decompose(S.parse_program("return true")) is None
     marker = S.MemoCtx(S.Return(S.BoolLit(True)), 0, 0, O.EMPTY_MAP)
     frames2, redex2 = O.decompose(marker)
@@ -191,12 +191,29 @@ def test_kept_term_size_equals_a_fresh_walk(monkeypatch, path):
             assert O._term_size(t) == _walked_size(t), S.pretty(t)
 
 
+def _spine_markers(term):
+    # the memo markers along the evaluation spine (through let-bound terms
+    # and marker bodies), outermost first, found by a walk of their own
+    markers = []
+    t = term
+    while True:
+        if isinstance(t, S.MemoCtx):
+            markers.append(t)
+            t = t.inner
+        elif isinstance(t, S.Let):
+            t = t.bound
+        else:
+            return markers
+
+
 @pytest.mark.parametrize(
     "path", sorted(PROGRAMS.rglob("*.mem")), ids=lambda p: str(p.relative_to(PROGRAMS))
 )
 def test_is_terminal_agrees_with_decompose(monkeypatch, path):
     # is_terminal reads only the top of the term; decompose must find no
-    # redex in exactly those configurations the enumeration meets
+    # redex in exactly those configurations the enumeration meets, its
+    # spine must rebuild the term, and its markers must be the ones a walk
+    # of the spine finds
     met = []
     is_terminal = O.is_terminal
 
@@ -208,7 +225,13 @@ def test_is_terminal_agrees_with_decompose(monkeypatch, path):
     terminals = O.enumerate_bigstep(S.parse_program(path.read_text()))
     assert len(met) > len(terminals)
     for config in met:
-        assert is_terminal(config) == (O.decompose(config.term) is None), S.pretty(config.term)
+        term = config.term
+        dec = O.decompose(term)
+        assert is_terminal(config) == (dec is None), S.pretty(term)
+        if dec is not None:
+            assert O.recompose(*dec) == term, S.pretty(term)
+        expected = tuple((m.fun_label, m.atom_label) for m in _spine_markers(term))
+        assert O.memo_stack(term) == expected, S.pretty(term)
 
 
 def test_terminal_under_a_marker_is_stuck_in_step():
