@@ -49,6 +49,23 @@ A configuration's unsampled edges are split the same way: ``den_config``
 gives each a placeholder, splits one only when the closure biases, the
 chain-rule probabilities or the term read it, and leaves every other one
 to ``expand`` as a coin.
+
+A result is a function of the world, the bias state, the term and the
+values of the term's free variables, so ``den_comp`` keeps the results it
+returns in a table and looks each evaluation up there first (Michie's
+memo functions, "Memo functions and machine learning", Nature 1968).  The
+key is (term, world, the free variables' values); each key holds its bias
+states, compared by ``==``, with their results.  A ``let`` body that
+ignores its binder thus runs once for all the classes whose world it
+shares, and a ``memfn`` body that ignores its binder once for a whole row.
+A call that raises (``EdgeRead``, ``FreshnessViolation``) stores nothing,
+so splits and witnesses are what a fresh evaluation gives.  The table is
+passed explicitly and lives for one top-level call: ``den_comp`` without
+one starts its own, as ``den_program`` does, and ``check_soundness``
+starts a second one for all of its terminals, so the two sides it
+compares never share one.  The table replaced a per-call cache of closure
+biases and chain-rule probabilities keyed on a configuration's closures
+and completed world.
 """
 
 from __future__ import annotations
@@ -67,6 +84,8 @@ from .hashonce import HashOnce
 
 BiasState = Mapping[int, Fraction]
 K = TypeVar("K")
+# (term, world, values of the term's free variables) -> [(bias state, result)]
+Table = dict[tuple, list[tuple[dict[int, Fraction], "FinDist[CanonicalClass]"]]]
 
 EMPTY_WORLD = B.empty_total()
 
@@ -280,6 +299,7 @@ def bind(
     name: S.Ident,
     body: S.Comp,
     env: O.FrozenMap,
+    table: Table | None = None,
 ) -> FinDist[CanonicalClass]:
     """Sequence a result at (graph, bias) with ``body``, evaluated with
     ``name`` bound to each class's value at that class's own world, under
@@ -311,7 +331,7 @@ def bind(
         # at the identity extension nothing is carried; den_comp copies the bias
         lam = bias if world is graph else {**bias, **carried}
         try:
-            result = den_comp(body, world, env.set(name, cls.value), lam)
+            result = den_comp(body, world, env.set(name, cls.value), lam, table)
         except EdgeRead as read:
             chance = cls.pending().get(read.pair)
             if chance is None:
@@ -430,7 +450,12 @@ def clear_caches() -> None:
 
 
 def _fresh_bias(
-    graph: B.TotalBigraph, env: O.FrozenMap, binder: S.Ident, body: S.Comp, bias: BiasState
+    graph: B.TotalBigraph,
+    env: O.FrozenMap,
+    binder: S.Ident,
+    body: S.Comp,
+    bias: BiasState,
+    table: Table | None,
 ) -> Fraction:
     """The body's true-probability on a brand-new atom, checked to be the
     same for every wiring of that atom to the existing functions.
@@ -451,7 +476,7 @@ def _fresh_bias(
         B.check_undefined_budget(len(assign))
         world, atom = graph.add_right_defined({f: assign.get(f, _UNASSIGNED) for f in funs})
         try:
-            q = prob_true(den_comp(body, world, env.set(binder, O.AtomV(atom)), bias))
+            q = prob_true(den_comp(body, world, env.set(binder, O.AtomV(atom)), bias, table))
         except EdgeRead as read:
             fun, read_atom = read.pair
             if read_atom != atom:
@@ -472,63 +497,88 @@ def _fresh_bias(
 
 
 def den_mem(
-    graph: B.TotalBigraph, env: O.FrozenMap, binder: S.Ident, body: S.Comp, bias: BiasState
+    graph: B.TotalBigraph,
+    env: O.FrozenMap,
+    binder: S.Ident,
+    body: S.Comp,
+    bias: BiasState,
+    table: Table | None = None,
 ) -> FinDist[CanonicalClass]:
     """A new function: its answer on each existing atom is pending with the
     body's probability at that atom, and its bias on future atoms is the
     body's (wiring-independent) probability on a new atom."""
     bias = _bias_state(graph, bias)
     row = {
-        a: _edge(prob_true(den_comp(body, graph, env.set(binder, O.AtomV(a)), bias)))
+        a: _edge(prob_true(den_comp(body, graph, env.set(binder, O.AtomV(a)), bias, table)))
         for a in sorted(graph.right)
     }
-    new_bias = _fresh_bias(graph, env, binder, body, bias)
+    new_bias = _fresh_bias(graph, env, binder, body, bias, table)
     world, fun = graph.add_left_defined(row)
     return dirac(canonicalize(graph, world, O.FunV(fun), {fun: new_bias}))
 
 
 def den_comp(
-    comp: S.Comp, graph: B.TotalBigraph, env: O.FrozenMap, bias: BiasState
+    comp: S.Comp,
+    graph: B.TotalBigraph,
+    env: O.FrozenMap,
+    bias: BiasState,
+    table: Table | None = None,
 ) -> FinDist[CanonicalClass]:
     """Compositional interpretation of a well-typed computation whose free
     variables are covered by env over the given world, at a bias state
-    assigning a probability to each of the world's functions."""
+    assigning a probability to each of the world's functions.
+
+    ``table`` holds the results already computed in the same top-level
+    call (see the module docstring); a call without one starts its own."""
     bias = _bias_state(graph, bias)
+    if table is None:
+        table = {}
+    # a result depends on the environment only through the term's free
+    # variables; an unbound one is None here and raises where it is read
+    entries = table.setdefault((comp, graph, tuple(map(env.get, S.free_var_names(comp)))), [])
+    for seen, result in entries:
+        if seen == bias:
+            return result
     if isinstance(comp, S.Return):
-        return unit(graph, O.eval_value(env, comp.value))
-    if isinstance(comp, S.Let):
-        bound = den_comp(comp.bound, graph, env, bias)
-        return bind(graph, bias, bound, comp.name, comp.body, env)
-    if isinstance(comp, S.If):
+        result = unit(graph, O.eval_value(env, comp.value))
+    elif isinstance(comp, S.Let):
+        bound = den_comp(comp.bound, graph, env, bias, table)
+        result = bind(graph, bias, bound, comp.name, comp.body, env, table)
+    elif isinstance(comp, S.If):
         flag = O.eval_value(env, comp.cond)
         if not isinstance(flag, O.BoolV):
             raise O.MalformedConfiguration("if scrutinee must be a boolean")
-        return den_comp(comp.then if flag.value else comp.orelse, graph, env, bias)
-    if isinstance(comp, S.Match):
+        result = den_comp(comp.then if flag.value else comp.orelse, graph, env, bias, table)
+    elif isinstance(comp, S.Match):
         subject = O.eval_value(env, comp.subject)
         if not isinstance(subject, O.PairV):
             raise O.MalformedConfiguration("match scrutinee must be a pair")
         env2 = env.set(comp.fst_name, subject.fst).set(comp.snd_name, subject.snd)
-        return den_comp(comp.body, graph, env2, bias)
-    if isinstance(comp, S.Flip):
-        return den_flip(graph, comp.bias)
-    if isinstance(comp, S.Fresh):
-        return den_fresh(graph, bias)
-    if isinstance(comp, S.Eq):
+        result = den_comp(comp.body, graph, env2, bias, table)
+    elif isinstance(comp, S.Flip):
+        result = den_flip(graph, comp.bias)
+    elif isinstance(comp, S.Fresh):
+        result = den_fresh(graph, bias)
+    elif isinstance(comp, S.Eq):
         lhs = O.eval_value(env, comp.lhs)
         rhs = O.eval_value(env, comp.rhs)
         if not isinstance(lhs, O.AtomV) or not isinstance(rhs, O.AtomV):
             raise O.MalformedConfiguration("equality compares atoms")
-        return den_eq(graph, lhs.label, rhs.label)
-    if isinstance(comp, S.App):
+        result = den_eq(graph, lhs.label, rhs.label)
+    elif isinstance(comp, S.App):
         fn = O.eval_value(env, comp.fn)
         arg = O.eval_value(env, comp.arg)
         if not isinstance(fn, O.FunV) or not isinstance(arg, O.AtomV):
             raise O.MalformedConfiguration("application needs a function and an atom")
-        return den_app(graph, fn.label, arg.label)
-    if isinstance(comp, S.MemFn):
-        return den_mem(graph, env, comp.binder, comp.body, bias)
-    raise TypeError(f"not a computation: {comp!r}")
+        result = den_app(graph, fn.label, arg.label)
+    elif isinstance(comp, S.MemFn):
+        result = den_mem(graph, env, comp.binder, comp.body, bias, table)
+    else:
+        raise TypeError(f"not a computation: {comp!r}")
+    # only a returned result is kept: an edge read or a freshness violation
+    # propagates and is met afresh by the next evaluation
+    entries.append((bias, result))
+    return result
 
 
 def den_program(program: S.Comp) -> FinDist[CanonicalClass]:
@@ -568,7 +618,7 @@ def mem_phi(
 # Configuration denotation and the checkers
 
 
-def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph) -> dict[int, Fraction]:
+def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph, table: Table) -> dict[int, Fraction]:
     """Bias of every function, derived from its closure at the world.
     Computed in creation order; a body can only mention older functions,
     and wirings to unmentioned ones marginalize out, so the 1/2 placeholder
@@ -577,7 +627,7 @@ def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph) -> dict[int, F
     for fun in sorted(world.left):
         closure = closures[fun]
         lam = {f: biases.get(f, HALF) for f in world.left}
-        biases[fun] = _fresh_bias(world, closure.captured, closure.binder, closure.body, lam)
+        biases[fun] = _fresh_bias(world, closure.captured, closure.binder, closure.body, lam, table)
     return biases
 
 
@@ -602,11 +652,11 @@ def _observed(result: FinDist[CanonicalClass], world: B.TotalBigraph, biases: Bi
 Leaves = list[tuple[Fraction, list[tuple[CanonicalClass, Fraction]]]]
 
 
-def _den_config(config: O.Configuration, shared: dict) -> tuple[Leaves, Leaves]:
+def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
     """Both weightings of a configuration's completions, from one pass:
     (chain rule, single bias), each as its weighted leaves, not yet mixed.
-    See ``den_config``.  ``shared`` keeps the closure biases and chain-rule
-    probabilities per (closures, world)."""
+    See ``den_config``.  The closure biases and chain-rule probabilities
+    are evaluated at every leaf, through ``table``."""
     if O.memo_stack(config.term):
         raise ValueError("configuration denotation requires a marker-free term")
     graph, closures = config.graph, config.closures
@@ -618,21 +668,19 @@ def _den_config(config: O.Configuration, shared: dict) -> tuple[Leaves, Leaves]:
         B.check_undefined_budget(len(assign))
         world = _completed(graph, assign, lambda pair: _UNASSIGNED)
         try:
-            if (closures, world) not in shared:
-                shared[closures, world] = (_closure_biases(closures, world), {})
-            biases, p = shared[closures, world]
+            biases = _closure_biases(closures, world, table)
+            p = {}
             for fun, atom in sorted(undef):
-                if (fun, atom) not in p:
-                    closure = closures[fun]
-                    env = closure.captured.set(closure.binder, O.AtomV(atom))
-                    p[(fun, atom)] = prob_true(den_comp(closure.body, world, env, biases))
+                closure = closures[fun]
+                env = closure.captured.set(closure.binder, O.AtomV(atom))
+                p[(fun, atom)] = prob_true(den_comp(closure.body, world, env, biases, table))
             chain_w = single_w = ONE
             for (fun, atom), bit in assign.items():
                 chain_w *= p[(fun, atom)] if bit else ONE - p[(fun, atom)]
                 single_w *= biases[fun] if bit else ONE - biases[fun]
             if chain_w == ZERO and single_w == ZERO:
                 continue
-            result = den_comp(config.term, world, config.env, biases)
+            result = den_comp(config.term, world, config.env, biases, table)
         except EdgeRead as read:
             if read.pair not in undef:
                 raise
@@ -686,10 +734,10 @@ def check_soundness(program: S.Comp) -> SoundnessReport:
     terminal and the terminal weights are each checked to sum to 1."""
     lhs = den_program(program)
     terminals = O.enumerate_bigstep(program)
-    shared: dict = {}  # lives for this call only; see ``_den_config``
+    table: Table = {}  # the terminals' own, not den_program's; lives for this call
     chain_terms, single_terms = [], []
     for cfg, w in terminals.items():
-        chain, single = _den_config(cfg, shared)
+        chain, single = _den_config(cfg, table)
         chain_terms.append((w, mixed(chain)))
         single_terms.append((w, mixed(single)))
     rhs = FinDist(mixed(chain_terms))

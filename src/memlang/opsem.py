@@ -326,11 +326,14 @@ def _as_bool(value: EnvValue, what: str) -> bool:
     return value.value
 
 
-def _step_outcomes(
-    config: Configuration, spine: Spine, redex: S.ExtTerm
-) -> FinDist[Configuration]:
-    """The distribution of successors of one reduction: a point mass except
-    at a flip, whose true branch comes first."""
+def _step_outcomes(config: Configuration, dec: Optional[Decomposition]) -> FinDist[Configuration]:
+    """The distribution of successors of one reduction at the configuration's
+    decomposition ``dec``: a point mass except at a flip, whose true branch
+    comes first."""
+    _validate(config, dec)
+    if dec is None:
+        raise MalformedConfiguration("configuration is terminal")
+    spine, redex = dec
     env, graph, closures = config.env, config.graph, config.closures
     before = _term_size(config.term)
 
@@ -406,11 +409,7 @@ def _step_outcomes(
 
 def step(config: Configuration) -> FinDist[Configuration]:
     """One reduction: a point mass except at a coin flip."""
-    dec = decompose(config.term)
-    _validate(config, dec)
-    if dec is None:
-        raise MalformedConfiguration("configuration is terminal")
-    return _step_outcomes(config, *dec)
+    return _step_outcomes(config, decompose(config.term))
 
 
 def is_terminal(config: Configuration) -> bool:
@@ -422,9 +421,9 @@ def is_terminal(config: Configuration) -> bool:
 
 
 def run_sampled(program: S.Comp, seed: int) -> tuple[Configuration, list[Configuration]]:
-    """Iterate ``step`` with a seeded generator.  Every ``flip(t)`` draws
-    from the unit interval, even when t is 0 or 1, and takes the true branch
-    (listed first) iff the draw is below t."""
+    """Iterate ``step`` with a seeded generator, one decomposition a step.
+    Every ``flip(t)`` draws from the unit interval, even when t is 0 or 1,
+    and takes the true branch (listed first) iff the draw is below t."""
     rng = random.Random(seed)
     config = initial_configuration(program)
     trace = [config]
@@ -434,7 +433,7 @@ def run_sampled(program: S.Comp, seed: int) -> tuple[Configuration, list[Configu
             return config, trace
         draw = Fraction(rng.random()) if isinstance(dec[1], S.Flip) else ZERO
         running = ZERO
-        for successor, weight in step(config).items():
+        for successor, weight in _step_outcomes(config, dec).items():
             running += weight
             if draw < running:
                 break

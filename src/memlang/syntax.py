@@ -26,11 +26,12 @@ Ident = str
 #
 # Nodes are immutable and keep their hash after the first ``hash()``
 # (``HashOnce``).  Computations and memo markers also keep the evaluator's
-# progress measure, once ``opsem._term_size`` has computed it.
+# progress measure, once ``opsem._term_size`` has computed it, and
+# computations their free variables, once ``free_var_names`` has.
 
 
 class _Term(HashOnce):
-    __slots__ = ("_size",)
+    __slots__ = ("_size", "_fv")
 
 
 @dataclass(frozen=True, slots=True)
@@ -511,12 +512,27 @@ def free_vars_val(v: Val) -> frozenset[Ident]:
     return free_vars_val(v.fst) | free_vars_val(v.snd)
 
 
-def free_vars(c: Comp) -> frozenset[Ident]:
+def free_var_names(c: Comp) -> tuple[Ident, ...]:
+    """A computation's free variables, sorted.  Kept on the node: a term is
+    walked once however often its subterms are asked.  A loop, not a
+    generator, so that a nested term costs one frame per level."""
+    try:
+        return c._fv
+    except AttributeError:
+        pass
     vals, scopes = _parts(c)
-    return frozenset().union(
-        *map(free_vars_val, vals),
-        *(free_vars(body).difference(binders) for binders, body in scopes),
-    )
+    names: set[Ident] = set()
+    for v in vals:
+        names |= free_vars_val(v)
+    for binders, body in scopes:
+        names |= set(free_var_names(body)).difference(binders)
+    fv = tuple(sorted(names))
+    object.__setattr__(c, "_fv", fv)
+    return fv
+
+
+def free_vars(c: Comp) -> frozenset[Ident]:
+    return frozenset(free_var_names(c))
 
 
 def alpha_canonical(c: Comp) -> Comp:

@@ -159,15 +159,25 @@ def _pop(stack: MemoStack, marker: S.MemoCtx) -> MemoStack:
     return rest
 
 
+def _memo_result(ty: Ty, marker: S.MemoCtx) -> Ty:
+    """A marker writes its body's result into the memo-table, so the body
+    must yield a boolean, wherever the marker stands."""
+    if ty != BOOL:
+        raise TypeMismatch("bool (memoized result)", repr(ty), S.pretty(marker))
+    return ty
+
+
 def _check_ext(ctx: TyCtx, stack: MemoStack, e: S.ExtTerm) -> tuple[Ty, MemoStack]:
     if isinstance(e, S.MemoCtx):
-        return _check_ext(ctx, _pop(stack, e), e.inner)
+        ty, rest = _check_ext(ctx, _pop(stack, e), e.inner)
+        return _memo_result(ty, e), rest
     if isinstance(e, S.Let):
         if isinstance(e.body, S.MemoCtx):
             # the body's marker pair precedes the pairs of the bound term
             rest = _pop(stack, e.body)
             bound_ty, rest = _check_ext(ctx, rest, e.bound)
-            return _check_ext(ctx.extend(e.name, bound_ty), rest, e.body.inner)
+            ty, rest = _check_ext(ctx.extend(e.name, bound_ty), rest, e.body.inner)
+            return _memo_result(ty, e.body), rest
         bound_ty, rest = _check_ext(ctx, stack, e.bound)
         return _check_ext(ctx.extend(e.name, bound_ty), rest, e.body)
     if isinstance(e, S.If):
@@ -180,6 +190,8 @@ def _check_ext(ctx: TyCtx, stack: MemoStack, e: S.ExtTerm) -> tuple[Ty, MemoStac
             orelse = orelse.inner
         then_ty, rest = _check_ext(ctx, stack, e.then)
         else_ty, rest = _check_ext(ctx, rest, orelse)
+        if isinstance(e.orelse, S.MemoCtx):
+            _memo_result(else_ty, e.orelse)
         if then_ty != else_ty:
             raise TypeMismatch(repr(then_ty), repr(else_ty), S.pretty(e))
         return then_ty, rest

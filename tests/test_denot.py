@@ -12,7 +12,7 @@ from memlang import denot as D
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang import typecheck as TC
-from memlang.dist import FinDist, ONE, ZERO, dist_eq, weighted_mix
+from memlang.dist import FinDist, ONE, ZERO, as_prob, dist_eq, weighted_mix
 from memlang.progen import (
     ProgramGen,
     _mem_instance,
@@ -124,11 +124,12 @@ def general_canonicalize(base, world, value, biases) -> D.CanonicalClass:
     )
 
 
-def reference_bind(graph, bias, dist, name, body, env):
+def reference_bind(graph, bias, dist, name, body, env, table=None):
     """bind's general construction for every class, identity extensions
     included: the body runs at the class's world built anew, each of its
     classes is re-canonicalized over graph, every weight is multiplied and
-    one FinDist merges them all."""
+    one FinDist merges them all.  ``table`` is bind's and is not used: each
+    body runs with a table of its own."""
     weighted = []
     todo = dist.items()[::-1]
     while todo:
@@ -662,25 +663,61 @@ def test_check_soundness_examples():
         assert report.equal, name
 
 
+def counted_flips(monkeypatch) -> list:
+    """The biases of the flips den_comp evaluates from now on."""
+    thetas = []
+    den_flip = D.den_flip
+
+    def counted(graph, theta):
+        thetas.append(theta)
+        return den_flip(graph, theta)
+
+    monkeypatch.setattr(D, "den_flip", counted)
+    return thetas
+
+
 def test_check_soundness_denotes_a_shared_memo_table_once(monkeypatch):
     # four terminals, one per pair of trailing flips, share the memo-table
-    # and the closure of f; they differ only in their environments
+    # and the closure of f; they differ only in their environments.  f's
+    # body runs twice for den_program (its row and its bias on a new atom)
+    # and twice for all four terminals together (the chain-rule probability
+    # at a and the closure bias)
     p = S.parse_program(
         "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
         "let val b1 <- flip(1/2) in let val b2 <- flip(1/2) in return (f, b1)"
     )
     terminals = O.enumerate_bigstep(p)
     assert len(terminals) == 4 and len({(c.graph, c.closures) for c in terminals.support()}) == 1
-    calls = []
-    closure_biases = D._closure_biases
-
-    def counted(*args):
-        calls.append(args)
-        return closure_biases(*args)
-
-    monkeypatch.setattr(D, "_closure_biases", counted)
+    thetas = counted_flips(monkeypatch)
     assert D.check_soundness(p).equal
-    assert len(calls) == 1
+    assert thetas.count(THIRD) == 4
+
+
+def family(n: int) -> S.Comp:
+    # n fresh atoms, then two memoized coins, one of them applied
+    atoms = "".join(f"let val a{i} <- fresh() in " for i in range(n))
+    return S.parse_program(
+        atoms + "let val f <- memfn x. flip(1/2) in let val g <- memfn x. flip(1/2) in f @ a0"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_den_program_runs_a_body_once_per_world(monkeypatch, n):
+    # a body that ignores its binder runs once for a whole row, whatever n
+    # is, and once more on a new atom.  f's body runs twice; g's runs twice
+    # in each of three runs of its let: the first reads f's pending edge at
+    # a0, and the bind that owns it runs the body again on each outcome
+    thetas = counted_flips(monkeypatch)
+    assert bool_dist(D.den_program(family(n))) == {True: HALF, False: HALF}
+    assert len(thetas) == 8
+
+
+def test_den_program_keeps_no_table_between_calls(monkeypatch):
+    p = load("sound/p1_third.mem")
+    before = D.den_program(p)
+    den_flip = D.den_flip
+    monkeypatch.setattr(D, "den_flip", lambda graph, theta: den_flip(graph, ONE - as_prob(theta)))
+    assert not dist_eq(D.den_program(p), before)
 
 
 def test_check_soundness_splits_each_terminal_on_its_own_reads(monkeypatch):

@@ -1,19 +1,24 @@
-"""Mutation analysis of the operational side: each mutant is a plausible
-wrong ``step``, patched in for one test only, and the soundness check must
-report a mismatch on the bundled programs named for it.
+"""Mutation analysis of both semantics: each mutant is a plausible wrong
+``step`` or a wrong denotation of a primitive, patched in for one test
+only, and the soundness check must report a mismatch on the bundled
+programs named for it.
 
-A mutant wraps the real ``step`` and rebuilds the successor of the redex it
-changes through the public ``decompose`` and ``recompose``, so it does not
-depend on how ``step`` is written."""
+A ``step`` mutant wraps the real ``step`` and rebuilds the successor of the
+redex it changes through the public ``decompose`` and ``recompose``, so it
+does not depend on how ``step`` is written.  A denotational mutant replaces
+a primitive that ``den_comp`` calls; ``den_comp``'s table lives for one
+call, so it cannot hide the mutant behind a result computed before."""
 
 from pathlib import Path
 
 import pytest
 
+from memlang import bigraph as B
+from memlang import denot as D
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang.denot import check_soundness
-from memlang.dist import dirac
+from memlang.dist import ONE, as_prob, dirac
 
 SOUND = Path(__file__).resolve().parent.parent / "programs" / "sound"
 
@@ -67,6 +72,27 @@ def _swapped_flip(step):
     return mutant
 
 
+def _swapped_den_flip(den_flip):
+    """The denotation of a flip of bias t is true with chance 1 - t."""
+
+    def mutant(graph, theta):
+        return den_flip(graph, ONE - as_prob(theta))
+
+    return mutant
+
+
+def _negated_drawn_edge(den_app):
+    """An application on a drawn edge denotes the edge's negation."""
+
+    def mutant(graph, fun, atom):
+        edge = graph.edge(fun, atom)
+        if isinstance(edge, B.Pending):
+            return den_app(graph, fun, atom)
+        return D.unit(graph, O.BoolV(not edge))
+
+    return mutant
+
+
 # mutant -> the bundled programs on which the soundness check kills it
 KILLS = {
     _negated_sampled_edge: ["diag_two_apps", "memo_pair"],
@@ -84,4 +110,24 @@ def test_soundness_check_kills_step_mutant(monkeypatch, mutate, name):
     program = S.parse_program((SOUND / f"{name}.mem").read_text())
     assert check_soundness(program).equal
     monkeypatch.setattr(O, "step", mutate(O.step))
+    assert not check_soundness(program).equal
+
+
+# denotational mutant -> (the function it replaces, the programs that kill it)
+DEN_KILLS = {
+    _swapped_den_flip: ("den_flip", ["p1_third", "pair_mixed"]),
+    _negated_drawn_edge: ("den_app", ["p1_third", "pair_mixed"]),
+}
+
+
+@pytest.mark.parametrize(
+    "mutate, name",
+    [(mutate, name) for mutate, (_, names) in DEN_KILLS.items() for name in names],
+    ids=lambda x: getattr(x, "__name__", x).lstrip("_"),
+)
+def test_soundness_check_kills_denotational_mutant(monkeypatch, mutate, name):
+    program = S.parse_program((SOUND / f"{name}.mem").read_text())
+    assert check_soundness(program).equal
+    attr = DEN_KILLS[mutate][0]
+    monkeypatch.setattr(D, attr, mutate(getattr(D, attr)))
     assert not check_soundness(program).equal

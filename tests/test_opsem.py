@@ -388,6 +388,18 @@ def test_config_judgement_mid_configuration_stack():
     assert ((1, 0), (0, 0)) in seen_stacks
 
 
+def test_config_judgement_rejects_a_marker_around_a_non_boolean():
+    # the marker would write an atom into the memo-table
+    graph, atom = B.empty().add_right_undef()
+    graph, fun = graph.add_left_undef()
+    closures = O.FrozenMap({fun: O.Closure("y", S.Flip(HALF), O.EMPTY_MAP)})
+    body = S.parse_program("let val y <- fresh() in return y")
+    cfg = O.Configuration(O.EMPTY_MAP, S.MemoCtx(body, fun, atom, O.EMPTY_MAP), graph, closures)
+    assert S.pretty(cfg.term) == "{{let val y <- fresh() in return y}}^(fun0,atom0)"
+    with pytest.raises(O.JudgementFailure, match="memoized result"):
+        O.config_judgement(cfg)
+
+
 def test_check_stack_invariants_examples():
     p = load("golden_trace.mem")
     assert O.check_stack_invariants(O.initial_configuration(p))
@@ -428,6 +440,21 @@ def test_run_sampled_deterministic_per_seed():
     a = O.run_sampled(p, 42)
     b = O.run_sampled(p, 42)
     assert a == b
+
+
+def test_run_sampled_decomposes_once_per_step(monkeypatch):
+    # twelve configurations: eleven steps and the terminal one
+    calls = []
+    decompose = O.decompose
+
+    def counted(term):
+        calls.append(term)
+        return decompose(term)
+
+    monkeypatch.setattr(O, "decompose", counted)
+    _, trace = O.run_sampled(load("golden_trace.mem"), seed=0)
+    assert len(trace) == 12 and len(calls) == 12
+    assert calls == [config.term for config in trace]
 
 
 def test_run_sampled_lands_in_enumeration_support():

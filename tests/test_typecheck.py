@@ -138,6 +138,26 @@ def test_ext_match_body_marker():
     assert TC.type_of_ext(ctx, [(0, 0)], term) == TC.BOOL
 
 
+@pytest.mark.parametrize("position", ["top", "let bound", "let body", "then", "else", "match"])
+def test_ext_marker_requires_a_boolean_result(position):
+    # a marker writes its body's result into the memo-table, so a body of
+    # another type is rejected in every position a marker can take
+    ctx = TC.EMPTY_CTX.extend("a", TC.ATOM).extend("p", TC.ProdT(TC.ATOM, TC.BOOL))
+    for inner, found in [(S.Return(S.Var("a")), "atom"), (S.MemFn("z", S.Flip(1)), "fun")]:
+        m = _marker(inner)
+        term = {
+            "top": m,
+            "let bound": S.Let("x", m, S.Return(S.BoolLit(True))),
+            "let body": S.Let("x", S.Return(S.BoolLit(True)), m),
+            "then": S.If(S.BoolLit(True), m, S.Return(S.Var("a"))),
+            "else": S.If(S.BoolLit(True), S.Return(S.Var("a")), m),
+            "match": S.Match(S.Var("p"), "b", "c", m),
+        }[position]
+        with pytest.raises(TC.TypeMismatch) as exc:
+            TC.type_of_ext(ctx, [(0, 0)], term)
+        assert exc.value.expected == "bool (memoized result)" and exc.value.found == found
+
+
 def test_source_typing_rejects_memo_markers():
     # a source computation is typed at the empty stack, so any marker in it,
     # on the spine or inside a memoized body, has no pair to consume
