@@ -2,11 +2,14 @@
 
 Left nodes stand for memoized functions, right nodes for atoms, and each
 (left, right) pair carries an edge value: True, False, or None for
-not-yet-sampled.  A graph with no None entries is total; total graphs are
+not-yet-sampled.  A ``TotalBigraph`` has no None entries: total graphs are
 the worlds of the compositional evaluator, while evaluation states carry
 partial graphs.  A total graph may also hold ``Pending`` edges: an
 independent coin the compositional evaluator has not drawn yet.  All
-values are immutable; updates return new graphs.
+values are immutable; updates return new graphs.  Each graph keeps its
+edges sorted for its hash, and ``edge_items`` hands out that tuple.
+``renumbered_slice`` cuts out the part of a memo-table an observation
+reaches and renumbers it in one pass.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .hashonce import HashOnce
 
@@ -102,11 +105,10 @@ class PartialBigraph(HashOnce):
     def edge(self, fun: int, atom: int) -> EdgeVal:
         return self._edges[(fun, atom)]
 
-    def edge_items(self) -> list[tuple[tuple[int, int], EdgeVal]]:
-        return sorted(self._edges.items())
-
-    def is_total(self) -> bool:
-        return all(v is not None for v in self._edges.values())
+    def edge_items(self) -> tuple[tuple[tuple[int, int], EdgeVal], ...]:
+        """Every (pair, value), sorted by pair: the edges the hash is
+        taken over."""
+        return self._key[2]
 
     def undefined_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(p for p, v in self._edges.items() if v is None)
@@ -137,18 +139,6 @@ class PartialBigraph(HashOnce):
         edges[(fun, atom)] = bool(value)
         return PartialBigraph(self._left, self._right, edges)
 
-    def restrict(self, keep_left: Iterable[int], keep_right: Iterable[int]) -> "PartialBigraph":
-        keep_left = frozenset(keep_left)
-        keep_right = frozenset(keep_right)
-        if not keep_left <= self._left or not keep_right <= self._right:
-            raise ValueError("keep sets must be subsets of the node sets")
-        edges = {
-            (f, a): v
-            for (f, a), v in self._edges.items()
-            if f in keep_left and a in keep_right
-        }
-        return PartialBigraph(keep_left, keep_right, edges)
-
     def completions(self) -> list[tuple["TotalBigraph", dict[tuple[int, int], bool]]]:
         """All total extensions, in binary-counting order over the sorted
         undefined pairs (False before True).  The checker does not expand
@@ -164,11 +154,6 @@ class PartialBigraph(HashOnce):
             out.append((TotalBigraph(self._left, self._right, edges), assign))
         return out
 
-    def to_total(self) -> "TotalBigraph":
-        if not self.is_total():
-            raise ValueError("graph has undefined edges")
-        return TotalBigraph(self._left, self._right, self._edges)
-
     def to_json(self) -> dict:
         names = {True: "true", False: "false", None: "undef"}
         return {
@@ -181,7 +166,7 @@ class PartialBigraph(HashOnce):
         return isinstance(other, PartialBigraph) and self._key == other._key
 
     def __repr__(self) -> str:
-        return f"PartialBigraph(left={sorted(self._left)}, right={sorted(self._right)}, edges={self.edge_items()})"
+        return f"PartialBigraph(left={sorted(self._left)}, right={sorted(self._right)}, edges={list(self.edge_items())})"
 
 
 def _defined(value) -> bool | Pending:
@@ -284,32 +269,18 @@ def smallest_free(count: int, used: Iterable[int]) -> list[int]:
     return out
 
 
-def canonical_relabel(
-    graph: PartialBigraph,
-    fixed_left: Iterable[int],
-    fixed_right: Iterable[int],
-    order_left: Iterable[int],
-    order_right: Iterable[int],
+def renumbered_slice(
+    graph: PartialBigraph, order_left: Sequence[int], order_right: Sequence[int]
 ) -> tuple[PartialBigraph, dict[int, int], dict[int, int]]:
-    """Renumber the non-fixed nodes to the smallest free labels, in the
-    given order, leaving fixed nodes untouched.  Returns the relabeled graph
-    and the per-side label maps (defined on all nodes)."""
-    fixed_left = frozenset(fixed_left)
-    fixed_right = frozenset(fixed_right)
-    order_left = list(order_left)
-    order_right = list(order_right)
-    if set(order_left) != set(graph.left) - fixed_left or len(set(order_left)) != len(order_left):
-        raise ValueError("order_left must list exactly the non-fixed left nodes")
-    if set(order_right) != set(graph.right) - fixed_right or len(set(order_right)) != len(order_right):
-        raise ValueError("order_right must list exactly the non-fixed right nodes")
-    lmap = {f: f for f in fixed_left}
-    rmap = {a: a for a in fixed_right}
-    lmap.update(zip(order_left, smallest_free(len(order_left), fixed_left)))
-    rmap.update(zip(order_right, smallest_free(len(order_right), fixed_right)))
-    edges = {
-        (lmap[f], rmap[a]): graph.edge(f, a) for f in graph.left for a in graph.right
-    }
-    out = PartialBigraph(lmap.values(), rmap.values(), edges)
-    if graph.is_total():
-        out = out.to_total()
-    return out, lmap, rmap
+    """The subgraph on the listed nodes, each side renumbered 0, 1, ... in
+    the listed order.  Returns it with the per-side label maps, defined on
+    the listed nodes.  An order must not repeat a node and must name only
+    nodes of the graph."""
+    lmap = {f: i for i, f in enumerate(order_left)}
+    rmap = {a: i for i, a in enumerate(order_right)}
+    if len(lmap) != len(order_left) or len(rmap) != len(order_right):
+        raise ValueError("an order must not repeat a node")
+    if not graph.left.issuperset(lmap) or not graph.right.issuperset(rmap):
+        raise ValueError("an order must name only nodes of the graph")
+    edges = {(i, j): graph.edge(f, a) for f, i in lmap.items() for a, j in rmap.items()}
+    return PartialBigraph(lmap.values(), rmap.values(), edges), lmap, rmap

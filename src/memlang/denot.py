@@ -17,7 +17,8 @@ occurrence order of a left-to-right traversal of the value, which makes the
 representative canonical.  A value that mentions no fresh node lives at the
 identity extension: its class has no fresh part, and ``class_world`` gives
 back the base world itself, so such a result is neither rebuilt nor
-relabelled.  ``bind`` runs its body at that very world, so the body's
+relabelled.  ``bind`` runs its body for such a class at its own graph
+object, whichever equal world the class was computed at, so the body's
 classes are already canonical over the base and are kept un-rebased; when
 such a class is the whole bound result, the body's result is ``bind``'s,
 by the monad's left unit law ``return x >>= f = f x`` (Moggi, "Notions of
@@ -149,6 +150,11 @@ class CanonicalClass(HashOnce):
                 return v
         raise KeyError((fun, atom))
 
+    def is_identity(self) -> bool:
+        """No fresh function, atom or edge: the class lives at its base
+        world, the identity extension."""
+        return not (self.fresh_funs or self.fresh_atoms or self.ext_edges)
+
     def pending(self) -> dict[tuple[int, int], Fraction]:
         """The chance of each edge not drawn yet."""
         return {(f, a): v.chance for f, a, v in self.ext_edges if isinstance(v, B.Pending)}
@@ -222,7 +228,7 @@ def class_world(cls: CanonicalClass) -> B.TotalBigraph:
     """Rebuild the total world a class describes: base plus fresh nodes.
     A class with no fresh part describes its base world, which is returned
     as it is."""
-    if not (cls.fresh_funs or cls.fresh_atoms or cls.ext_edges):
+    if cls.is_identity():
         return cls.base
     edges = {pair: v for pair, v in cls.base.edge_items()}
     for f, a, v in cls.ext_edges:
@@ -307,12 +313,13 @@ def bind(
 
     The body's classes, living over the extended world, are re-expressed
     over graph by unioning the fresh parts; one ``FinDist`` of them all
-    merges branches that differ only in discarded nodes.  A class whose
-    world is graph itself (the identity extension) adds nothing to
-    re-express: the body's classes are already canonical over graph and
-    are kept as they are, and a weight that is the ``ONE`` object is not
-    multiplied.  If that class is the whole of ``dist``, the body's result
-    is the result: the left unit law, ``return x >>= f = f x``.
+    merges branches that differ only in discarded nodes.  A class with no
+    fresh part lives at graph (the identity extension), whatever world
+    object it was computed at.  Its body runs at graph itself, and there is
+    nothing to re-express: the body's classes are already canonical over
+    graph and are kept as they are, and a weight that is the ``ONE`` object
+    is not multiplied.  If that class is the whole of ``dist``, the body's
+    result is the result: the left unit law, ``return x >>= f = f x``.
 
     A class's pending edges stay pending while the body runs.  When the
     body reads one, the class is split into its two outcomes and the body
@@ -326,10 +333,12 @@ def bind(
     todo = [(cls, p, 0) for cls, p in dist.items()[::-1]]
     while todo:
         cls, p, drawn = todo.pop()
-        world = class_world(cls)
+        # a class with no fresh part lives at graph, whichever equal world
+        # object it was computed at; nothing is carried, den_comp copies the bias
+        identity = cls.is_identity()
+        world = graph if identity else class_world(cls)
         carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
-        # at the identity extension nothing is carried; den_comp copies the bias
-        lam = bias if world is graph else {**bias, **carried}
+        lam = bias if identity else {**bias, **carried}
         try:
             result = den_comp(body, world, env.set(name, cls.value), lam, table)
         except EdgeRead as read:
@@ -344,7 +353,7 @@ def bind(
         for cls2, _ in items:
             if cls2.base is not world and cls2.base != world:
                 raise ValueError("let body must answer at the extended world")
-        if world is not graph:
+        if not identity:
             items = [(_rebase(graph, cls2, carried), q) for cls2, q in items]
         elif len(dist) == 1:
             return result
@@ -363,11 +372,10 @@ def transport(
     extension's new nodes are not determined by either side, so they are
     pending: a new function's edge to a fresh atom has the function's
     bias, and a fresh function's edge to a new atom the class's recorded
-    bias.
+    bias.  The target is a world: a target with an unsampled edge raises
+    ``ValueError`` when a class's world is built over it.
     """
     target = emb.target
-    if not isinstance(target, B.TotalBigraph):
-        target = target.to_total()
     bias2 = _bias_state(target, bias2)
     lmap, rmap = emb.lmap(), emb.rmap()
     new_funs = sorted(set(target.left) - set(lmap.values()))

@@ -569,9 +569,7 @@ def observe(config: Configuration) -> Observation:
             value_labels(captured, funs, atoms)
         kept_envs[label] = items
 
-    graph, fmap, amap = B.canonical_relabel(
-        config.graph.restrict(funs, atoms), (), (), funs, atoms
-    )
+    graph, fmap, amap = B.renumbered_slice(config.graph, funs, atoms)
     closures = tuple(
         (
             fmap[label],

@@ -9,12 +9,12 @@ def test_empty_graph():
     g = B.empty()
     assert g.left == frozenset() and g.right == frozenset()
     assert g.undefined_pairs() == frozenset()
-    assert g.edge_items() == []
+    assert g.edge_items() == ()
 
 
 def test_add_right_undef():
     g, atom = B.empty().add_right_undef()
-    assert atom == 0 and g.right == {0} and g.edge_items() == []
+    assert atom == 0 and g.right == {0} and g.edge_items() == ()
     two_funs = B.PartialBigraph([0, 1], [], {})
     g2, atom2 = two_funs.add_right_undef()
     assert g2.edge(0, atom2) is None and g2.edge(1, atom2) is None
@@ -29,7 +29,7 @@ def test_defined_additions_keep_pending_edges():
     row, fun = g.add_left_defined({0: coin})
     column, atom = g.add_right_defined({0: coin})
     assert row.edge(fun, 0) == coin and column.edge(0, atom) == coin
-    assert row.edge(0, 0) is True and row.is_total()
+    assert row.edge(0, 0) is True and row.undefined_pairs() == frozenset()
     with pytest.raises(TypeError):
         bool(coin)
 
@@ -74,7 +74,7 @@ def test_completions_counts_and_distinctness():
     assert len(four) == 4
     assert len({t for t, _ in four}) == 4
     for t, assign in four:
-        assert t.is_total()
+        assert t.undefined_pairs() == frozenset()
         for pair, v in assign.items():
             assert t.edge(*pair) == v
 
@@ -123,49 +123,62 @@ def test_embedding_rejects_edge_flips():
     B.Embedding.make(g, h, {0: 0}, {0: 1})
 
 
-def test_restrict_identities():
+def test_renumbered_slice_of_every_node_in_order_is_the_graph():
     g = B.TotalBigraph([0, 1], [0], {(0, 0): True, (1, 0): False})
-    assert g.restrict(g.left, g.right) == g
-    assert g.restrict([], []) == B.empty()
-    dropped = g.restrict([0], [0])
-    assert dropped.edge_items() == [((0, 0), True)]
+    same, lmap, rmap = B.renumbered_slice(g, [0, 1], [0])
+    assert same == g and lmap == {0: 0, 1: 1} and rmap == {0: 0}
+    assert B.renumbered_slice(g, [], [])[0] == B.empty()
 
 
-def test_restrict_composes_as_intersection():
+def test_renumbered_slice_keeps_the_edges_between_listed_nodes():
     g = B.PartialBigraph(
-        [0, 1], [0, 1],
-        {(f, a): None for f in range(2) for a in range(2)},
+        [0, 1, 2], [0, 1],
+        {(0, 0): True, (0, 1): None, (1, 0): False, (1, 1): True, (2, 0): None, (2, 1): False},
     )
-    once = g.restrict([0, 1], [0]).restrict([0], [0])
-    direct = g.restrict([0], [0])
-    assert once == direct
+    out, lmap, rmap = B.renumbered_slice(g, [2, 0], [1])
+    assert lmap == {2: 0, 0: 1} and rmap == {1: 0}
+    assert out.left == {0, 1} and out.right == {0}
+    assert out.edge_items() == (((0, 0), False), ((1, 0), None))
+    # slicing twice is slicing once to the smaller node lists
+    twice, _, _ = B.renumbered_slice(out, [1], [0])
+    assert twice == B.renumbered_slice(g, [0], [1])[0]
 
 
-def test_canonical_relabel_examples():
+def test_renumbered_slice_renumbers_in_listed_order():
     g = B.TotalBigraph([3], [17], {(3, 17): True})
-    out, lmap, rmap = B.canonical_relabel(g, [3], [], [], [17])
-    assert rmap[17] == 0 and out.right == {0}
-    same, _, _ = B.canonical_relabel(g, [3], [17], [], [])
-    assert same == g
+    out, lmap, rmap = B.renumbered_slice(g, [3], [17])
+    assert lmap == {3: 0} and rmap == {17: 0}
+    assert out.edge_items() == (((0, 0), True),)
     # swapped order swaps labels but keeps the unordered edge multiset
     g2 = B.TotalBigraph([0], [5, 9], {(0, 5): True, (0, 9): False})
-    a, _, _ = B.canonical_relabel(g2, [0], [], [], [5, 9])
-    b, _, _ = B.canonical_relabel(g2, [0], [], [], [9, 5])
+    a, _, _ = B.renumbered_slice(g2, [0], [5, 9])
+    b, _, rmap = B.renumbered_slice(g2, [0], [9, 5])
+    assert rmap == {9: 0, 5: 1}
     assert a != b
     assert sorted(v for _, v in a.edge_items()) == sorted(v for _, v in b.edge_items())
 
 
-def test_canonical_relabel_skips_base_labels():
+def test_renumbered_slice_reuses_the_labels_of_unlisted_nodes():
     g = B.TotalBigraph([], [0, 7], {})
-    out, _, rmap = B.canonical_relabel(g, [], [0], [], [7])
-    assert rmap[7] == 1  # label 0 is taken by the fixed part
-    assert out.right == {0, 1}
+    out, _, rmap = B.renumbered_slice(g, [], [7])
+    assert rmap == {7: 0}  # atom 0 is not listed, so its label is free
+    assert out.right == {0}
 
 
-def test_canonical_relabel_requires_exact_order():
-    g = B.TotalBigraph([], [0, 1], {})
+def test_renumbered_slice_rejects_a_repeated_node():
+    g = B.TotalBigraph([0], [0, 1], {(0, 0): True, (0, 1): False})
     with pytest.raises(ValueError):
-        B.canonical_relabel(g, [], [], [], [0])
+        B.renumbered_slice(g, [0], [1, 1])
+    with pytest.raises(ValueError):
+        B.renumbered_slice(g, [0, 0], [0])
+
+
+def test_renumbered_slice_rejects_a_node_outside_the_graph():
+    g = B.TotalBigraph([0], [0, 1], {(0, 0): True, (0, 1): False})
+    with pytest.raises(ValueError):
+        B.renumbered_slice(g, [0], [2])
+    with pytest.raises(ValueError):
+        B.renumbered_slice(g, [1], [0])
 
 
 def test_graph_equality_and_hash():

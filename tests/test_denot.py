@@ -265,6 +265,14 @@ def test_transport_fresh_atom_splits_on_new_function_bias():
     assert weights == [THIRD, Fraction(2, 3)]
 
 
+@pytest.mark.parametrize("fresh", [False, True], ids=["unit", "fresh_atom"])
+def test_transport_onto_a_target_with_an_unsampled_edge_raises(fresh):
+    m = D.den_fresh(EMPTY, {}) if fresh else D.unit(EMPTY, O.BoolV(False))
+    partial = B.PartialBigraph([0], [0], {(0, 0): None})
+    with pytest.raises(ValueError):
+        D.transport(m, B.Embedding.inclusion(EMPTY, partial), {0: HALF})
+
+
 def test_transport_fresh_fun_fills_new_atom_with_recorded_bias():
     fn = S.parse_program("memfn y. flip(1/3)")
     m = D.den_comp(fn, EMPTY, O.EMPTY_MAP, {})

@@ -99,15 +99,19 @@ def test_golden_output(argv, capsys, monkeypatch):
 
 def test_soundness_dir_is_the_same_under_python_O():
     # `python -O` strips assert statements; the checks that remain must not
-    # depend on them
-    argv = "soundness --dir programs/sound"
+    # depend on them, on the soundness check or on the observation path
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("MEMLANG_MAX_UNDEF", None)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "memlang.cli", *argv.split()],
-        cwd=ROOT, env=env, capture_output=True, check=False,
-    )
-    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
+    for argv in (
+        "soundness --dir programs/sound",
+        "enumerate --observe programs/golden_trace.mem",
+        "laws --mem --count 30 --seed 0",
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "memlang.cli", *argv.split()],
+            cwd=ROOT, env=env, capture_output=True, check=False,
+        )
+        assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv], argv
 
 
 def test_golden_set_covers_every_bundled_program():

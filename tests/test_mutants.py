@@ -1,7 +1,7 @@
 """Mutation analysis of both semantics: each mutant is a plausible wrong
 ``step`` or a wrong denotation of a primitive, patched in for one test
-only, and the soundness check must report a mismatch on the bundled
-programs named for it.
+only, and the soundness check must report a mismatch on the programs
+named for it: bundled ones, or ones kept inline here.
 
 A ``step`` mutant wraps the real ``step`` and rebuilds the successor of the
 redex it changes through the public ``decompose`` and ``recompose``, so it
@@ -10,6 +10,7 @@ a primitive that ``den_comp`` calls; ``den_comp``'s table lives for one
 call, so it cannot hide the mutant behind a result computed before."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,7 @@ from memlang import denot as D
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang.denot import check_soundness
-from memlang.dist import ONE, as_prob, dirac
+from memlang.dist import HALF, ONE, as_prob, dirac, dist_eq
 
 SOUND = Path(__file__).resolve().parent.parent / "programs" / "sound"
 
@@ -93,6 +94,41 @@ def _negated_drawn_edge(den_app):
     return mutant
 
 
+def _complement_fresh_bias(fresh_bias):
+    """A memoized function's bias on an atom created after it is 1 - q."""
+
+    def mutant(*args):
+        return ONE - fresh_bias(*args)
+
+    return mutant
+
+
+def _half_fresh_bias(fresh_bias):
+    """A memoized function's bias on an atom created after it is 1/2."""
+
+    def mutant(*args):
+        fresh_bias(*args)  # keeps the freshness check
+        return HALF
+
+    return mutant
+
+
+# programs kept inline rather than under ``programs/sound``, whose
+# ``soundness --dir`` output is pinned
+INLINE = {
+    # a function made before the atom it is applied to: the result is the
+    # function's bias on a future atom (with fresh() bound first, no atom
+    # is made after the function, and neither mutant is killed)
+    "fresh_after_memfn": "let val f <- memfn x. flip(1/3) in let val a <- fresh() in f @ a",
+}
+
+
+def _program(name):
+    if name in INLINE:
+        return S.parse_program(INLINE[name])
+    return S.parse_program((SOUND / f"{name}.mem").read_text())
+
+
 # mutant -> the bundled programs on which the soundness check kills it
 KILLS = {
     _negated_sampled_edge: ["diag_two_apps", "memo_pair"],
@@ -117,6 +153,8 @@ def test_soundness_check_kills_step_mutant(monkeypatch, mutate, name):
 DEN_KILLS = {
     _swapped_den_flip: ("den_flip", ["p1_third", "pair_mixed"]),
     _negated_drawn_edge: ("den_app", ["p1_third", "pair_mixed"]),
+    _complement_fresh_bias: ("_fresh_bias", ["fresh_after_memfn"]),
+    _half_fresh_bias: ("_fresh_bias", ["fresh_after_memfn"]),
 }
 
 
@@ -126,8 +164,36 @@ DEN_KILLS = {
     ids=lambda x: getattr(x, "__name__", x).lstrip("_"),
 )
 def test_soundness_check_kills_denotational_mutant(monkeypatch, mutate, name):
-    program = S.parse_program((SOUND / f"{name}.mem").read_text())
+    program = _program(name)
     assert check_soundness(program).equal
     attr = DEN_KILLS[mutate][0]
     monkeypatch.setattr(D, attr, mutate(getattr(D, attr)))
     assert not check_soundness(program).equal
+
+
+def _forgetful_free_vars(free_vars):
+    """A closure body's free names, less the alphabetically first: the
+    observation forgets that captured variable and what it reaches."""
+
+    def mutant(body):
+        names = free_vars(body)
+        return names - {min(names)} if names else names
+
+    return mutant
+
+
+def test_observation_kills_forgotten_capture_mutant(monkeypatch):
+    # the closure captures the returned atom in one program and an atom
+    # the result reaches only through the closure in the other
+    same = S.parse_program(
+        "let val a <- fresh() in let val f <- memfn x. x == a in return (f, a)"
+    )
+    other = S.parse_program(
+        "let val b <- fresh() in let val a <- fresh() in "
+        "let val f <- memfn x. x == a in return (f, b)"
+    )
+    assert not dist_eq(O.observational_bigstep(same), O.observational_bigstep(other))
+    # only observe asks opsem's syntax module for free names
+    forgetful = SimpleNamespace(**{**vars(S), "free_vars": _forgetful_free_vars(S.free_vars)})
+    monkeypatch.setattr(O, "S", forgetful)
+    assert dist_eq(O.observational_bigstep(same), O.observational_bigstep(other))
