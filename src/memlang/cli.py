@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 syntax or type error, 2 freshness violation,
-3 semantic mismatch, 64 usage or I/O error, an exceeded limit, or nesting
-too deep for the recursive parser and evaluators.  Output on stdout is
-JSON with sorted keys and is deterministic given flags and seed; timing
-goes to stderr.
+3 semantic mismatch or a law suite case that could not be run, 64 usage or
+I/O error, an exceeded limit, or nesting too deep for the recursive parser
+and evaluators.  Output on stdout is JSON with sorted keys and is
+deterministic given flags and seed; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -81,6 +81,14 @@ def _config_row(config: O.Configuration) -> dict:
 
 class UnreadableSource(Exception):
     """A source file is not valid UTF-8."""
+
+
+# the failures ``main`` maps to an exit code of their own
+_LANG_ERRORS = (S.ParseError, TC.TypeMismatch, TC.UnboundVariable, TC.StackMismatch,
+                TC.DuplicateStackPair, O.MalformedConfiguration, O.Stuck)
+_USAGE_ERRORS = (OSError, B.TooManyUndefined, B.InvalidLimit, O.StepBudgetExceeded,
+                 UnreadableSource)
+_MAPPED_ERRORS = (*_LANG_ERRORS, D.FreshnessViolation, *_USAGE_ERRORS, RecursionError)
 
 
 def _read(path: str) -> str:
@@ -227,12 +235,18 @@ def cmd_soundness(args) -> int:
 
 def cmd_laws(args) -> int:
     started = time.monotonic()
-    if args.mem:
-        result = G.run_mem_law_suite(args.count, args.seed)
-    elif args.dataflow:
-        result = G.run_dataflow_suite(args.count, args.seed)
-    else:
-        result = G.run_monad_suite(args.count, args.seed)
+    try:
+        if args.mem:
+            result = G.run_mem_law_suite(args.count, args.seed)
+        elif args.dataflow:
+            result = G.run_dataflow_suite(args.count, args.seed)
+        else:
+            result = G.run_monad_suite(args.count, args.seed)
+    except _MAPPED_ERRORS:
+        raise
+    except Exception as exc:  # a generated case the suite could not run
+        print(f"error: law suite failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     payload = result.to_json()
     payload["command"] = "laws"
     _dump(payload)
@@ -310,16 +324,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except (S.ParseError, TC.TypeMismatch, TC.UnboundVariable,
-            TC.StackMismatch, TC.DuplicateStackPair,
-            O.MalformedConfiguration, O.Stuck) as exc:
+    except _LANG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LANG
     except D.FreshnessViolation as exc:
         print(f"freshness violation: {exc}", file=sys.stderr)
         return EXIT_FRESHNESS
-    except (OSError, UnreadableSource, B.TooManyUndefined, B.InvalidLimit,
-            O.StepBudgetExceeded) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -2,12 +2,19 @@
 
 A computation is evaluated at a world g (a total bigraph) and a bias state,
 which assigns each of g's functions its chance of answering true on atoms
-that do not exist yet.  The result is an exact distribution over
-canonical classes: a result value together with just the fresh structure it
-mentions.  Fresh nodes a value does not mention are garbage-collected and
-their edge choices marginalized away, so boolean results always collapse to
-bare classes.  ``bind`` evaluates a let body at each class's extended
-world, under the bias state extended by the class's fresh functions.
+that do not exist yet.  ``den_comp`` checks the bias state on every call:
+it must assign exactly g's functions.  The values are checked once: a
+state that passes is coerced to exact probabilities in [0, 1] and kept as
+a read-only ``_CheckedBias``, which later calls take as it is, while any
+other mapping (a caller's own, ``bind``'s extension by a class's fresh
+biases, ``_closure_biases``' result) is coerced in full.
+
+The result is an exact distribution over canonical classes: a result value
+together with just the fresh structure it mentions.  Fresh nodes a value
+does not mention are garbage-collected and their edge choices marginalized
+away, so boolean results always collapse to bare classes.  ``bind``
+evaluates a let body at each class's extended world, under the bias state
+extended by the class's fresh functions.
 
 A class records, relative to its base world: the value, fresh function
 labels with their biases (the chance of answering true on atoms that do not
@@ -66,7 +73,9 @@ one starts its own, as ``den_program`` does, and ``check_soundness``
 starts a second one for all of its terminals, so the two sides it
 compares never share one.  The table replaced a per-call cache of closure
 biases and chain-rule probabilities keyed on a configuration's closures
-and completed world.
+and completed world.  ``check_soundness`` denotes once each group of
+terminals that agree on all that a configuration's denotation reads: the
+term, the values of its free variables, the memo-table and the closures.
 """
 
 from __future__ import annotations
@@ -86,7 +95,7 @@ from .hashonce import HashOnce
 BiasState = Mapping[int, Fraction]
 K = TypeVar("K")
 # (term, world, values of the term's free variables) -> [(bias state, result)]
-Table = dict[tuple, list[tuple[dict[int, Fraction], "FinDist[CanonicalClass]"]]]
+Table = dict[tuple, list[tuple["_CheckedBias", "FinDist[CanonicalClass]"]]]
 
 EMPTY_WORLD = B.empty_total()
 
@@ -120,12 +129,28 @@ class FreshnessViolation(Exception):
         self.witness_b = witness_b
 
 
-def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> dict[int, Fraction]:
+class _CheckedBias(dict):
+    """A bias state ``_bias_state`` has coerced: exact probabilities in
+    [0, 1].  It cannot be changed, since ``den_comp``'s table keeps it."""
+
+    __slots__ = ()
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("a checked bias state cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
+
+
+def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> _CheckedBias:
     """The bias state as exact probabilities; it must assign exactly the
-    world's functions, each a probability in [0, 1]."""
+    world's functions, each a probability in [0, 1].  The keys are compared
+    on every call; a state this function returned before is not coerced
+    again."""
     if bias.keys() != graph.left:
         raise ValueError(f"bias state must assign exactly the functions {sorted(graph.left)}")
-    return {f: as_prob(p) for f, p in bias.items()}
+    if type(bias) is _CheckedBias:
+        return bias
+    return _CheckedBias({f: as_prob(p) for f, p in bias.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -739,12 +764,24 @@ def check_soundness(program: S.Comp) -> SoundnessReport:
     """Compare the compositional denotation of a closed program with the
     weighted sum of its terminal configurations' denotations.  Each sum is
     merged once, over every terminal's leaves; the leaf weights of each
-    terminal and the terminal weights are each checked to sum to 1."""
+    terminal and the terminal weights are each checked to sum to 1.
+
+    ``_den_config`` reads a terminal's term, the values of the term's free
+    variables, its graph and its closures, and nothing else.  Terminals
+    that agree on all four are denoted once, at their summed weight, in
+    the place of the first of them, so each sum keeps its order."""
     lhs = den_program(program)
     terminals = O.enumerate_bigstep(program)
+    groups: dict[tuple, list] = {}
+    for cfg, w in terminals.items():
+        key = (cfg.term, tuple(map(cfg.env.get, S.free_var_names(cfg.term))), cfg.graph, cfg.closures)
+        if key in groups:
+            groups[key][1] += w
+        else:
+            groups[key] = [cfg, w]
     table: Table = {}  # the terminals' own, not den_program's; lives for this call
     chain_terms, single_terms = [], []
-    for cfg, w in terminals.items():
+    for cfg, w in groups.values():
         chain, single = _den_config(cfg, table)
         chain_terms.append((w, mixed(chain)))
         single_terms.append((w, mixed(single)))

@@ -1,4 +1,12 @@
-"""Exact finitely-supported probability distributions over hashable values."""
+"""Exact finitely-supported probability distributions over hashable values.
+
+A distribution keeps its weights in a dict, so building one hashes every
+value in it.  A point mass from ``dirac`` keeps its one value instead and
+hashes it only when a lookup needs the dict: ``prob``, ``in``, ``==``,
+``support`` and ``repr``.  ``items()``, ``len()`` and iteration read the
+value as it is, so a point mass that is only unpacked, as a reduction step
+or a primitive's result mostly is, never hashes its value.
+"""
 
 from __future__ import annotations
 
@@ -90,12 +98,35 @@ class FinDist(Generic[T]):
         return "FinDist({" + inner + "})"
 
 
+class _PointMass(FinDist[T]):
+    """``dirac``'s point mass: its one value, with weight 1.  The weight dict
+    that ``FinDist``'s lookups read is built on each lookup; the methods
+    that only unpack the distribution do without it."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value: T):
+        self._value = value
+
+    @property
+    def _weights(self) -> dict[T, Fraction]:  # type: ignore[override]
+        return {self._value: ONE}
+
+    def items(self) -> list[tuple[T, Fraction]]:
+        return [(self._value, ONE)]
+
+    def __len__(self) -> int:
+        return 1
+
+    def __iter__(self) -> Iterator[T]:
+        return iter((self._value,))
+
+
 def dirac(value: T) -> FinDist[T]:
     """Point mass at ``value``.  Its one weight is 1 by construction, so it
-    is stored as it is, without ``FinDist``'s merge and mass check."""
-    dist: FinDist[T] = FinDist.__new__(FinDist)
-    dist._weights = {value: ONE}
-    return dist
+    is stored without ``FinDist``'s merge and mass check, and the value is
+    not hashed until a lookup needs it."""
+    return _PointMass(value)
 
 
 def mixed(

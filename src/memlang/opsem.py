@@ -20,9 +20,10 @@ and retained closures up to bound-variable renaming).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from . import bigraph as B
@@ -78,6 +79,9 @@ class PairV(HashOnce):
 EnvValue = Union[BoolV, FunV, AtomV, PairV]
 
 
+_first = itemgetter(0)
+
+
 class FrozenMap(HashOnce):
     """Small immutable map with deterministic ordering, usable as a dict key."""
 
@@ -90,9 +94,17 @@ class FrozenMap(HashOnce):
         self._key = tuple(sorted(d.items(), key=lambda kv: kv[0]))
 
     def set(self, key, value) -> "FrozenMap":
+        """This map with ``key`` bound to ``value``; the pair goes into its
+        sorted place, replacing the key's old pair if it has one."""
         d = dict(self._d)
         d[key] = value
-        return FrozenMap(d)
+        items = self._key
+        i = bisect_left(items, key, key=_first)
+        end = i + 1 if i < len(items) and items[i][0] == key else i
+        out = FrozenMap.__new__(FrozenMap)
+        out._d = d
+        out._key = items[:i] + ((key, value),) + items[end:]
+        return out
 
     def get(self, key, default=None):
         return self._d.get(key, default)
@@ -274,7 +286,7 @@ def _markers(dec: Optional[Decomposition]) -> list[S.MemoCtx]:
 
 
 def _validate(config: Configuration, dec: Optional[Decomposition]) -> None:
-    if set(config.closures.keys()) != config.graph.left:
+    if config.closures._d.keys() != config.graph.left:
         raise MalformedConfiguration("closure map must cover exactly the function labels")
     funs: list[int] = []
     atoms: list[int] = []

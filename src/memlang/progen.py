@@ -103,13 +103,31 @@ class ProgramGen:
             out.append(TC.FUN)
         return out
 
+    def _realizable(self, scope: _Scope, ty: TC.Ty) -> bool:
+        """Whether ``_val`` can build a value of ``ty`` in ``scope``.  Draws
+        nothing from the rng."""
+        if ty == TC.BOOL or self._of_type(scope, ty):
+            return True
+        return (
+            isinstance(ty, TC.ProdT)
+            and self._realizable(scope, ty.fst)
+            and self._realizable(scope, ty.snd)
+        )
+
     def _val(self, scope: _Scope, ty: TC.Ty) -> S.Val:
+        """A value of ``ty``.  A pair is built from its parts when the scope
+        can build both, and is a variable of the whole product type
+        otherwise; such a type came from the scope, so it has one."""
         if ty == TC.BOOL:
             names = self._of_type(scope, TC.BOOL)
             if names and self.rng.random() < 0.5:
                 return S.Var(self.rng.choice(names))
             return S.BoolLit(self.rng.random() < 0.5)
-        if isinstance(ty, TC.ProdT):
+        if (
+            isinstance(ty, TC.ProdT)
+            and self._realizable(scope, ty.fst)
+            and self._realizable(scope, ty.snd)
+        ):
             return S.PairVal(self._val(scope, ty.fst), self._val(scope, ty.snd))
         names = self._of_type(scope, ty)
         return S.Var(self.rng.choice(names))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -49,9 +50,10 @@ def test_missing_file_is_usage_error(capsys):
 
 @pytest.mark.parametrize("command", ["check", "denote", "enumerate", "run", "soundness"])
 def test_too_deep_nesting_is_usage_error(capsys, tmp_path, command):
-    # 1500 is past the parser's limit; 700 parses but is past every
-    # evaluator's limit
-    for depth in (1500,) if command == "check" else (1500, 700):
+    # 1500 is past the parser's limit; the deepest chain `check` accepts
+    # is past every other command's (enumerate and run now meet it in the
+    # parser, which they reach one frame deeper than `check` does)
+    for depth in (1500,) if command == "check" else (1500, NESTING_LIMITS["check"]):
         deep = tmp_path / "deep.mem"
         deep.write_text("".join(f"let val x{i} <- return true in " for i in range(depth)) + "return x0\n")
         code = cli.main([command, str(deep)])
@@ -72,7 +74,7 @@ def test_denote_and_soundness_accept_400_deep_nesting(capsys, tmp_path, command)
 
 
 # the deepest `let` chain each command accepts, as README documents it
-NESTING_LIMITS = {"check": 988, "enumerate": 493, "run": 493, "denote": 493, "soundness": 492}
+NESTING_LIMITS = {"check": 988, "enumerate": 987, "run": 987, "denote": 493, "soundness": 492}
 
 
 @pytest.mark.skipif(
@@ -187,6 +189,35 @@ def test_laws_commands(capsys):
     assert code == 0 and payload["failures"] == []
     code, payload = run_cli(capsys, "laws", "--monad", "--count", "2", "--seed", "2")
     assert code == 0 and payload["failures"] == []
+
+
+# law suite runs whose generator once asked for a pair it could not build
+LAWS_PINNED = {
+    "--dataflow --count 50 --seed 0": "f80f81e2526fcb1ba072205fc23c2d82dcfce68a3661dd113eae40bbe11dfff7",
+    "--monad --count 200 --seed 2": "ba7fa36193fa1cb57a2e397f1d57eb24a376abab89fde50df32608c67e7112a4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LAWS_PINNED))
+def test_laws_runs_every_generated_case(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MEMLANG_MAX_UNDEF", raising=False)
+    code = cli.main(["laws", *argv.split()])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["failures"] == []
+    assert hashlib.sha256(out.encode()).hexdigest() == LAWS_PINNED[argv]
+
+
+def test_a_law_suite_that_cannot_run_a_case_exits_3(capsys, monkeypatch):
+    def broken(count, seed):
+        raise IndexError("Cannot choose from an empty sequence")
+
+    monkeypatch.setattr(cli.G, "run_dataflow_suite", broken)
+    code = cli.main(["laws", "--dataflow", "--count", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "IndexError" in captured.err
 
 
 def test_json_flag_is_gone(capsys):

@@ -12,7 +12,7 @@ from memlang import denot as D
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang import typecheck as TC
-from memlang.dist import FinDist, ONE, ZERO, as_prob, dist_eq, weighted_mix
+from memlang.dist import FinDist, ONE, ZERO, as_prob, dist_eq, mixed, weighted_mix
 from memlang.progen import (
     ProgramGen,
     _mem_instance,
@@ -290,6 +290,45 @@ def test_transport_fresh_fun_fills_new_atom_with_recorded_bias():
 def test_den_comp_rejects_bad_bias_state(bias):
     with pytest.raises(ValueError):
         D.den_comp(S.parse_program("flip(1/2)"), one_fun_world(), O.EMPTY_MAP, bias)
+
+
+def test_a_checked_bias_state_is_still_compared_with_the_world():
+    # a state den_comp has checked once is not coerced again, but its keys
+    # are compared with every world it is used at
+    checked = D._bias_state(one_fun_world(), {0: 0.5})
+    assert checked == {0: HALF} and isinstance(checked[0], Fraction)
+    assert D._bias_state(one_fun_world(edge_to=True), checked) is checked
+    with pytest.raises(ValueError, match="exactly the functions"):
+        D._bias_state(EMPTY, checked)
+    with pytest.raises(ValueError, match="exactly the functions"):
+        D.den_comp(S.parse_program("flip(1/2)"), B.TotalBigraph([0, 1], [], {}), O.EMPTY_MAP, checked)
+    # den_comp's table keeps the state, so nobody may change it
+    with pytest.raises(TypeError):
+        checked[0] = ONE
+    with pytest.raises(TypeError):
+        checked.update({0: ONE})
+    assert checked == {0: HALF}
+
+
+def bind_dropping_carried_biases(graph, bias, dist, name, body, env, table=None):
+    """``bind`` with one fault: a class's body runs under the bias state it
+    was given, without the biases of the fresh functions the class carries."""
+    weighted = []
+    for cls, p in dist.items():
+        result = D.den_comp(body, D.class_world(cls), env.set(name, cls.value), bias, table)
+        carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
+        weighted += [(D._rebase(graph, cls2, carried), p * q) for cls2, q in result.items()]
+    return FinDist(weighted)
+
+
+def test_a_bind_that_drops_a_carried_bias_is_rejected(monkeypatch):
+    # the body runs at a world with f's function, under the program's
+    # checked (empty) state; `python -O` runs this test too (test_golden)
+    p = S.parse_program("let val f <- memfn x. flip(1/3) in let val a <- fresh() in f @ a")
+    assert bool_dist(D.den_program(p)) == {True: THIRD, False: Fraction(2, 3)}
+    monkeypatch.setattr(D, "bind", bind_dropping_carried_biases)
+    with pytest.raises(ValueError, match="exactly the functions"):
+        D.den_program(p)
 
 
 # -- primitive denotations -----------------------------------------------------
@@ -752,6 +791,53 @@ def test_check_soundness_splits_each_terminal_on_its_own_reads(monkeypatch):
     monkeypatch.setattr(D, "_observed", counted)
     assert D.check_soundness(p).equal
     assert len(calls) == 4 * 2**2
+
+
+def soundness_sums_per_terminal(program):
+    """check_soundness's rhs and bias_formula_rhs, with every terminal
+    denoted on its own."""
+    chain, single = [], []
+    for cfg, w in O.enumerate_bigstep(program).items():
+        chain_leaves, single_leaves = D._den_config(cfg, {})
+        chain.append((w, mixed(chain_leaves)))
+        single.append((w, mixed(single_leaves)))
+    return FinDist(mixed(chain)), FinDist(mixed(single))
+
+
+def counted_configs(monkeypatch) -> list:
+    """The configurations _den_config denotes from now on."""
+    configs = []
+    den_config = D._den_config
+
+    def counted(config, table):
+        configs.append(config)
+        return den_config(config, table)
+
+    monkeypatch.setattr(D, "_den_config", counted)
+    return configs
+
+
+@pytest.mark.parametrize(
+    "source, denoted",
+    [
+        # two terminals that differ only in b, which `return x` does not read
+        ("let val b <- flip(1/3) in let val x <- fresh() in return x", 1),
+        # two terminals whose closures capture different values of b
+        ("let val b <- flip(1/3) in let val f <- memfn x. return b in return f", 2),
+    ],
+    ids=["env_outside_the_term", "captured_value"],
+)
+def test_check_soundness_denotes_terminals_once_per_what_they_read(monkeypatch, source, denoted):
+    p = S.parse_program(source)
+    assert len(O.enumerate_bigstep(p)) == 2
+    rhs, bias_rhs = soundness_sums_per_terminal(p)
+    configs = counted_configs(monkeypatch)
+    report = D.check_soundness(p)
+    assert len(configs) == denoted
+    assert report.equal
+    # the same sums, in the same order
+    assert report.rhs == rhs and repr(report.rhs) == repr(rhs)
+    assert report.bias_formula_rhs == bias_rhs and repr(report.bias_formula_rhs) == repr(bias_rhs)
 
 
 def test_check_soundness_logs_bias_formula_divergence():

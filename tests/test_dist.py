@@ -38,6 +38,43 @@ def test_dirac_point_masses():
     assert mix.items() == [(7, HALF), (8, HALF)]
 
 
+class CountedHash:
+    """A value that counts the calls of its ``__hash__``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
+@pytest.mark.parametrize("value", [True, 7, ("a", "b"), None, CountedHash()])
+def test_dirac_is_the_general_point_mass(value):
+    point, general = dirac(value), FinDist([(value, 1)])
+    assert point == general and general == point
+    assert point != FinDist([(value, HALF), ("other", HALF)])
+    assert point.prob(value) == general.prob(value) == ONE
+    assert point.prob("other") == general.prob("other") == 0
+    assert point.support() == general.support() == {value}
+    assert value in point and "other" not in point
+    assert len(point) == len(general) == 1
+    assert list(point) == list(general) == [value]
+    assert point.items() == general.items() == [(value, ONE)]
+    assert repr(point) == repr(general)
+
+
+def test_dirac_hashes_its_value_only_for_a_lookup():
+    value = CountedHash()
+    point = dirac(value)
+    assert point.items() == [(value, ONE)]
+    assert len(point) == 1
+    assert [v for v in point] == [value]
+    assert value.calls == 0
+    assert point.prob(value) == ONE
+    assert value.calls > 0
+
+
 def test_weighted_mix_merges_and_checks_mass():
     d = weighted_mix([(HALF, dirac(True)), (HALF, dirac(False))])
     assert d.prob(True) == HALF and d.prob(False) == HALF

@@ -114,6 +114,21 @@ def test_soundness_dir_is_the_same_under_python_O():
         assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv], argv
 
 
+def test_bias_state_checks_survive_python_O():
+    # the bias-state checks are not asserts: a bind that drops a carried
+    # fresh bias is rejected under `python -O` too
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("MEMLANG_MAX_UNDEF", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_denot.py::test_a_bind_that_drops_a_carried_bias_is_rejected",
+         "tests/test_denot.py::test_a_checked_bias_state_is_still_compared_with_the_world"],
+        cwd=ROOT, env=env, capture_output=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stdout.decode()[-2000:]
+    assert b"2 passed" in proc.stdout
+
+
 def test_golden_set_covers_every_bundled_program():
     for path in (ROOT / "programs").rglob("*.mem"):
         assert f"soundness {path.relative_to(ROOT).as_posix()}" in GOLDEN, path

@@ -47,6 +47,22 @@ def test_relabel_keeps_unmapped_labels():
     assert O.relabel(O.BoolV(False), {}, {}) == O.BoolV(False)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.text("abc", max_size=3), st.integers(0, 3), max_size=6),
+    st.lists(st.tuples(st.text("abc", max_size=3), st.integers(0, 3)), max_size=6),
+)
+def test_frozen_map_set_equals_building_the_map_afresh(start, updates):
+    m, d = O.FrozenMap(start), dict(start)
+    for key, value in updates:
+        m = m.set(key, value)
+        d[key] = value
+        fresh = O.FrozenMap(d)
+        assert m.items() == fresh.items() and m.keys() == fresh.keys()
+        assert m == fresh and hash(m) == hash(fresh)
+        assert m[key] == value and len(m) == len(d)
+
+
 # -- eval_value ---------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from memlang import syntax as S
 from memlang import typecheck as TC
 from memlang.progen import (
     ProgramGen,
+    _scope_from,
     run_dataflow_suite,
     run_mem_law_suite,
     run_monad_suite,
@@ -84,3 +85,16 @@ def test_suite_results_are_reproducible():
     first = run_dataflow_suite(4, 11)
     second = run_dataflow_suite(4, 11)
     assert first.to_json() == second.to_json()
+
+
+def test_a_pair_whose_part_the_scope_cannot_build_is_a_variable():
+    # dataflow suite, seed 0, case 41: xl is an (atom * bool) pair and the
+    # scope has no atom-typed name to build one from
+    pair = TC.ProdT(TC.ATOM, TC.BOOL)
+    gen = ProgramGen(random.Random(0))
+    scope = _scope_from({"xl": pair, "xr": TC.BOOL})
+    assert gen._val(scope, pair) == S.Var("xl")
+    nested = TC.ProdT(pair, TC.BOOL)
+    assert gen._val(_scope_from({"xl": pair}), nested).fst == S.Var("xl")
+    # a pair the scope can build is built from its parts, as before
+    assert isinstance(gen._val(_scope_from({"a": TC.ATOM}), pair), S.PairVal)
