@@ -6,10 +6,14 @@ not-yet-sampled.  A ``TotalBigraph`` has no None entries: total graphs are
 the worlds of the compositional evaluator, while evaluation states carry
 partial graphs.  A total graph may also hold ``Pending`` edges: an
 independent coin the compositional evaluator has not drawn yet.  All
-values are immutable; updates return new graphs.  Each graph keeps its
-edges sorted for its hash, and ``edge_items`` hands out that tuple.
-``renumbered_slice`` cuts out the part of a memo-table an observation
-reaches and renumbers it in one pass.
+values are immutable; updates return new graphs.  Every graph derived
+from another goes through one of two methods: ``extended`` adds nodes and
+sets edges (the node additions, ``set_edge``, ``denot``'s class worlds
+and ``transport``), and ``completed`` fills each unsampled edge to give a
+world (``completions`` and ``denot``'s configuration phase).  The one
+other derivation, ``renumbered_slice``, cuts out the part of a memo-table
+an observation reaches and renumbers it in one pass.  Each graph keeps
+its edges sorted for its hash, and ``edge_items`` hands out that tuple.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .hashonce import HashOnce
 
@@ -116,28 +120,43 @@ class PartialBigraph(HashOnce):
     def _fresh_label(self, side: frozenset[int]) -> int:
         return max(side) + 1 if side else 0
 
+    def extended(
+        self,
+        funs: Iterable[int],
+        atoms: Iterable[int],
+        edges: Mapping[tuple[int, int], EdgeVal],
+        *,
+        partial: bool = False,
+    ) -> "PartialBigraph":
+        """This graph with the nodes ``funs`` and ``atoms`` added and
+        ``edges`` set: a ``PartialBigraph`` if ``partial``, else of this
+        graph's type.  ``edges`` must assign every pair that touches a new
+        node, and may overwrite pairs of this graph."""
+        merged = dict(self._edges)
+        merged.update(edges)
+        kind = PartialBigraph if partial else type(self)
+        return kind(self._left.union(funs), self._right.union(atoms), merged)
+
+    def completed(self, fill: Callable[[tuple[int, int]], bool | Pending]) -> "TotalBigraph":
+        """The world that takes ``fill(pair)`` for each unsampled edge of this
+        graph; a fill that leaves one unsampled raises ``ValueError``."""
+        edges = {pair: fill(pair) if v is None else v for pair, v in self._edges.items()}
+        return TotalBigraph(self._left, self._right, edges)
+
     def add_left_undef(self) -> tuple["PartialBigraph", int]:
         """New function node with a not-yet-sampled edge to every atom."""
         fun = self._fresh_label(self._left)
-        edges = dict(self._edges)
-        for atom in self._right:
-            edges[(fun, atom)] = None
-        return PartialBigraph(self._left | {fun}, self._right, edges), fun
+        return self.extended([fun], (), dict.fromkeys((fun, a) for a in self._right), partial=True), fun
 
     def add_right_undef(self) -> tuple["PartialBigraph", int]:
         """New atom node with a not-yet-sampled edge from every function."""
         atom = self._fresh_label(self._right)
-        edges = dict(self._edges)
-        for fun in self._left:
-            edges[(fun, atom)] = None
-        return PartialBigraph(self._left, self._right | {atom}, edges), atom
+        return self.extended((), [atom], dict.fromkeys((f, atom) for f in self._left), partial=True), atom
 
     def set_edge(self, fun: int, atom: int, value: bool) -> "PartialBigraph":
         if self._edges[(fun, atom)] is not None:
             raise EdgeAlreadyDefined(fun, atom)
-        edges = dict(self._edges)
-        edges[(fun, atom)] = bool(value)
-        return PartialBigraph(self._left, self._right, edges)
+        return self.extended((), (), {(fun, atom): bool(value)})
 
     def completions(self) -> list[tuple["TotalBigraph", dict[tuple[int, int], bool]]]:
         """All total extensions, in binary-counting order over the sorted
@@ -146,13 +165,8 @@ class PartialBigraph(HashOnce):
         ``membench/tracing.py`` wraps this method by name."""
         undef = sorted(self.undefined_pairs())
         check_undefined_budget(len(undef))
-        out = []
-        for bits in itertools.product((False, True), repeat=len(undef)):
-            assign = dict(zip(undef, bits))
-            edges = dict(self._edges)
-            edges.update(assign)
-            out.append((TotalBigraph(self._left, self._right, edges), assign))
-        return out
+        assigns = [dict(zip(undef, bits)) for bits in itertools.product((False, True), repeat=len(undef))]
+        return [(self.completed(assign.__getitem__), assign) for assign in assigns]
 
     def to_json(self) -> dict:
         names = {True: "true", False: "false", None: "undef"}
@@ -184,22 +198,16 @@ class TotalBigraph(PartialBigraph):
             raise ValueError("total bigraph cannot contain undefined edges")
 
     def add_left_defined(self, row: Mapping[int, bool | Pending]) -> tuple["TotalBigraph", int]:
-        if set(row) != set(self._right):
-            raise ValueError("row must assign every atom")
+        """New function node with its edge to each atom given by ``row``,
+        which must assign exactly the atoms."""
         fun = self._fresh_label(self._left)
-        edges = dict(self._edges)
-        for atom, v in row.items():
-            edges[(fun, atom)] = _defined(v)
-        return TotalBigraph(self._left | {fun}, self._right, edges), fun
+        return self.extended([fun], (), {(fun, a): _defined(v) for a, v in row.items()}), fun
 
     def add_right_defined(self, column: Mapping[int, bool | Pending]) -> tuple["TotalBigraph", int]:
-        if set(column) != set(self._left):
-            raise ValueError("column must assign every function")
+        """New atom node with its edge from each function given by
+        ``column``, which must assign exactly the functions."""
         atom = self._fresh_label(self._right)
-        edges = dict(self._edges)
-        for fun, v in column.items():
-            edges[(fun, atom)] = _defined(v)
-        return TotalBigraph(self._left, self._right | {atom}, edges), atom
+        return self.extended((), [atom], {(f, atom): _defined(v) for f, v in column.items()}), atom
 
 
 def empty() -> PartialBigraph:

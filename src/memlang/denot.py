@@ -71,9 +71,7 @@ so splits and witnesses are what a fresh evaluation gives.  The table is
 passed explicitly and lives for one top-level call: ``den_comp`` without
 one starts its own, as ``den_program`` does, and ``check_soundness``
 starts a second one for all of its terminals, so the two sides it
-compares never share one.  The table replaced a per-call cache of closure
-biases and chain-rule probabilities keyed on a configuration's closures
-and completed world.  ``check_soundness`` denotes once each group of
+compares never share one.  ``check_soundness`` denotes once each group of
 terminals that agree on all that a configuration's denotation reads: the
 term, the values of its free variables, the memo-table and the closures.
 """
@@ -255,14 +253,7 @@ def class_world(cls: CanonicalClass) -> B.TotalBigraph:
     as it is."""
     if cls.is_identity():
         return cls.base
-    edges = {pair: v for pair, v in cls.base.edge_items()}
-    for f, a, v in cls.ext_edges:
-        edges[(f, a)] = v
-    return B.TotalBigraph(
-        set(cls.base.left) | set(cls.fresh_funs),
-        set(cls.base.right) | set(cls.fresh_atoms),
-        edges,
-    )
+    return cls.base.extended(cls.fresh_funs, cls.fresh_atoms, {(f, a): v for f, a, v in cls.ext_edges})
 
 
 # ---------------------------------------------------------------------------
@@ -397,38 +388,30 @@ def transport(
     extension's new nodes are not determined by either side, so they are
     pending: a new function's edge to a fresh atom has the function's
     bias, and a fresh function's edge to a new atom the class's recorded
-    bias.  The target is a world: a target with an unsampled edge raises
-    ``ValueError`` when a class's world is built over it.
+    bias.  The target must be a world: one with an unsampled edge raises
+    ``ValueError``.
     """
     target = emb.target
     bias2 = _bias_state(target, bias2)
+    if target.undefined_pairs():
+        raise ValueError("transport's target must be a world: it has an unsampled edge")
     lmap, rmap = emb.lmap(), emb.rmap()
     new_funs = sorted(set(target.left) - set(lmap.values()))
     new_atoms = sorted(set(target.right) - set(rmap.values()))
-    next_f = max(list(target.left) + [-1]) + 1
-    next_a = max(list(target.right) + [-1]) + 1
     flattened: list[tuple[CanonicalClass, Fraction]] = []
     for cls, p in result.items():
         if cls.base != emb.source:
             raise ValueError("embedding source must be the result's world")
-        falias = {f: next_f + i for i, f in enumerate(cls.fresh_funs)}
-        aalias = {a: next_a + i for i, a in enumerate(cls.fresh_atoms)}
+        # temporary labels for the fresh nodes; canonicalize renumbers them
+        falias = dict(zip(cls.fresh_funs, B.smallest_free(len(cls.fresh_funs), target.left)))
+        aalias = dict(zip(cls.fresh_atoms, B.smallest_free(len(cls.fresh_atoms), target.right)))
         fbias = {falias[f]: b for f, b in zip(cls.fresh_funs, cls.fresh_biases)}
         fmap = {**lmap, **falias}
         amap = {**rmap, **aalias}
-        edges = dict(target.edge_items())
-        edges.update({(fmap[f], amap[a]): v for f, a, v in cls.ext_edges})
-        edges.update(
-            {(nf, aalias[a]): _edge(bias2[nf]) for nf in new_funs for a in cls.fresh_atoms}
-        )
-        edges.update(
-            {(falias[f], na): _edge(fbias[falias[f]]) for f in cls.fresh_funs for na in new_atoms}
-        )
-        world = B.TotalBigraph(
-            set(target.left) | set(falias.values()),
-            set(target.right) | set(aalias.values()),
-            edges,
-        )
+        edges = {(fmap[f], amap[a]): v for f, a, v in cls.ext_edges}
+        edges.update({(nf, aalias[a]): _edge(bias2[nf]) for nf in new_funs for a in cls.fresh_atoms})
+        edges.update({(f, na): _edge(b) for f, b in fbias.items() for na in new_atoms})
+        world = target.extended(falias.values(), aalias.values(), edges)
         flattened.append((canonicalize(target, world, O.relabel(cls.value, fmap, amap), fbias), p))
     return FinDist(flattened)
 
@@ -664,16 +647,6 @@ def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph, table: Table) 
     return biases
 
 
-def _completed(graph: B.PartialBigraph, assign: Mapping[tuple[int, int], bool], fill) -> B.TotalBigraph:
-    """``graph`` with each unsampled edge taken from ``assign`` if it is
-    there and ``fill(pair)`` otherwise."""
-    edges = {
-        pair: v if v is not None else assign[pair] if pair in assign else fill(pair)
-        for pair, v in graph.edge_items()
-    }
-    return B.TotalBigraph(graph.left, graph.right, edges)
-
-
 def _observed(result: FinDist[CanonicalClass], world: B.TotalBigraph, biases: BiasState) -> FinDist[CanonicalClass]:
     """A term's result moved onto ``world``, which differs from its base only
     on edges the term did not read, over the empty world, drawn."""
@@ -699,7 +672,7 @@ def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
     while todo:
         assign = todo.pop()
         B.check_undefined_budget(len(assign))
-        world = _completed(graph, assign, lambda pair: _UNASSIGNED)
+        world = graph.completed(lambda pair: assign.get(pair, _UNASSIGNED))
         try:
             biases = _closure_biases(closures, world, table)
             p = {}
@@ -721,8 +694,8 @@ def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
             continue
         # nothing at this leaf reads an unassigned edge, so the sum over its
         # two values is the coin ``expand`` draws where the edge survives
-        chain_world = _completed(graph, assign, lambda pair: _edge(p[pair]))
-        single_world = _completed(graph, assign, lambda pair: _edge(biases[pair[0]]))
+        chain_world = graph.completed(lambda pair: assign.get(pair, _edge(p[pair])))
+        single_world = graph.completed(lambda pair: assign.get(pair, _edge(biases[pair[0]])))
         chain_dist = _observed(result, chain_world, biases)
         single_dist = chain_dist if single_world == chain_world else _observed(result, single_world, biases)
         chain.append((chain_w, chain_dist.items()))

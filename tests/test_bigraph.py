@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memlang import bigraph as B
 
@@ -193,3 +196,131 @@ def test_json_form_sorted():
     g, f = g.add_left_undef()
     g = g.set_edge(f, a, True)
     assert g.to_json() == {"left": [0], "right": [0], "edges": [[0, 0, "true"]]}
+
+
+# -- extended and completed: every derived graph ------------------------------
+
+COIN = B.Pending(Fraction(1, 3))
+
+
+@st.composite
+def graphs(draw, total=False):
+    """A small graph whose edges are drawn from True, False, a pending coin
+    and, unless ``total``, None; a total one half the time otherwise."""
+    left = draw(st.sets(st.integers(0, 4), max_size=3))
+    right = draw(st.sets(st.integers(0, 4), max_size=3))
+    values = [True, False, COIN] if total else [True, False, COIN, None]
+    edges = {(f, a): draw(st.sampled_from(values)) for f in sorted(left) for a in sorted(right)}
+    if total or (None not in edges.values() and draw(st.booleans())):
+        return B.TotalBigraph(left, right, edges)
+    return B.PartialBigraph(left, right, edges)
+
+
+def _same(got, expected):
+    assert type(got) is type(expected)
+    assert got == expected and got.edge_items() == expected.edge_items()
+
+
+def _edges(g):
+    return dict(g.edge_items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.data())
+def test_undef_derivations_are_partial_whatever_the_receiver(g, data):
+    fun = max(g.left, default=-1) + 1
+    got, label = g.add_left_undef()
+    assert label == fun
+    _same(got, B.PartialBigraph(g.left | {fun}, g.right, {**_edges(g), **{(fun, a): None for a in g.right}}))
+    atom = max(g.right, default=-1) + 1
+    got, label = g.add_right_undef()
+    assert label == atom
+    _same(got, B.PartialBigraph(g.left, g.right | {atom}, {**_edges(g), **{(f, atom): None for f in g.left}}))
+    undef = sorted(g.undefined_pairs())
+    if undef:
+        pair = data.draw(st.sampled_from(undef))
+        value = data.draw(st.booleans())
+        _same(g.set_edge(*pair, value), B.PartialBigraph(g.left, g.right, {**_edges(g), pair: value}))
+    elif g.left and g.right:
+        with pytest.raises(B.EdgeAlreadyDefined):
+            g.set_edge(min(g.left), min(g.right), True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(total=True), st.data())
+def test_defined_derivations_are_total(g, data):
+    values = st.sampled_from([True, False, COIN])
+    row = {a: data.draw(values) for a in g.right}
+    fun = max(g.left, default=-1) + 1
+    got, label = g.add_left_defined(row)
+    assert label == fun
+    _same(got, B.TotalBigraph(g.left | {fun}, g.right, {**_edges(g), **{(fun, a): v for a, v in row.items()}}))
+    column = {f: data.draw(values) for f in g.left}
+    atom = max(g.right, default=-1) + 1
+    got, label = g.add_right_defined(column)
+    assert label == atom
+    _same(got, B.TotalBigraph(g.left, g.right | {atom}, {**_edges(g), **{(f, atom): v for f, v in column.items()}}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.data())
+def test_extended_sets_the_given_edges_over_the_graph(g, data):
+    funs = data.draw(st.sets(st.integers(5, 6), max_size=2))
+    atoms = data.draw(st.sets(st.integers(5, 6), max_size=2))
+    left, right = g.left | funs, g.right | atoms
+    new_pairs = [(f, a) for f in sorted(left) for a in sorted(right) if f in funs or a in atoms]
+    overlay = {pair: data.draw(st.sampled_from([True, False, COIN])) for pair in new_pairs}
+    for pair in sorted(_edges(g)):
+        if data.draw(st.booleans()):  # pairs of the graph itself may be set too
+            overlay[pair] = data.draw(st.booleans())
+    expected = {**_edges(g), **overlay}
+    _same(g.extended(funs, atoms, overlay), type(g)(left, right, expected))
+    _same(g.extended(funs, atoms, overlay, partial=True), B.PartialBigraph(left, right, expected))
+
+
+@pytest.mark.parametrize("receiver", [B.PartialBigraph, B.TotalBigraph])
+def test_extended_rejects_an_edge_map_that_misses_or_overshoots_the_new_pairs(receiver):
+    g = receiver([0], [0], {(0, 0): True})
+    with pytest.raises(ValueError):
+        g.extended([], [1], {})  # (0, 1) is missing
+    with pytest.raises(ValueError):
+        g.extended([], [1], {(0, 1): False, (1, 1): True})  # function 1 is not a node
+
+
+def test_defined_additions_reject_a_row_or_column_that_misses_or_overshoots():
+    g = B.TotalBigraph([0], [0], {(0, 0): True})
+    with pytest.raises(ValueError):
+        g.add_left_defined({})
+    with pytest.raises(ValueError):
+        g.add_right_defined({0: True, 1: False})
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.data())
+def test_completed_fills_each_unsampled_edge(g, data):
+    fills = {pair: data.draw(st.sampled_from([True, False, COIN])) for pair in g.undefined_pairs()}
+    got = g.completed(fills.__getitem__)
+    _same(got, B.TotalBigraph(g.left, g.right, {**_edges(g), **fills}))
+
+
+def test_completed_with_a_fill_that_leaves_an_edge_unsampled_raises():
+    g = B.PartialBigraph([0], [0, 1], {(0, 0): None, (0, 1): True})
+    with pytest.raises(ValueError):
+        g.completed(lambda pair: None)
+    # a graph with nothing unsampled never calls the fill
+    total = B.TotalBigraph([0], [0], {(0, 0): COIN})
+    _same(total.completed(lambda pair: None), total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+def test_completions_are_the_eager_product(g):
+    undef = sorted(g.undefined_pairs())
+    expected = []
+    for bits in itertools.product((False, True), repeat=len(undef)):
+        assign = dict(zip(undef, bits))
+        expected.append((B.TotalBigraph(g.left, g.right, {**_edges(g), **assign}), assign))
+    got = g.completions()
+    assert [assign for _, assign in got] == [assign for _, assign in expected]
+    for (world, _), (want, _) in zip(got, expected):
+        _same(world, want)

@@ -2,11 +2,13 @@
 
 ``cli.main`` on any source file returns 0, 1, 2, 3 or 64 and lets no
 exception escape.  Sources are drawn as small raw bytes, and as soup of the
-grammar's tokens mixed with short arbitrary text.
+grammar's tokens mixed with short arbitrary text.  Each law suite, at a
+drawn count and seed, exits 0 or 3 with its JSON report on stdout.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,3 +63,14 @@ def test_every_input_maps_to_a_documented_exit_code(source_path, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([*command, str(source_path)])
         assert code in EXIT_CODES, (command, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["--mem", "--dataflow", "--monad"]), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_every_law_suite_run_reports_json_with_a_documented_exit_code(suite, count, seed):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["laws", suite, "--count", str(count), "--seed", str(seed)])
+    assert code in (0, 3), (suite, count, seed)
+    assert json.loads(out.getvalue())["command"] == "laws"
+    assert "Traceback" not in err.getvalue()

@@ -6,9 +6,12 @@ named for it: bundled ones, or ones kept inline here.
 A ``step`` mutant wraps the real ``step`` and rebuilds the successor of the
 redex it changes through the public ``decompose`` and ``recompose``, so it
 does not depend on how ``step`` is written.  A denotational mutant replaces
-a primitive that ``den_comp`` calls; ``den_comp``'s table lives for one
-call, so it cannot hide the mutant behind a result computed before."""
+a function ``denot`` calls through its module (a primitive, ``bind`` or
+``expand``); ``den_comp``'s table lives for one call, so it cannot hide the
+mutant behind a result computed before."""
 
+import inspect
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +22,7 @@ from memlang import denot as D
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang.denot import check_soundness
-from memlang.dist import HALF, ONE, as_prob, dirac, dist_eq
+from memlang.dist import HALF, ONE, FinDist, as_prob, dirac, dist_eq
 
 SOUND = Path(__file__).resolve().parent.parent / "programs" / "sound"
 
@@ -113,6 +116,49 @@ def _half_fresh_bias(fresh_bias):
     return mutant
 
 
+def _half_wired_fresh(den_fresh):
+    """A new atom's edge from each function is pending with chance 1/2, not
+    with the function's bias."""
+
+    def mutant(graph, bias):
+        return den_fresh(graph, {f: HALF for f in graph.left})
+
+    return mutant
+
+
+# the two outcomes ``bind`` evaluates its body on again when the body reads
+# a pending edge its class owns
+_SPLIT = (
+    "todo.append((cls.drawn({read.pair: True}), p * chance, drawn + 1))\n"
+    "            todo.append((cls.drawn({read.pair: False}), p * (ONE - chance), drawn + 1))"
+)
+
+
+def _false_branch_only(bind):
+    """A let whose body reads a pending edge of its class keeps only the
+    False outcome, at the class's whole weight.  Built from ``bind``'s own
+    source with the split's two outcomes replaced by the one."""
+    source = inspect.getsource(bind)
+    assert source.count(_SPLIT) == 1, "bind's split is no longer written as this mutant expects"
+    namespace = dict(vars(D))
+    exec(source.replace(_SPLIT, "todo.append((cls.drawn({read.pair: False}), p, drawn + 1))"), namespace)
+    return namespace["bind"]
+
+
+def _complement_expand(expand):
+    """A pending edge that survives into a result is drawn true with the
+    complement of its chance."""
+
+    def mutant(dist):
+        flipped = [
+            (cls.drawn({pair: B.Pending(ONE - c) for pair, c in cls.pending().items()}), p)
+            for cls, p in dist.items()
+        ]
+        return expand(FinDist(flipped))
+
+    return mutant
+
+
 # programs kept inline rather than under ``programs/sound``, whose
 # ``soundness --dir`` output is pinned
 INLINE = {
@@ -155,6 +201,12 @@ DEN_KILLS = {
     _negated_drawn_edge: ("den_app", ["p1_third", "pair_mixed"]),
     _complement_fresh_bias: ("_fresh_bias", ["fresh_after_memfn"]),
     _half_fresh_bias: ("_fresh_bias", ["fresh_after_memfn"]),
+    _half_wired_fresh: ("den_fresh", ["fresh_after_memfn"]),
+    _false_branch_only: (
+        "bind",
+        ["diag_one_app", "diag_two_apps", "fresh_invariant_pos", "memo_pair", "p1_half", "p1_third",
+         "fresh_after_memfn"],
+    ),
 }
 
 
@@ -169,6 +221,24 @@ def test_soundness_check_kills_denotational_mutant(monkeypatch, mutate, name):
     attr = DEN_KILLS[mutate][0]
     monkeypatch.setattr(D, attr, mutate(getattr(D, attr)))
     assert not check_soundness(program).equal
+
+
+def test_exact_distribution_kills_complement_expand_mutant(monkeypatch):
+    # both sides of the soundness check, and the law suites, draw through
+    # expand, so none of them sees this mutant; a pinned result does
+    program = S.parse_program("let val a <- fresh() in let val f <- memfn x. flip(1/3) in return (f, a)")
+    pair = O.PairV(O.FunV(0), O.AtomV(0))
+    pinned = {
+        (pair, (Fraction(1, 3),), ((0, 0, True),)): Fraction(1, 3),
+        (pair, (Fraction(1, 3),), ((0, 0, False),)): Fraction(2, 3),
+    }
+
+    def denoted():
+        return {(c.value, c.fresh_biases, c.ext_edges): p for c, p in D.den_program(program).items()}
+
+    assert denoted() == pinned
+    monkeypatch.setattr(D, "expand", _complement_expand(D.expand))
+    assert denoted() != pinned
 
 
 def _forgetful_free_vars(free_vars):
