@@ -10,10 +10,14 @@ values are immutable; updates return new graphs.  Every graph derived
 from another goes through one of two methods: ``extended`` adds nodes and
 sets edges (the node additions, ``set_edge``, ``denot``'s class worlds
 and ``transport``), and ``completed`` fills each unsampled edge to give a
-world (``completions`` and ``denot``'s configuration phase).  The one
-other derivation, ``renumbered_slice``, cuts out the part of a memo-table
-an observation reaches and renumbers it in one pass.  Each graph keeps
-its edges sorted for its hash, and ``edge_items`` hands out that tuple.
+world (``completions`` and ``denot``'s configuration phase).  Both build
+on their receiver's already-checked edges and check only what they add:
+that the added pairs are exactly the new ones and, in a total graph, that
+none of them is unsampled.  Each copies the edge map once.  The one other
+derivation, ``renumbered_slice``, cuts out the part of a memo-table an
+observation reaches and renumbers it in one pass.  Each graph keeps its
+edges sorted for its hash, and ``edge_items`` hands out that tuple.  A
+graph's ``repr`` names its type, so a world shows as ``TotalBigraph``.
 """
 
 from __future__ import annotations
@@ -85,18 +89,20 @@ class PartialBigraph(HashOnce):
         right: Iterable[int] = (),
         edges: Mapping[tuple[int, int], EdgeVal] | None = None,
     ):
-        self._left = frozenset(left)
-        self._right = frozenset(right)
+        left, right = frozenset(left), frozenset(right)
         edges = dict(edges or {})
-        domain = {(f, a) for f in self._left for a in self._right}
+        domain = {(f, a) for f in left for a in right}
         if set(edges) != domain:
             raise ValueError("edge map must be defined on exactly left x right")
+        self._set(left, right, edges)
+
+    def _set(self, left: frozenset[int], right: frozenset[int], edges: dict) -> None:
+        """Take the given (already checked) nodes and edge map as this
+        graph's own."""
+        self._left = left
+        self._right = right
         self._edges = edges
-        self._key = (
-            tuple(sorted(self._left)),
-            tuple(sorted(self._right)),
-            tuple(sorted(edges.items())),
-        )
+        self._key = (tuple(sorted(left)), tuple(sorted(right)), tuple(sorted(edges.items())))
 
     @property
     def left(self) -> frozenset[int]:
@@ -131,17 +137,38 @@ class PartialBigraph(HashOnce):
         """This graph with the nodes ``funs`` and ``atoms`` added and
         ``edges`` set: a ``PartialBigraph`` if ``partial``, else of this
         graph's type.  ``edges`` must assign every pair that touches a new
-        node, and may overwrite pairs of this graph."""
+        node, and may overwrite pairs of this graph.  This graph's own pairs
+        are not checked again: only ``edges`` is, for pairs outside the
+        nodes, for a missing new pair (by the count of the merged map) and,
+        on a total graph, for an unsampled edge."""
+        left, right = self._left.union(funs), self._right.union(atoms)
+        kind = PartialBigraph if partial else type(self)
         merged = dict(self._edges)
         merged.update(edges)
-        kind = PartialBigraph if partial else type(self)
-        return kind(self._left.union(funs), self._right.union(atoms), merged)
+        for f, a in edges:
+            if f not in left or a not in right:
+                raise ValueError("edge map must be defined on exactly left x right")
+        if len(merged) != len(left) * len(right):
+            raise ValueError("edge map must be defined on exactly left x right")
+        if kind is TotalBigraph and any(v is None for v in edges.values()):
+            raise ValueError("total bigraph cannot contain undefined edges")
+        graph = kind.__new__(kind)
+        graph._set(left, right, merged)
+        return graph
 
     def completed(self, fill: Callable[[tuple[int, int]], bool | Pending]) -> "TotalBigraph":
         """The world that takes ``fill(pair)`` for each unsampled edge of this
-        graph; a fill that leaves one unsampled raises ``ValueError``."""
-        edges = {pair: fill(pair) if v is None else v for pair, v in self._edges.items()}
-        return TotalBigraph(self._left, self._right, edges)
+        graph; a fill that leaves one unsampled raises ``ValueError``.  Only
+        the filled edges are checked."""
+        edges = dict(self._edges)
+        for pair, v in self._edges.items():
+            if v is None:
+                edges[pair] = v = fill(pair)
+                if v is None:
+                    raise ValueError("total bigraph cannot contain undefined edges")
+        graph = TotalBigraph.__new__(TotalBigraph)
+        graph._set(self._left, self._right, edges)
+        return graph
 
     def add_left_undef(self) -> tuple["PartialBigraph", int]:
         """New function node with a not-yet-sampled edge to every atom."""
@@ -180,7 +207,7 @@ class PartialBigraph(HashOnce):
         return isinstance(other, PartialBigraph) and self._key == other._key
 
     def __repr__(self) -> str:
-        return f"PartialBigraph(left={sorted(self._left)}, right={sorted(self._right)}, edges={list(self.edge_items())})"
+        return f"{type(self).__name__}(left={sorted(self._left)}, right={sorted(self._right)}, edges={list(self.edge_items())})"
 
 
 def _defined(value) -> bool | Pending:

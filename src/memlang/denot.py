@@ -5,9 +5,9 @@ which assigns each of g's functions its chance of answering true on atoms
 that do not exist yet.  ``den_comp`` checks the bias state on every call:
 it must assign exactly g's functions.  The values are checked once: a
 state that passes is coerced to exact probabilities in [0, 1] and kept as
-a read-only ``_CheckedBias``, which later calls take as it is, while any
-other mapping (a caller's own, ``bind``'s extension by a class's fresh
-biases, ``_closure_biases``' result) is coerced in full.
+a read-only ``_CheckedBias``, which later calls take as it is, as they
+take ``_closure_biases``' result, while any other mapping (a caller's own,
+``bind``'s extension by a class's fresh biases) is coerced in full.
 
 The result is an exact distribution over canonical classes: a result value
 together with just the fresh structure it mentions.  Fresh nodes a value
@@ -29,7 +29,11 @@ object, whichever equal world the class was computed at, so the body's
 classes are already canonical over the base and are kept un-rebased; when
 such a class is the whole bound result, the body's result is ``bind``'s,
 by the monad's left unit law ``return x >>= f = f x`` (Moggi, "Notions of
-computation and monads", 1991).
+computation and monads", 1991).  A class ``canonicalize`` read from a
+world it neither cut down nor renumbered keeps that world in a slot, as a
+term keeps its size, and ``class_world`` hands it out: ``bind`` runs its
+body at the world ``den_fresh`` or ``den_mem`` built, not at a copy.  A
+copy made by ``drawn`` (``dataclasses.replace``) starts without it.
 
 Memoized functions are interpreted by a row of answers over the existing
 atoms (one probability per atom, obtained by running the body on that
@@ -56,7 +60,8 @@ of ``den_config`` and the law suites.
 A configuration's unsampled edges are split the same way: ``den_config``
 gives each a placeholder, splits one only when the closure biases, the
 chain-rule probabilities or the term read it, and leaves every other one
-to ``expand`` as a coin.
+to ``expand`` as a coin.  A leaf that read every unsampled edge is
+observed at the one world it was evaluated at.
 
 A result is a function of the world, the bias state, the term and the
 values of the term's free variables, so ``den_comp`` keeps the results it
@@ -71,9 +76,11 @@ so splits and witnesses are what a fresh evaluation gives.  The table is
 passed explicitly and lives for one top-level call: ``den_comp`` without
 one starts its own, as ``den_program`` does, and ``check_soundness``
 starts a second one for all of its terminals, so the two sides it
-compares never share one.  ``check_soundness`` denotes once each group of
-terminals that agree on all that a configuration's denotation reads: the
-term, the values of its free variables, the memo-table and the closures.
+compares never share one.  The same table keeps each configuration leaf's
+closure biases under (closures, world), derived once and checked once.
+``check_soundness`` denotes once each group of terminals that agree on
+all that a configuration's denotation reads: the term, the values of its
+free variables, the memo-table and the closures.
 """
 
 from __future__ import annotations
@@ -92,8 +99,9 @@ from .hashonce import HashOnce
 
 BiasState = Mapping[int, Fraction]
 K = TypeVar("K")
-# (term, world, values of the term's free variables) -> [(bias state, result)]
-Table = dict[tuple, list[tuple["_CheckedBias", "FinDist[CanonicalClass]"]]]
+# (term, world, values of the term's free variables) -> [(bias state, result)],
+# and (closures, world) -> the closure biases ``_closure_biases`` derived there
+Table = dict[tuple, Union[list[tuple["_CheckedBias", "FinDist[CanonicalClass]"]], "_CheckedBias"]]
 
 EMPTY_WORLD = B.empty_total()
 
@@ -155,8 +163,14 @@ def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> _CheckedBias:
 # Canonical classes
 
 
+class _KeepsWorld(HashOnce):
+    # the world ``canonicalize`` read a class from, when it is the one the
+    # class describes; see ``class_world``
+    __slots__ = ("_world",)
+
+
 @dataclass(frozen=True, slots=True)
-class CanonicalClass(HashOnce):
+class CanonicalClass(_KeepsWorld):
     base: B.TotalBigraph
     value: O.EnvValue
     fresh_funs: tuple[int, ...]
@@ -183,7 +197,8 @@ class CanonicalClass(HashOnce):
         return {(f, a): v.chance for f, a, v in self.ext_edges if isinstance(v, B.Pending)}
 
     def drawn(self, outcome: Mapping[tuple[int, int], bool]) -> "CanonicalClass":
-        """This class with the pending edges in ``outcome`` drawn."""
+        """This class with the pending edges in ``outcome`` drawn.  The copy
+        does not keep this class's world, whose edges it changes."""
         edges = tuple((f, a, outcome.get((f, a), v)) for f, a, v in self.ext_edges)
         return dataclasses.replace(self, ext_edges=edges)
 
@@ -214,6 +229,10 @@ def canonicalize(
     labels the base does not use, in first-occurrence order.  A value that
     mentions no fresh node lives at the identity extension of the base:
     its class holds the value as it is, with no fresh part.
+
+    ``world`` must agree with the base on the base's edges.  When no fresh
+    node is discarded or renumbered, ``world`` is the world the class
+    describes, and the class keeps it for ``class_world``.
     """
     if base is not world and not (base.left <= world.left and base.right <= world.right):
         raise ValueError("world does not extend the base graph")
@@ -224,8 +243,10 @@ def canonicalize(
     if not fresh_fun_order and not fresh_atom_order:
         # the identity extension: no relabelling, no edge leaves the base
         return CanonicalClass(base, value, (), (), (), ())
-    fmap = dict(zip(fresh_fun_order, B.smallest_free(len(fresh_fun_order), base.left)))
-    amap = dict(zip(fresh_atom_order, B.smallest_free(len(fresh_atom_order), base.right)))
+    new_funs = B.smallest_free(len(fresh_fun_order), base.left)
+    new_atoms = B.smallest_free(len(fresh_atom_order), base.right)
+    fmap = dict(zip(fresh_fun_order, new_funs))
+    amap = dict(zip(fresh_atom_order, new_atoms))
 
     # only the pairs that touch a fresh node: each fresh function with every
     # atom, and each base function with the fresh atoms
@@ -237,7 +258,7 @@ def canonicalize(
         if v is None:
             raise ValueError(f"world leaves edge ({f}, {a}) unsampled")
         edges.append((fmap.get(f, f), amap.get(a, a), v))
-    return CanonicalClass(
+    cls = CanonicalClass(
         base,
         O.relabel(value, fmap, amap),
         tuple(fmap.values()),
@@ -245,15 +266,32 @@ def canonicalize(
         tuple(amap.values()),
         tuple(sorted(edges)),
     )
+    if (
+        fresh_fun_order == new_funs
+        and fresh_atom_order == new_atoms
+        and len(world.left) == len(base.left) + len(new_funs)
+        and len(world.right) == len(base.right) + len(new_atoms)
+    ):
+        # nothing renumbered, nothing discarded
+        object.__setattr__(cls, "_world", world)
+    return cls
 
 
-def class_world(cls: CanonicalClass) -> B.TotalBigraph:
-    """Rebuild the total world a class describes: base plus fresh nodes.
-    A class with no fresh part describes its base world, which is returned
-    as it is."""
+def class_world(cls: CanonicalClass, base: B.TotalBigraph | None = None) -> B.TotalBigraph:
+    """The total world a class describes: its base plus its fresh nodes.
+    ``base``, when given, stands in for the class's own base; it must have
+    the same nodes and differ only on edges the class does not touch.  A
+    class with no fresh part describes its base world, which is returned as
+    it is, and a class ``canonicalize`` kept a world for returns that world
+    over its own base; any other world is rebuilt."""
+    if base is None or base is cls.base:
+        try:
+            return cls._world
+        except AttributeError:
+            base = cls.base
     if cls.is_identity():
-        return cls.base
-    return cls.base.extended(cls.fresh_funs, cls.fresh_atoms, {(f, a): v for f, a, v in cls.ext_edges})
+        return base
+    return base.extended(cls.fresh_funs, cls.fresh_atoms, {(f, a): v for f, a, v in cls.ext_edges})
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +343,16 @@ def unit(graph: B.TotalBigraph, value: O.EnvValue) -> FinDist[CanonicalClass]:
     return dirac(canonicalize(graph, graph, value, {}))
 
 
-def _rebase(base: B.TotalBigraph, cls: CanonicalClass, biases: BiasState) -> CanonicalClass:
-    """A class re-expressed over ``base``, a sub-world of its own base;
-    ``biases`` covers the functions its base adds to ``base``, and the
-    class's fresh biases are merged in."""
+def _rebase(
+    base: B.TotalBigraph, cls: CanonicalClass, biases: BiasState, at: B.TotalBigraph | None = None
+) -> CanonicalClass:
+    """A class re-expressed over ``base``, a sub-world of its own base, or
+    of ``at`` standing in for it (see ``class_world``); ``biases`` covers
+    the functions that base adds to ``base``, and the class's fresh biases
+    are merged in."""
     all_biases = dict(biases)
     all_biases.update(zip(cls.fresh_funs, cls.fresh_biases))
-    return canonicalize(base, class_world(cls), cls.value, all_biases)
+    return canonicalize(base, class_world(cls, at), cls.value, all_biases)
 
 
 def bind(
@@ -634,24 +675,30 @@ def mem_phi(
 # Configuration denotation and the checkers
 
 
-def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph, table: Table) -> dict[int, Fraction]:
-    """Bias of every function, derived from its closure at the world.
-    Computed in creation order; a body can only mention older functions,
-    and wirings to unmentioned ones marginalize out, so the 1/2 placeholder
-    for not-yet-computed entries cannot influence the result."""
+def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph, table: Table) -> _CheckedBias:
+    """Bias of every function, derived from its closure at the world, as a
+    checked bias state.  Computed in creation order; a body can only
+    mention older functions, and wirings to unmentioned ones marginalize
+    out, so the 1/2 placeholder for not-yet-computed entries cannot
+    influence the result.  ``table`` keeps each derivation that returns,
+    under (closures, world), as it keeps ``den_comp``'s results."""
+    key = (closures, world)
+    checked = table.get(key)
+    if checked is not None:
+        return checked
     biases: dict[int, Fraction] = {}
     for fun in sorted(world.left):
         closure = closures[fun]
-        lam = {f: biases.get(f, HALF) for f in world.left}
+        lam = _bias_state(world, {f: biases.get(f, HALF) for f in world.left})
         biases[fun] = _fresh_bias(world, closure.captured, closure.binder, closure.body, lam, table)
-    return biases
+    checked = table[key] = _bias_state(world, biases)
+    return checked
 
 
 def _observed(result: FinDist[CanonicalClass], world: B.TotalBigraph, biases: BiasState) -> FinDist[CanonicalClass]:
     """A term's result moved onto ``world``, which differs from its base only
     on edges the term did not read, over the empty world, drawn."""
-    moved = [(dataclasses.replace(cls, base=world), q) for cls, q in result.items()]
-    return expand(FinDist([(_rebase(EMPTY_WORLD, cls, biases), q) for cls, q in moved]))
+    return expand(FinDist([(_rebase(EMPTY_WORLD, cls, biases, world), q) for cls, q in result.items()]))
 
 
 # a weight and the weighted classes of one leaf, per leaf
@@ -692,10 +739,14 @@ def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
                 raise
             todo += [{**assign, read.pair: True}, {**assign, read.pair: False}]
             continue
-        # nothing at this leaf reads an unassigned edge, so the sum over its
-        # two values is the coin ``expand`` draws where the edge survives
-        chain_world = graph.completed(lambda pair: assign.get(pair, _edge(p[pair])))
-        single_world = graph.completed(lambda pair: assign.get(pair, _edge(biases[pair[0]])))
+        if len(assign) == len(undef):
+            # every unsampled edge was read: the leaf's world is the observed one
+            chain_world = single_world = world
+        else:
+            # nothing at this leaf reads an unassigned edge, so the sum over its
+            # two values is the coin ``expand`` draws where the edge survives
+            chain_world = graph.completed(lambda pair: assign.get(pair, _edge(p[pair])))
+            single_world = graph.completed(lambda pair: assign.get(pair, _edge(biases[pair[0]])))
         chain_dist = _observed(result, chain_world, biases)
         single_dist = chain_dist if single_world == chain_world else _observed(result, single_world, biases)
         chain.append((chain_w, chain_dist.items()))

@@ -10,6 +10,12 @@ term, and the memo markers whose body, hold the redex, outermost first.  A
 step rebuilds that spine around the rule's result and reads the pending
 memoizations off its markers.
 
+Every step checks its configuration, on what each part already keeps
+rather than by a walk: an environment keeps the labels its values mention
+(``FrozenMap.labels``, derived as the map is built), and the progress
+check compares the redex with what replaces it, since the spine around
+them is rebuilt unchanged.
+
 ``enumerate_bigstep`` unfolds ``step`` exhaustively with exact rational
 weights; ``run_sampled`` follows one trace of ``step`` with a seeded generator;
 ``observe`` quotients terminal configurations down to the data a caller can
@@ -83,15 +89,21 @@ _first = itemgetter(0)
 
 
 class FrozenMap(HashOnce):
-    """Small immutable map with deterministic ordering, usable as a dict key."""
+    """Small immutable map with deterministic ordering, usable as a dict key.
 
-    __slots__ = ("_d", "_key")
+    The map also keeps the labels its values mention (``labels``).  ``set``
+    derives them from this map's and the new value's, and walks every value
+    again only when the key was bound already, whose old value's labels may
+    go."""
+
+    __slots__ = ("_d", "_key", "_labels")
     _hash_key = attrgetter("_key")
 
     def __init__(self, items: Mapping | Iterable[tuple] = ()):
         d = dict(items)
         self._d = d
         self._key = tuple(sorted(d.items(), key=lambda kv: kv[0]))
+        self._labels = _labels_of(d.values())
 
     def set(self, key, value) -> "FrozenMap":
         """This map with ``key`` bound to ``value``; the pair goes into its
@@ -104,7 +116,23 @@ class FrozenMap(HashOnce):
         out = FrozenMap.__new__(FrozenMap)
         out._d = d
         out._key = items[:i] + ((key, value),) + items[end:]
+        funs, atoms = self._labels
+        if end > i:
+            out._labels = _labels_of(d.values())
+        elif type(value) is AtomV:
+            out._labels = (funs, atoms.union((value.label,)))
+        elif type(value) is FunV:
+            out._labels = (funs.union((value.label,)), atoms)
+        elif type(value) is PairV:
+            new_funs, new_atoms = value_labels(value)
+            out._labels = (funs.union(new_funs), atoms.union(new_atoms))
+        else:
+            out._labels = self._labels
         return out
+
+    def labels(self) -> tuple[frozenset[int], frozenset[int]]:
+        """(function labels, atom labels) the values mention."""
+        return self._labels
 
     def get(self, key, default=None):
         return self._d.get(key, default)
@@ -133,6 +161,14 @@ class FrozenMap(HashOnce):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in self._key)
         return "FrozenMap({" + inner + "})"
+
+
+def _labels_of(values: Iterable) -> tuple[frozenset[int], frozenset[int]]:
+    funs: list[int] = []
+    atoms: list[int] = []
+    for value in values:
+        value_labels(value, funs, atoms)
+    return frozenset(funs), frozenset(atoms)
 
 
 EMPTY_MAP = FrozenMap()
@@ -288,11 +324,8 @@ def _markers(dec: Optional[Decomposition]) -> list[S.MemoCtx]:
 def _validate(config: Configuration, dec: Optional[Decomposition]) -> None:
     if config.closures._d.keys() != config.graph.left:
         raise MalformedConfiguration("closure map must cover exactly the function labels")
-    funs: list[int] = []
-    atoms: list[int] = []
-    for _, value in config.env.items():
-        value_labels(value, funs, atoms)
-    if not config.graph.left.issuperset(funs) or not config.graph.right.issuperset(atoms):
+    funs, atoms = config.env.labels()
+    if not funs <= config.graph.left or not atoms <= config.graph.right:
         raise MalformedConfiguration("environment mentions labels outside the graph")
     for marker in _markers(dec):
         if marker.fun_label not in config.graph.left or marker.atom_label not in config.graph.right:
@@ -347,15 +380,16 @@ def _step_outcomes(config: Configuration, dec: Optional[Decomposition]) -> FinDi
         raise MalformedConfiguration("configuration is terminal")
     spine, redex = dec
     env, graph, closures = config.env, config.graph, config.closures
-    before = _term_size(config.term)
+    before = _term_size(redex)
 
     def out(term, new_env=env, new_graph=graph, new_closures=closures, shrinks=True):
-        successor = Configuration(new_env, recompose(spine, term), new_graph, new_closures)
         # progress: every rule shrinks the term except entering a pending
-        # memoization, which permanently claims one unsampled edge
-        if shrinks and _term_size(successor.term) >= before:
+        # memoization, which permanently claims one unsampled edge.  The
+        # spine is rebuilt unchanged around the replacement, so the term
+        # shrinks exactly when the replacement is smaller than the redex.
+        if shrinks and _term_size(term) >= before:
             raise MalformedConfiguration(f"step did not shrink {S.pretty(config.term)}")
-        return successor
+        return Configuration(new_env, recompose(spine, term), new_graph, new_closures)
 
     if isinstance(redex, S.Let):
         bound = redex.bound

@@ -1,11 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlang import bigraph as B
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_empty_graph():
@@ -324,3 +330,88 @@ def test_completions_are_the_eager_product(g):
     assert [assign for _, assign in got] == [assign for _, assign in expected]
     for (world, _), (want, _) in zip(got, expected):
         _same(world, want)
+
+
+def _built_or_rejected(build):
+    """The graph ``build`` returns, or ``ValueError`` if it raises one."""
+    try:
+        return build()
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_extended_rejects_exactly_what_the_constructor_rejects(g, data):
+    # the delta checks against the constructor's full ones, on an edge map
+    # that sets every new pair and then, maybe, leaves one out, adds a pair
+    # outside the nodes, does both (the pair count stays right) or sets one
+    # unsampled
+    funs = data.draw(st.sets(st.integers(5, 6), max_size=2))
+    atoms = data.draw(st.sets(st.integers(5, 6), max_size=2))
+    left, right = g.left | funs, g.right | atoms
+    new_pairs = [(f, a) for f in sorted(left) for a in sorted(right) if f in funs or a in atoms]
+    overlay = {pair: data.draw(st.sampled_from([True, False, COIN])) for pair in new_pairs}
+    overlay.update({pair: data.draw(st.booleans()) for pair in sorted(_edges(g)) if data.draw(st.booleans())})
+    defect = data.draw(st.sampled_from(["none", "missing", "outside", "swapped", "unsampled"]))
+    if defect in ("missing", "swapped") and new_pairs:
+        del overlay[data.draw(st.sampled_from(new_pairs))]
+    if defect in ("outside", "swapped"):
+        overlay[data.draw(st.sampled_from([(7, min(right, default=7)), (min(left, default=7), 7)]))] = True
+    if defect == "unsampled" and overlay:
+        overlay[data.draw(st.sampled_from(sorted(overlay)))] = None
+    partial = data.draw(st.booleans())
+    kind = B.PartialBigraph if partial else type(g)
+    expected = _built_or_rejected(lambda: kind(left, right, {**_edges(g), **overlay}))
+    got = _built_or_rejected(lambda: g.extended(funs, atoms, overlay, partial=partial))
+    if expected is ValueError:
+        assert got is ValueError
+    else:
+        _same(got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.data())
+def test_completed_rejects_exactly_what_the_constructor_rejects(g, data):
+    fills = {pair: data.draw(st.sampled_from([True, False, COIN, None])) for pair in g.undefined_pairs()}
+    expected = _built_or_rejected(lambda: B.TotalBigraph(g.left, g.right, {**_edges(g), **fills}))
+    got = _built_or_rejected(lambda: g.completed(fills.__getitem__))
+    if expected is ValueError:
+        assert got is ValueError
+    else:
+        _same(got, expected)
+
+
+def test_the_rejection_checks_survive_python_O():
+    # the delta checks are not asserts: under `python -O` they reject the
+    # same derivations, and a step still rejects an environment whose
+    # labels lie outside the graph
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("MEMLANG_MAX_UNDEF", None)
+    tests = [
+        "tests/test_bigraph.py::test_extended_rejects_exactly_what_the_constructor_rejects",
+        "tests/test_bigraph.py::test_completed_rejects_exactly_what_the_constructor_rejects",
+        "tests/test_bigraph.py::test_extended_rejects_an_edge_map_that_misses_or_overshoots_the_new_pairs",
+        "tests/test_bigraph.py::test_completed_with_a_fill_that_leaves_an_edge_unsampled_raises",
+        "tests/test_opsem.py::test_step_rejects_an_environment_naming_a_label_outside_the_graph",
+        "tests/test_opsem.py::test_step_rejects_a_restored_environment_naming_a_label_outside_the_graph",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, capture_output=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stdout.decode()[-2000:]
+    assert b"11 passed" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "graph, name",
+    [
+        (B.PartialBigraph([0], [0], {(0, 0): None}), "PartialBigraph"),
+        (B.TotalBigraph([0], [0], {(0, 0): COIN}), "TotalBigraph"),
+        (B.PartialBigraph([0], [0], {(0, 0): None}).completed(lambda pair: True), "TotalBigraph"),
+        (B.TotalBigraph([0], [0], {(0, 0): True}).add_left_undef()[0], "PartialBigraph"),
+    ],
+)
+def test_repr_names_the_graph_type(graph, name):
+    assert repr(graph) == f"{name}(left={sorted(graph.left)}, right={sorted(graph.right)}, edges={list(graph.edge_items())})"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -184,9 +185,10 @@ def test_identity_extension_equals_the_general_construction(monkeypatch):
         left_unit.append(len(dist) == 1 and D.class_world(dist.items()[0][0]) is graph)
         return result
 
-    def recording_rebase(base, cls, biases):
-        rebased.append((base, cls, dict(biases)))
-        return rebase(base, cls, biases)
+    def recording_rebase(base, cls, biases, at=None):
+        # a class re-expressed from ``at`` is recorded as the class moved there
+        rebased.append((base, cls if at is None else dataclasses.replace(cls, base=at), dict(biases)))
+        return rebase(base, cls, biases, at)
 
     monkeypatch.setattr(D, "bind", recording_bind)
     monkeypatch.setattr(D, "_rebase", recording_rebase)
@@ -861,6 +863,93 @@ def test_check_dataflow_examples():
 def test_check_dataflow_rejects_bad_preconditions():
     with pytest.raises(ValueError):
         D.check_dataflow(S.Return(S.Var("x2")), S.Fresh(), S.Return(S.BoolLit(True)), "x1", "x2")
+
+
+# -- kept worlds and closure biases ----------------------------------------------
+
+
+def test_every_kept_world_is_the_world_its_class_describes(monkeypatch):
+    # over every bundled program and criterion 6's corpus: a class keeps a
+    # world only where rebuilding it gives an equal total graph, and a
+    # drawn copy never carries its source's world
+    kept, drawn = [], []
+    canonicalize, drawn_copy = D.canonicalize, D.CanonicalClass.drawn
+
+    def recording_canonicalize(*args):
+        cls = canonicalize(*args)
+        if hasattr(cls, "_world"):
+            kept.append(cls)
+        return cls
+
+    def recording_drawn(cls, outcome):
+        copy = drawn_copy(cls, outcome)
+        drawn.append((cls, copy))
+        return copy
+
+    monkeypatch.setattr(D, "canonicalize", recording_canonicalize)
+    monkeypatch.setattr(D.CanonicalClass, "drawn", recording_drawn)
+    programs = [S.parse_program(p.read_text()) for p in sorted(PROGRAMS.rglob("*.mem"))]
+    for program in programs + soundness_corpus(200, 20243):
+        try:
+            D.check_soundness(program)
+        except D.FreshnessViolation:
+            pass  # the worlds kept before the violation are checked too
+    assert len(kept) > 500 and len(drawn) > 10
+    for cls in kept:
+        world = D.class_world(cls)
+        assert world is cls._world and type(world) is B.TotalBigraph
+        rebuilt = cls.base.extended(cls.fresh_funs, cls.fresh_atoms, {(f, a): v for f, a, v in cls.ext_edges})
+        assert world == rebuilt and world.edge_items() == rebuilt.edge_items()
+    assert any(hasattr(source, "_world") for source, _ in drawn)
+    for source, copy in drawn:
+        assert not hasattr(copy, "_world")
+        assert D.class_world(copy) == rebuilt_world(copy)
+
+
+def test_a_drawn_class_describes_its_drawn_world():
+    g = B.TotalBigraph([], [0], {})
+    ((cls, _),) = D.den_comp(S.parse_program("memfn x. flip(1/3)"), g, O.EMPTY_MAP, {}).items()
+    assert cls.pending() == {(0, 0): THIRD} and D.class_world(cls).edge(0, 0) == B.Pending(THIRD)
+    for outcome in (True, False):
+        copy = cls.drawn({(0, 0): outcome})
+        assert not hasattr(copy, "_world")
+        assert D.class_world(copy).edge(0, 0) is outcome
+
+
+def test_closure_biases_are_derived_once_per_closures_and_world(monkeypatch):
+    program = S.parse_program(
+        "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
+        "let val g <- memfn y. f @ a in return (f, g)"
+    )
+    ((config, _),) = O.enumerate_bigstep(program).items()
+    world = config.graph.completed(lambda pair: False)
+    derived = []
+    fresh_bias = D._fresh_bias
+    monkeypatch.setattr(D, "_fresh_bias", lambda *args: derived.append(args) or fresh_bias(*args))
+    table = {}
+    first = D._closure_biases(config.closures, world, table)
+    assert len(derived) == 2 and type(first) is D._CheckedBias
+    assert first == {0: THIRD, 1: ZERO}
+    assert D._closure_biases(config.closures, world, table) is first and len(derived) == 2
+    # an equal world built afresh finds the same entry; another table does not
+    again = config.graph.completed(lambda pair: False)
+    assert D._closure_biases(config.closures, again, table) is first and len(derived) == 2
+    assert D._closure_biases(config.closures, world, {}) == first and len(derived) == 4
+
+
+def test_a_closure_bias_derivation_that_reads_an_unassigned_edge_keeps_nothing():
+    # g's body reads f's unsampled edge to a: at the placeholder world the
+    # derivation raises, and the table keeps no entry for it
+    program = S.parse_program(
+        "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
+        "let val g <- memfn y. f @ a in return (f, g)"
+    )
+    ((config, _),) = O.enumerate_bigstep(program).items()
+    world = config.graph.completed(lambda pair: D._UNASSIGNED)
+    table = {}
+    with pytest.raises(D.EdgeRead):
+        D._closure_biases(config.closures, world, table)
+    assert (config.closures, world) not in table
 
 
 # -- structural invariants --------------------------------------------------------

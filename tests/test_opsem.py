@@ -63,6 +63,95 @@ def test_frozen_map_set_equals_building_the_map_afresh(start, updates):
         assert m[key] == value and len(m) == len(d)
 
 
+def _walked_labels(m: O.FrozenMap) -> tuple[frozenset, frozenset]:
+    funs, atoms = [], []
+    for _, value in m.items():
+        O.value_labels(value, funs, atoms)
+    return frozenset(funs), frozenset(atoms)
+
+
+_LEAVES = st.one_of(
+    st.builds(O.BoolV, st.booleans()),
+    st.builds(O.FunV, st.integers(0, 3)),
+    st.builds(O.AtomV, st.integers(0, 3)),
+)
+RUNTIME_VALUES = st.recursive(_LEAVES, lambda inner: st.builds(O.PairV, inner, inner), max_leaves=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from("abcd"), RUNTIME_VALUES, max_size=3),
+    st.lists(st.tuples(st.sampled_from("abcd"), RUNTIME_VALUES), max_size=8),
+)
+def test_kept_labels_equal_a_walk_of_the_values(start, updates):
+    # new keys and overwritten ones, with values that mention labels and
+    # values that do not
+    m = O.FrozenMap(start)
+    assert m.labels() == _walked_labels(m)
+    for key, value in updates:
+        m = m.set(key, value)
+        assert m.labels() == _walked_labels(m)
+
+
+@pytest.mark.parametrize("path", sorted((PROGRAMS / "sound").glob("*.mem")), ids=lambda p: p.stem)
+def test_every_reached_environment_keeps_the_labels_of_its_values(path):
+    # the running environment and every marker's restore environment, on
+    # each configuration the enumerator reaches
+    pending = [O.initial_configuration(load(f"sound/{path.name}"))]
+    while pending:
+        config = pending.pop()
+        envs = [config.env, *(m.restore_env for m in O._markers(O.decompose(config.term)))]
+        for env in envs:
+            assert env.labels() == _walked_labels(env)
+        if not O.is_terminal(config):
+            pending += [succ for succ, _ in O.step(config).items()]
+
+
+def _one_atom_config(env: O.FrozenMap) -> O.Configuration:
+    graph, _ = B.empty().add_right_undef()  # atom 0, no function
+    return O.Configuration(env, S.parse_program("flip(1/2)"), graph, O.EMPTY_MAP)
+
+
+INSIDE = O.EMPTY_MAP.set("x", O.AtomV(0))
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        INSIDE.set("y", O.AtomV(5)),  # a new key
+        INSIDE.set("x", O.AtomV(5)),  # an overwritten key
+        INSIDE.set("p", O.PairV(O.BoolV(True), O.FunV(0))),  # a label inside a pair
+        O.FrozenMap({"x": O.AtomV(0), "f": O.FunV(2)}),  # built at once
+    ],
+    ids=["new-key", "overwritten-key", "pair", "constructor"],
+)
+def test_step_rejects_an_environment_naming_a_label_outside_the_graph(env):
+    with pytest.raises(O.MalformedConfiguration, match="environment mentions labels outside the graph"):
+        O.step(_one_atom_config(env))
+    # an overwrite drops the old value's label, and a new key or a pair
+    # naming a label inside the graph steps
+    inside = O.FrozenMap({"x": O.AtomV(5)}).set("x", O.AtomV(0)).set("p", O.PairV(O.AtomV(0), O.BoolV(False)))
+    assert O.step(_one_atom_config(inside))
+
+
+@pytest.mark.parametrize("restored_atom, ok", [(0, True), (5, False)])
+def test_step_rejects_a_restored_environment_naming_a_label_outside_the_graph(restored_atom, ok):
+    graph, atom = B.empty().add_right_undef()
+    graph, fun = graph.add_left_undef()
+    closures = O.FrozenMap({fun: O.Closure("y", S.Flip(HALF), O.EMPTY_MAP)})
+    restore = O.EMPTY_MAP.set("z", O.AtomV(restored_atom))
+    marker = S.MemoCtx(S.Return(S.BoolLit(True)), fun, atom, restore)
+    term = S.Let("b", marker, S.Return(S.Var("b")))
+    cfg = O.Configuration(O.EMPTY_MAP.set("y", O.AtomV(atom)), term, graph, closures)
+    ((restored, _),) = O.step(cfg).items()
+    assert restored.env is restore
+    if ok:
+        assert O.step(restored)
+    else:
+        with pytest.raises(O.MalformedConfiguration, match="environment mentions labels outside the graph"):
+            O.step(restored)
+
+
 # -- eval_value ---------------------------------------------------------------
 
 
