@@ -138,17 +138,18 @@ class PartialBigraph(HashOnce):
         ``edges`` set: a ``PartialBigraph`` if ``partial``, else of this
         graph's type.  ``edges`` must assign every pair that touches a new
         node, and may overwrite pairs of this graph.  This graph's own pairs
-        are not checked again: only ``edges`` is, for pairs outside the
-        nodes, for a missing new pair (by the count of the merged map) and,
-        on a total graph, for an unsampled edge."""
+        are not checked again: only ``edges`` is, for keys that are not
+        pairs of the nodes, for a missing new pair (by the count of the
+        merged map) and, on a total graph, for an unsampled edge."""
         left, right = self._left.union(funs), self._right.union(atoms)
         kind = PartialBigraph if partial else type(self)
         merged = dict(self._edges)
         merged.update(edges)
-        for f, a in edges:
-            if f not in left or a not in right:
-                raise ValueError("edge map must be defined on exactly left x right")
-        if len(merged) != len(left) * len(right):
+        try:
+            outside = [(f, a) for f, a in edges if f not in left or a not in right]
+        except TypeError:  # a key that is not a pair
+            outside = [None]
+        if outside or len(merged) != len(left) * len(right):
             raise ValueError("edge map must be defined on exactly left x right")
         if kind is TotalBigraph and any(v is None for v in edges.values()):
             raise ValueError("total bigraph cannot contain undefined edges")

@@ -345,15 +345,17 @@ def _built_or_rejected(build):
 def test_extended_rejects_exactly_what_the_constructor_rejects(g, data):
     # the delta checks against the constructor's full ones, on an edge map
     # that sets every new pair and then, maybe, leaves one out, adds a pair
-    # outside the nodes, does both (the pair count stays right) or sets one
-    # unsampled
+    # outside the nodes, does both (the pair count stays right), adds a key
+    # that is not a pair, or sets one unsampled
     funs = data.draw(st.sets(st.integers(5, 6), max_size=2))
     atoms = data.draw(st.sets(st.integers(5, 6), max_size=2))
     left, right = g.left | funs, g.right | atoms
     new_pairs = [(f, a) for f in sorted(left) for a in sorted(right) if f in funs or a in atoms]
     overlay = {pair: data.draw(st.sampled_from([True, False, COIN])) for pair in new_pairs}
     overlay.update({pair: data.draw(st.booleans()) for pair in sorted(_edges(g)) if data.draw(st.booleans())})
-    defect = data.draw(st.sampled_from(["none", "missing", "outside", "swapped", "unsampled"]))
+    defect = data.draw(st.sampled_from(["none", "missing", "outside", "swapped", "not-a-pair", "unsampled"]))
+    if defect == "not-a-pair":
+        overlay[7] = True
     if defect in ("missing", "swapped") and new_pairs:
         del overlay[data.draw(st.sampled_from(new_pairs))]
     if defect in ("outside", "swapped"):
