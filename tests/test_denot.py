@@ -906,16 +906,6 @@ def test_every_kept_world_is_the_world_its_class_describes(monkeypatch):
         assert D.class_world(copy) == rebuilt_world(copy)
 
 
-def test_a_drawn_class_describes_its_drawn_world():
-    g = B.TotalBigraph([], [0], {})
-    ((cls, _),) = D.den_comp(S.parse_program("memfn x. flip(1/3)"), g, O.EMPTY_MAP, {}).items()
-    assert cls.pending() == {(0, 0): THIRD} and D.class_world(cls).edge(0, 0) == B.Pending(THIRD)
-    for outcome in (True, False):
-        copy = cls.drawn({(0, 0): outcome})
-        assert not hasattr(copy, "_world")
-        assert D.class_world(copy).edge(0, 0) is outcome
-
-
 def test_closure_biases_are_derived_once_per_closures_and_world(monkeypatch):
     program = S.parse_program(
         "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
