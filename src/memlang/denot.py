@@ -80,7 +80,15 @@ compares never share one.  The same table keeps each configuration leaf's
 closure biases under (closures, world), derived once and checked once.
 ``check_soundness`` denotes once each group of terminals that agree on
 all that a configuration's denotation reads: the term, the values of its
-free variables, the memo-table and the closures.
+free variables, the memo-table and, of each closure, the binder, the body
+and the captured values of the body's other free variables.
+
+A flip's result is an unmerged ``dist.two_point`` coin over its two
+boolean classes, hashed only when looked up.  Environments are plain
+dicts (``Env``), copied at each binding: the table keys on the values of
+a term's free variables, so nothing here reads an environment's hash,
+order or labels, which ``opsem.FrozenMap`` keeps for the operational
+side.
 """
 
 from __future__ import annotations
@@ -94,7 +102,7 @@ from typing import Iterator, Mapping, TypeVar, Union
 from . import bigraph as B
 from . import opsem as O
 from . import syntax as S
-from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, mixed
+from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, mixed, two_point
 from .hashonce import HashOnce
 
 BiasState = Mapping[int, Fraction]
@@ -145,6 +153,21 @@ class _CheckedBias(dict):
         raise TypeError("a checked bias state cannot be changed")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
+
+
+class Env(dict):
+    """An environment of ``den_comp``: a plain dict from names to values,
+    made for one call.  ``set`` copies it with one more binding, as
+    ``opsem.FrozenMap.set`` does, but nothing here needs an environment's
+    hash, order or labels: the table keys on the values of a term's free
+    variables."""
+
+    __slots__ = ()
+
+    def set(self, key: S.Ident, value: O.EnvValue) -> "Env":
+        out = Env(self)
+        out[key] = value
+        return out
 
 
 def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> _CheckedBias:
@@ -361,7 +384,7 @@ def bind(
     dist: FinDist[CanonicalClass],
     name: S.Ident,
     body: S.Comp,
-    env: O.FrozenMap,
+    env: Env,
     table: Table | None = None,
 ) -> FinDist[CanonicalClass]:
     """Sequence a result at (graph, bias) with ``body``, evaluated with
@@ -466,8 +489,9 @@ def _bool_class(graph: B.TotalBigraph, flag: bool) -> CanonicalClass:
 
 
 def den_flip(graph: B.TotalBigraph, theta) -> FinDist[CanonicalClass]:
-    theta = as_prob(theta)
-    return FinDist([(_bool_class(graph, True), theta), (_bool_class(graph, False), ONE - theta)])
+    """The coin with chance ``theta`` of true, as two classes that differ, so
+    nothing is merged."""
+    return two_point(_bool_class(graph, True), _bool_class(graph, False), as_prob(theta))
 
 
 def den_app(graph: B.TotalBigraph, fun: int, atom: int) -> FinDist[CanonicalClass]:
@@ -508,7 +532,7 @@ def clear_caches() -> None:
 
 def _fresh_bias(
     graph: B.TotalBigraph,
-    env: O.FrozenMap,
+    env: Env,
     binder: S.Ident,
     body: S.Comp,
     bias: BiasState,
@@ -555,7 +579,7 @@ def _fresh_bias(
 
 def den_mem(
     graph: B.TotalBigraph,
-    env: O.FrozenMap,
+    env: Env,
     binder: S.Ident,
     body: S.Comp,
     bias: BiasState,
@@ -577,17 +601,20 @@ def den_mem(
 def den_comp(
     comp: S.Comp,
     graph: B.TotalBigraph,
-    env: O.FrozenMap,
+    env: Mapping[S.Ident, O.EnvValue],
     bias: BiasState,
     table: Table | None = None,
 ) -> FinDist[CanonicalClass]:
     """Compositional interpretation of a well-typed computation whose free
     variables are covered by env over the given world, at a bias state
-    assigning a probability to each of the world's functions.
+    assigning a probability to each of the world's functions.  An ``env``
+    that is not an ``Env`` is copied into one.
 
     ``table`` holds the results already computed in the same top-level
     call (see the module docstring); a call without one starts its own."""
     bias = _bias_state(graph, bias)
+    if type(env) is not Env:
+        env = Env(env.items())
     if table is None:
         table = {}
     # a result depends on the environment only through the term's free
@@ -642,7 +669,7 @@ def den_program(program: S.Comp) -> FinDist[CanonicalClass]:
     """Denotation of a closed program at the empty world, with every edge
     it returns drawn."""
     B.check_undefined_budget(0)  # an invalid MEMLANG_MAX_UNDEF fails even where nothing expands
-    return expand(den_comp(program, EMPTY_WORLD, O.EMPTY_MAP, {}))
+    return expand(den_comp(program, EMPTY_WORLD, Env(), {}))
 
 
 def mem_phi(
@@ -690,7 +717,7 @@ def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph, table: Table) 
     for fun in sorted(world.left):
         closure = closures[fun]
         lam = _bias_state(world, {f: biases.get(f, HALF) for f in world.left})
-        biases[fun] = _fresh_bias(world, closure.captured, closure.binder, closure.body, lam, table)
+        biases[fun] = _fresh_bias(world, Env(closure.captured.items()), closure.binder, closure.body, lam, table)
     checked = table[key] = _bias_state(world, biases)
     return checked
 
@@ -725,7 +752,8 @@ def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
             p = {}
             for fun, atom in sorted(undef):
                 closure = closures[fun]
-                env = closure.captured.set(closure.binder, O.AtomV(atom))
+                env = Env(closure.captured.items())
+                env[closure.binder] = O.AtomV(atom)
                 p[(fun, atom)] = prob_true(den_comp(closure.body, world, env, biases, table))
             chain_w = single_w = ONE
             for (fun, atom), bit in assign.items():
@@ -784,6 +812,14 @@ class SoundnessReport:
     bias_formula_agrees: bool
 
 
+def _read_of(closure: O.Closure) -> tuple:
+    """What ``_den_config`` reads of a closure: its binder, its body and the
+    captured values of the body's free variables other than the binder,
+    which each call binds afresh."""
+    names = [name for name in S.free_var_names(closure.body) if name != closure.binder]
+    return closure.binder, closure.body, tuple(map(closure.captured.get, names))
+
+
 def check_soundness(program: S.Comp) -> SoundnessReport:
     """Compare the compositional denotation of a closed program with the
     weighted sum of its terminal configurations' denotations.  Each sum is
@@ -791,14 +827,17 @@ def check_soundness(program: S.Comp) -> SoundnessReport:
     terminal and the terminal weights are each checked to sum to 1.
 
     ``_den_config`` reads a terminal's term, the values of the term's free
-    variables, its graph and its closures, and nothing else.  Terminals
-    that agree on all four are denoted once, at their summed weight, in
-    the place of the first of them, so each sum keeps its order."""
+    variables, its graph and, of each closure, the binder, the body and
+    the captured values of the body's other free variables, and nothing
+    else.  Terminals that agree on all of these are denoted once, at their
+    summed weight, in the place of the first of them, so each sum keeps
+    its order."""
     lhs = den_program(program)
     terminals = O.enumerate_bigstep(program)
     groups: dict[tuple, list] = {}
     for cfg, w in terminals.items():
-        key = (cfg.term, tuple(map(cfg.env.get, S.free_var_names(cfg.term))), cfg.graph, cfg.closures)
+        closures = tuple((label, *_read_of(closure)) for label, closure in cfg.closures.items())
+        key = (cfg.term, tuple(map(cfg.env.get, S.free_var_names(cfg.term))), cfg.graph, closures)
         if key in groups:
             groups[key][1] += w
         else:

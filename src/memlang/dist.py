@@ -1,11 +1,12 @@
 """Exact finitely-supported probability distributions over hashable values.
 
 A distribution keeps its weights in a dict, so building one hashes every
-value in it.  A point mass from ``dirac`` keeps its one value instead and
-hashes it only when a lookup needs the dict: ``prob``, ``in``, ``==``,
-``support`` and ``repr``.  ``items()``, ``len()`` and iteration read the
-value as it is, so a point mass that is only unpacked, as a reduction step
-or a primitive's result mostly is, never hashes its value.
+value in it.  A point mass from ``dirac`` keeps its one value instead, and
+a coin from ``two_point`` its two distinct values and their weights; each
+hashes its values only when a lookup needs the dict: ``prob``, ``in``,
+``==``, ``support`` and ``repr``.  ``items()``, ``len()`` and iteration
+read the values as they are, so a reduction step or a primitive's result
+that is only unpacked, as it mostly is, never hashes its values.
 """
 
 from __future__ import annotations
@@ -127,6 +128,50 @@ def dirac(value: T) -> FinDist[T]:
     is stored without ``FinDist``'s merge and mass check, and the value is
     not hashed until a lookup needs it."""
     return _PointMass(value)
+
+
+class _TwoPoint(FinDist[T]):
+    """``two_point``'s coin: two distinct values with positive weights that
+    sum to 1, kept unmerged.  Like ``_PointMass``, it builds the weight
+    dict on each lookup."""
+
+    __slots__ = ("_first", "_second", "_p", "_q")
+
+    def __init__(self, first: T, p: Fraction, second: T, q: Fraction):
+        self._first, self._p, self._second, self._q = first, p, second, q
+
+    @property
+    def _weights(self) -> dict[T, Fraction]:  # type: ignore[override]
+        return {self._first: self._p, self._second: self._q}
+
+    def items(self) -> list[tuple[T, Fraction]]:
+        return [(self._first, self._p), (self._second, self._q)]
+
+    def __len__(self) -> int:
+        return 2
+
+    def __iter__(self) -> Iterator[T]:
+        return iter((self._first, self._second))
+
+
+def two_point(first: T, second: T, p) -> FinDist[T]:
+    """``first`` with weight ``p`` and ``second`` with 1 − p: the
+    distribution ``FinDist([(first, p), (second, 1 - p)])`` gives, for two
+    values that are not equal, which the caller guarantees.  A weight
+    outside [0, 1] raises the ``MassError`` that ``FinDist`` raises, and a
+    weight of 0 or 1 gives the point mass at the other value or at
+    ``first``.  The values are not hashed, merged or summed."""
+    p = p if isinstance(p, Fraction) else Fraction(p)
+    if p.numerator < 0:
+        raise MassError(f"negative weight {p} for {first!r}")
+    q = ONE - p
+    if q.numerator < 0:
+        raise MassError(f"negative weight {q} for {second!r}")
+    if not q:
+        return _PointMass(first)
+    if not p:
+        return _PointMass(second)
+    return _TwoPoint(first, p, second, q)
 
 
 def mixed(

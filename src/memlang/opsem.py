@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from . import bigraph as B
 from . import syntax as S
 from . import typecheck as TC
-from .dist import ONE, ZERO, FinDist, dirac, map_dist
+from .dist import ONE, ZERO, FinDist, dirac, map_dist, two_point
 from .hashonce import HashOnce
 
 _STEP_BUDGET = 1_000_000
@@ -434,12 +434,9 @@ def _step_outcomes(config: Configuration, dec: Optional[Decomposition]) -> FinDi
             raise MalformedConfiguration("equality compares atoms")
         return dirac(out(S.Return(S.BoolLit(lhs == rhs))))
     if isinstance(redex, S.Flip):
-        theta = Fraction(redex.bias)
-        return FinDist(
-            [
-                (out(S.Return(S.BoolLit(True))), theta),
-                (out(S.Return(S.BoolLit(False))), ONE - theta),
-            ]
+        # the two successors differ in their terms, so nothing is merged
+        return two_point(
+            out(S.Return(S.BoolLit(True))), out(S.Return(S.BoolLit(False))), Fraction(redex.bias)
         )
     if isinstance(redex, S.If):
         flag = _as_bool(eval_value(env, redex.cond), "if scrutinee")

@@ -386,8 +386,9 @@ def test_completed_rejects_exactly_what_the_constructor_rejects(g, data):
 
 def test_the_rejection_checks_survive_python_O():
     # the delta checks are not asserts: under `python -O` they reject the
-    # same derivations, and a step still rejects an environment whose
-    # labels lie outside the graph
+    # same derivations, a step still rejects an environment whose labels
+    # lie outside the graph, and a coin still rejects a weight outside
+    # [0, 1], in a flip step too
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("MEMLANG_MAX_UNDEF", None)
     tests = [
@@ -397,13 +398,15 @@ def test_the_rejection_checks_survive_python_O():
         "tests/test_bigraph.py::test_completed_with_a_fill_that_leaves_an_edge_unsampled_raises",
         "tests/test_opsem.py::test_step_rejects_an_environment_naming_a_label_outside_the_graph",
         "tests/test_opsem.py::test_step_rejects_a_restored_environment_naming_a_label_outside_the_graph",
+        "tests/test_dist.py::test_two_point_rejects_a_weight_outside_the_unit_interval_as_findist_does",
+        "tests/test_opsem.py::test_a_flip_step_rejects_a_bias_outside_the_unit_interval",
     ]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
         cwd=ROOT, env=env, capture_output=True, check=False,
     )
     assert proc.returncode == 0, proc.stdout.decode()[-2000:]
-    assert b"11 passed" in proc.stdout
+    assert b"18 passed" in proc.stdout
 
 
 @pytest.mark.parametrize(

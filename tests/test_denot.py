@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -769,6 +771,64 @@ def test_den_program_keeps_no_table_between_calls(monkeypatch):
     assert not dist_eq(D.den_program(p), before)
 
 
+def frozen_map_sets(monkeypatch) -> Counter:
+    """The FrozenMap.set calls from now on, by the calling module."""
+    callers = Counter()
+    set_ = O.FrozenMap.set
+
+    def counted(self, key, value):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return set_(self, key, value)
+
+    monkeypatch.setattr(O.FrozenMap, "set", counted)
+    return callers
+
+
+def test_denotations_set_no_frozen_map(monkeypatch):
+    # denot's environments are Envs; only the operational side's are
+    # FrozenMaps, and a closure's captured map is copied, not extended
+    callers = frozen_map_sets(monkeypatch)
+    for program in soundness_corpus(200, 20243):
+        D.check_soundness(program)
+    for n in range(1, 6):
+        D.den_program(family(n))
+    assert callers["memlang.opsem"] > 0
+    assert callers["memlang.denot"] == 0
+
+
+def test_env_set_copies():
+    env = D.Env({"a": O.AtomV(0)})
+    env2 = env.set("b", O.BoolV(True)).set("a", O.AtomV(1))
+    assert type(env2) is D.Env
+    assert env == {"a": O.AtomV(0)} and env2 == {"a": O.AtomV(1), "b": O.BoolV(True)}
+
+
+def outcome(run):
+    """The items of ``run``'s result, or the type and message of the
+    violation it raises."""
+    try:
+        return run().items()
+    except D.FreshnessViolation as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_den_comp_is_the_same_for_a_frozen_map_and_an_env(seed):
+    rng = random.Random(seed)
+    graph, types, env = _random_world(rng)
+    lam = {f: Fraction(rng.randint(0, 4), 4) for f in graph.left}
+    comp = ProgramGen(rng, 2, 1, 1, 4).program_over(types)
+    fn = ProgramGen(rng).gen_memfn(types)
+    assert isinstance(env, O.FrozenMap)
+    for run in (
+        lambda e: D.den_comp(comp, graph, e, lam),
+        lambda e: D.den_comp(fn, graph, e, lam),
+        lambda e: D.den_mem(graph, e, fn.binder, fn.body, lam),
+    ):
+        frozen, plain = outcome(lambda: run(env)), outcome(lambda: run(D.Env(env.items())))
+        assert frozen == plain and repr(frozen) == repr(plain)
+
+
 def test_check_soundness_splits_each_terminal_on_its_own_reads(monkeypatch):
     # four terminals share the memo-table and closures; each reads f at the
     # two atoms its flips chose, two of the four unsampled edges, so it has
@@ -820,24 +880,52 @@ def counted_configs(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize(
-    "source, denoted",
+    "source, terminals, denoted",
     [
         # two terminals that differ only in b, which `return x` does not read
-        ("let val b <- flip(1/3) in let val x <- fresh() in return x", 1),
+        ("let val b <- flip(1/3) in let val x <- fresh() in return x", 2, 1),
         # two terminals whose closures capture different values of b
-        ("let val b <- flip(1/3) in let val f <- memfn x. return b in return f", 2),
+        ("let val b <- flip(1/3) in let val f <- memfn x. return b in return f", 2, 2),
+        # two terminals whose closures capture different values of b, which
+        # the body does not read
+        ("let val b <- flip(1/3) in let val f <- memfn x. flip(1/2) in return f", 2, 1),
+        # four terminals; the body reads b and not c
+        ("let val b <- flip(1/3) in let val c <- flip(1/2) in "
+         "let val f <- memfn x. if b then flip(1/3) else flip(1/2) in return f", 4, 2),
+        # the binder's captured value is not read: each call binds it afresh
+        ("let val x <- flip(1/3) in let val f <- memfn x. let val y <- fresh() in x == y in "
+         "let val a <- fresh() in f @ a", 2, 1),
     ],
-    ids=["env_outside_the_term", "captured_value"],
+    ids=["env_outside_the_term", "captured_value", "unread_captured_value",
+         "read_and_unread_captured_values", "captured_binder"],
 )
-def test_check_soundness_denotes_terminals_once_per_what_they_read(monkeypatch, source, denoted):
+def test_check_soundness_denotes_terminals_once_per_what_they_read(monkeypatch, source, terminals, denoted):
     p = S.parse_program(source)
-    assert len(O.enumerate_bigstep(p)) == 2
+    assert len(O.enumerate_bigstep(p)) == terminals
     rhs, bias_rhs = soundness_sums_per_terminal(p)
     configs = counted_configs(monkeypatch)
     report = D.check_soundness(p)
     assert len(configs) == denoted
     assert report.equal
     # the same sums, in the same order
+    assert report.rhs == rhs and repr(report.rhs) == repr(rhs)
+    assert report.bias_formula_rhs == bias_rhs and repr(report.bias_formula_rhs) == repr(bias_rhs)
+
+
+def test_terminals_that_differ_only_in_an_unread_capture_are_denoted_once(monkeypatch):
+    # criterion 6's program 49: its four terminals differ in b1 and b2; both
+    # closures capture both, and their bodies read b2 alone
+    p = soundness_corpus(200, 20243)[49]
+    terminals = O.enumerate_bigstep(p).support()
+    assert len(terminals) == 4
+    assert len({(c.term, c.graph) for c in terminals}) == 1
+    assert {c.closures[0].captured["b1"] for c in terminals} == {O.BoolV(False), O.BoolV(True)}
+    rhs, bias_rhs = soundness_sums_per_terminal(p)
+    configs = counted_configs(monkeypatch)
+    report = D.check_soundness(p)
+    assert len(configs) == 2
+    assert {c.closures[0].captured["b2"] for c in configs} == {O.BoolV(False), O.BoolV(True)}
+    assert report.equal
     assert report.rhs == rhs and repr(report.rhs) == repr(rhs)
     assert report.bias_formula_rhs == bias_rhs and repr(report.bias_formula_rhs) == repr(bias_rhs)
 

@@ -12,6 +12,7 @@ from memlang.dist import (
     dirac,
     dist_eq,
     map_dist,
+    two_point,
     weighted_mix,
 )
 
@@ -73,6 +74,65 @@ def test_dirac_hashes_its_value_only_for_a_lookup():
     assert value.calls == 0
     assert point.prob(value) == ONE
     assert value.calls > 0
+
+
+def _built_or_raised(build):
+    try:
+        return build()
+    except Exception as exc:  # the exception is the result compared
+        return type(exc), str(exc)
+
+
+COINS = [
+    (True, False, HALF),
+    ("a", "b", THIRD),
+    (7, 8, Fraction(2, 3)),
+    (("a", 1), None, Fraction(1, 7)),
+]
+
+
+@pytest.mark.parametrize("first, second, p", COINS)
+def test_two_point_is_the_general_coin(first, second, p):
+    coin, general = two_point(first, second, p), FinDist([(first, p), (second, ONE - p)])
+    assert coin.items() == general.items() == [(first, p), (second, ONE - p)]
+    assert len(coin) == len(general) == 2
+    assert list(coin) == list(general) == [first, second]
+    for value in (first, second, "other"):
+        assert coin.prob(value) == general.prob(value)
+        assert (value in coin) == (value in general)
+    assert coin.support() == general.support() == {first, second}
+    assert coin == general and general == coin
+    assert coin != FinDist([(first, p), ("other", ONE - p)]) and coin != dirac(first)
+    assert repr(coin) == repr(general)
+
+
+@pytest.mark.parametrize("first, second, p", COINS)
+def test_two_point_at_a_bias_of_0_or_1_is_the_point_mass(first, second, p):
+    for bias, value in ((ONE, first), (Fraction(0), second), (1, first), (0, second)):
+        coin = two_point(first, second, bias)
+        general = FinDist([(first, bias), (second, ONE - bias)])
+        assert type(coin) is type(dirac(value))
+        assert coin == general == dirac(value)
+        assert coin.items() == general.items() == [(value, ONE)]
+        assert repr(coin) == repr(general)
+
+
+@pytest.mark.parametrize("p", [Fraction(-1, 2), Fraction(3, 2), Fraction(-1), 2, -1])
+def test_two_point_rejects_a_weight_outside_the_unit_interval_as_findist_does(p):
+    # not an assert: `python -O` runs this test too (test_bigraph)
+    coin = _built_or_raised(lambda: two_point("a", "b", p))
+    assert coin == _built_or_raised(lambda: FinDist([("a", p), ("b", ONE - Fraction(p))]))
+    assert coin[0] is MassError and "negative weight" in coin[1]
+
+
+def test_two_point_hashes_its_values_only_for_a_lookup():
+    first, second = CountedHash(), CountedHash()
+    coin = two_point(first, second, THIRD)
+    assert coin.items() == [(first, THIRD), (second, Fraction(2, 3))]
+    assert len(coin) == 2 and list(coin) == [first, second]
+    assert first.calls == second.calls == 0
+    assert coin.prob(second) == Fraction(2, 3)
+    assert first.calls > 0 and second.calls > 0
 
 
 def test_weighted_mix_merges_and_checks_mass():

@@ -11,7 +11,7 @@ from memlang import bigraph as B
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang import typecheck as TC
-from memlang.dist import ONE, dist_eq
+from memlang.dist import ONE, FinDist, MassError, dist_eq
 from memlang.progen import ProgramGen, mem_law_programs, _mem_instance
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -227,6 +227,35 @@ def test_step_flip_degenerate():
     assert len(out) == 1
     ((succ, w),) = out.items()
     assert w == ONE and S.pretty(succ.term) == "return true"
+
+
+@pytest.mark.parametrize("program", ["flip(1/3)", "let val b <- flip(3/4) in return (b, b)", "flip(0)", "flip(1)"])
+def test_a_flip_step_is_the_general_coin_and_hashes_no_successor(program):
+    cfg = O.initial_configuration(S.parse_program(program))
+    out = O.step(cfg)
+    assert not any(hasattr(succ, "_hash") for succ, _ in out.items())
+    # the same successors, weighted by the flip's bias and merged by FinDist
+    spine, flip = O.decompose(cfg.term)
+    theta = Fraction(flip.bias)
+    succ = {
+        flag: O.Configuration(cfg.env, O.recompose(spine, S.Return(S.BoolLit(flag))), cfg.graph, cfg.closures)
+        for flag in (True, False)
+    }
+    general = FinDist([(succ[True], theta), (succ[False], ONE - theta)])
+    assert out.items() == general.items() and out == general and repr(out) == repr(general)
+
+
+@pytest.mark.parametrize("bias", [Fraction(3, 2), Fraction(-1, 2)])
+def test_a_flip_step_rejects_a_bias_outside_the_unit_interval(bias):
+    # the error FinDist raises on the two weighted successors
+    cfg = O.initial_configuration(S.Flip(bias))
+    true_succ = O.Configuration(O.EMPTY_MAP, S.Return(S.BoolLit(True)), cfg.graph, O.EMPTY_MAP)
+    false_succ = O.Configuration(O.EMPTY_MAP, S.Return(S.BoolLit(False)), cfg.graph, O.EMPTY_MAP)
+    with pytest.raises(MassError) as expected:
+        FinDist([(true_succ, bias), (false_succ, ONE - bias)])
+    with pytest.raises(MassError) as got:
+        O.step(cfg)
+    assert str(got.value) == str(expected.value)
 
 
 def test_step_progress_check_survives_optimization(monkeypatch):
