@@ -216,9 +216,11 @@ def _defined(value) -> bool | Pending:
 
 
 class TotalBigraph(PartialBigraph):
-    """A memo-table with every edge sampled or pending."""
+    """A memo-table with every edge sampled or pending.  As a world of the
+    compositional evaluator it keeps, once ``denot`` has built them, its two
+    boolean classes."""
 
-    __slots__ = ()
+    __slots__ = ("_bool_classes",)
 
     def __init__(self, left=(), right=(), edges=None):
         super().__init__(left, right, edges)

@@ -83,8 +83,14 @@ all that a configuration's denotation reads: the term, the values of its
 free variables, the memo-table and, of each closure, the binder, the body
 and the captured values of the body's other free variables.
 
-A flip's result is an unmerged ``dist.two_point`` coin over its two
-boolean classes, hashed only when looked up.  Environments are plain
+Each world keeps its two boolean classes, built on its first boolean
+result and set once, and ``canonicalize`` hands them out for every boolean
+value over that base, so ``unit``, ``den_flip``, ``den_app``, ``den_eq``
+and the rebasing in ``bind`` and ``_observed`` share them and their hashes
+are taken once.  Every other class is built anew: a table of them per
+world would grow with every call.  A flip's result is an unmerged
+``dist.two_point`` coin over the world's two boolean classes, hashed only
+when looked up.  Environments are plain
 dicts (``Env``), copied at each binding: the table keys on the values of
 a term's free variables, so nothing here reads an environment's hash,
 order or labels, which ``opsem.FrozenMap`` keeps for the operational
@@ -239,6 +245,17 @@ class CanonicalClass(_KeepsWorld):
         }
 
 
+def _bool_classes(world: B.TotalBigraph) -> tuple[CanonicalClass, CanonicalClass]:
+    """The world's two boolean classes, indexed by the boolean: built on
+    first use and kept on the world, so every boolean result at the world
+    shares them and hashes each once."""
+    classes = getattr(world, "_bool_classes", None)
+    if classes is None:
+        classes = tuple(CanonicalClass(world, value, (), (), (), ()) for value in O.BOOLS)
+        world._bool_classes = classes
+    return classes
+
+
 def canonicalize(
     base: B.TotalBigraph,
     world: B.TotalBigraph,
@@ -259,6 +276,8 @@ def canonicalize(
     """
     if base is not world and not (base.left <= world.left and base.right <= world.right):
         raise ValueError("world does not extend the base graph")
+    if type(value) is O.BoolV:
+        return _bool_classes(base)[value.value]
 
     funs, atoms = O.value_labels(value)
     fresh_fun_order = [f for f in funs if f not in base.left]
@@ -308,10 +327,10 @@ def class_world(cls: CanonicalClass, base: B.TotalBigraph | None = None) -> B.To
     it is, and a class ``canonicalize`` kept a world for returns that world
     over its own base; any other world is rebuilt."""
     if base is None or base is cls.base:
-        try:
-            return cls._world
-        except AttributeError:
-            base = cls.base
+        world = getattr(cls, "_world", None)
+        if world is not None:
+            return world
+        base = cls.base
     if cls.is_identity():
         return base
     return base.extended(cls.fresh_funs, cls.fresh_atoms, {(f, a): v for f, a, v in cls.ext_edges})
@@ -484,25 +503,22 @@ def transport(
 # Denotations of the primitives
 
 
-def _bool_class(graph: B.TotalBigraph, flag: bool) -> CanonicalClass:
-    return canonicalize(graph, graph, O.BoolV(flag), {})
-
-
 def den_flip(graph: B.TotalBigraph, theta) -> FinDist[CanonicalClass]:
-    """The coin with chance ``theta`` of true, as two classes that differ, so
-    nothing is merged."""
-    return two_point(_bool_class(graph, True), _bool_class(graph, False), as_prob(theta))
+    """The coin with chance ``theta`` of true, as the world's two boolean
+    classes, which differ, so nothing is merged."""
+    false, true = _bool_classes(graph)
+    return two_point(true, false, as_prob(theta))
 
 
 def den_app(graph: B.TotalBigraph, fun: int, atom: int) -> FinDist[CanonicalClass]:
     edge = graph.edge(fun, atom)
     if isinstance(edge, B.Pending):
         raise EdgeRead((fun, atom))
-    return unit(graph, O.BoolV(edge))
+    return unit(graph, O.BOOLS[edge])
 
 
 def den_eq(graph: B.TotalBigraph, atom_a: int, atom_b: int) -> FinDist[CanonicalClass]:
-    return unit(graph, O.BoolV(atom_a == atom_b))
+    return unit(graph, O.BOOLS[atom_a == atom_b])
 
 
 def den_fresh(graph: B.TotalBigraph, bias: BiasState) -> FinDist[CanonicalClass]:

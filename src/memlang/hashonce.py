@@ -7,6 +7,18 @@ dataclass ``__hash__`` walks the whole structure on every call; a
 value built from already-hashed parts costs one level (the cached hash of
 hash-consing, after Filliâtre and Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006, without the sharing table).
+
+Sharing is kept only where it is bounded by construction, for the values
+both semantics compute most: booleans.  ``opsem`` holds the two boolean
+values and the two returned boolean literals a step puts in place of a
+redex, each in an immutable tuple built at import, and each world of
+``denot`` keeps its two boolean classes in a slot, built on its first
+boolean result and set once.  A table of every value built would grow
+with every call and outlive it, so there is none.
+
+A kept hash, like every other per-object cache (a term's size and free
+variables, a class's world), is read with a default, so a first read
+costs no raised and caught ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -23,7 +35,8 @@ class HashOnce:
     ``__eq__`` compares), or a class that sets ``_hash_key`` to a getter of
     what it hashes.  Equality is the subclass's own and stays structural.
     A copy made through the constructor (``dataclasses.replace``) starts
-    without a hash.
+    without a hash.  A hash is never None, so None in the slot's place
+    means it is not taken yet.
 
     The hash of the parts is taken in this method's own frame, so hashing a
     tree takes one Python frame per level, as a generated ``__hash__`` does.
@@ -43,10 +56,8 @@ class HashOnce:
             cls._hash_key = attrgetter(*fields)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        h = hash(self._hash_key(self))
-        object.__setattr__(self, "_hash", h)
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._hash_key(self))
+            object.__setattr__(self, "_hash", h)
         return h

@@ -16,6 +16,11 @@ rather than by a walk: an environment keeps the labels its values mention
 check compares the redex with what replaces it, since the spine around
 them is rebuilt unchanged.
 
+Booleans are shared: a literal evaluates to one of the two ``BOOLS``, and
+a rule that yields a boolean (a flip, an application on a defined edge, an
+equality, a memo return) puts one of the two ``RETURNED_BOOLS`` in place of
+its redex, so none of them is built or hashed again.
+
 ``enumerate_bigstep`` unfolds ``step`` exhaustively with exact rational
 weights; ``run_sampled`` follows one trace of ``step`` with a seeded generator;
 ``observe`` quotients terminal configurations down to the data a caller can
@@ -83,6 +88,11 @@ class PairV(HashOnce):
 
 
 EnvValue = Union[BoolV, FunV, AtomV, PairV]
+
+# the two boolean values, and the two returned boolean literals a step puts
+# in place of a redex, indexed by the boolean: built and hashed once
+BOOLS = (BoolV(False), BoolV(True))
+RETURNED_BOOLS = (S.Return(S.BoolLit(False)), S.Return(S.BoolLit(True)))
 
 
 _first = itemgetter(0)
@@ -195,7 +205,7 @@ def initial_configuration(program: S.Comp) -> Configuration:
 
 def eval_value(env: FrozenMap, v: S.Val) -> EnvValue:
     if isinstance(v, S.BoolLit):
-        return BoolV(v.value)
+        return BOOLS[v.value]
     if isinstance(v, S.Var):
         if v.name not in env:
             raise TC.UnboundVariable(v.name)
@@ -338,10 +348,9 @@ def _term_size(t: S.ExtTerm) -> int:
     # that a bare return weighs only its value and a flip weighs 2.  Kept
     # on the node: a step rebuilds only the spine above its redex.  A loop,
     # not a generator, so that a nested term costs one frame per level.
-    try:
-        return t._size
-    except AttributeError:
-        pass
+    n = getattr(t, "_size", None)
+    if n is not None:
+        return n
     if isinstance(t, S.Return):
         n = _val_size(t.value)
     elif isinstance(t, S.Flip):
@@ -412,7 +421,7 @@ def _step_outcomes(config: Configuration, dec: Optional[Decomposition]) -> FinDi
         flag = _as_bool(result, "memoized result")
         graph2 = graph.set_edge(redex.fun_label, redex.atom_label, flag)
         restored = redex.restore_env
-        return dirac(out(S.Return(S.BoolLit(flag)), restored, graph2))
+        return dirac(out(RETURNED_BOOLS[flag], restored, graph2))
     if isinstance(redex, S.App):
         fn = eval_value(env, redex.fn)
         arg = eval_value(env, redex.arg)
@@ -420,7 +429,7 @@ def _step_outcomes(config: Configuration, dec: Optional[Decomposition]) -> FinDi
             raise MalformedConfiguration("application needs a function and an atom")
         edge = graph.edge(fn.label, arg.label)
         if edge is not None:
-            return dirac(out(S.Return(S.BoolLit(edge))))
+            return dirac(out(RETURNED_BOOLS[edge]))
         closure = closures.get(fn.label)
         if closure is None:
             raise MalformedConfiguration(f"no closure for function label {fn.label}")
@@ -432,12 +441,10 @@ def _step_outcomes(config: Configuration, dec: Optional[Decomposition]) -> FinDi
         rhs = eval_value(env, redex.rhs)
         if not isinstance(lhs, AtomV) or not isinstance(rhs, AtomV):
             raise MalformedConfiguration("equality compares atoms")
-        return dirac(out(S.Return(S.BoolLit(lhs == rhs))))
+        return dirac(out(RETURNED_BOOLS[lhs == rhs]))
     if isinstance(redex, S.Flip):
         # the two successors differ in their terms, so nothing is merged
-        return two_point(
-            out(S.Return(S.BoolLit(True))), out(S.Return(S.BoolLit(False))), Fraction(redex.bias)
-        )
+        return two_point(out(RETURNED_BOOLS[True]), out(RETURNED_BOOLS[False]), Fraction(redex.bias))
     if isinstance(redex, S.If):
         flag = _as_bool(eval_value(env, redex.cond), "if scrutinee")
         return dirac(out(redex.then if flag else redex.orelse))

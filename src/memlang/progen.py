@@ -401,7 +401,7 @@ def _random_world(rng: random.Random):
         types[f"ga{a}"] = TC.ATOM
         values[f"ga{a}"] = O.AtomV(a)
     types["gb"] = TC.BOOL
-    values["gb"] = O.BoolV(rng.random() < 0.5)
+    values["gb"] = O.BOOLS[rng.random() < 0.5]
     return graph, types, O.FrozenMap(values)
 
 

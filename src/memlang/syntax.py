@@ -516,10 +516,9 @@ def free_var_names(c: Comp) -> tuple[Ident, ...]:
     """A computation's free variables, sorted.  Kept on the node: a term is
     walked once however often its subterms are asked.  A loop, not a
     generator, so that a nested term costs one frame per level."""
-    try:
-        return c._fv
-    except AttributeError:
-        pass
+    fv = getattr(c, "_fv", None)
+    if fv is not None:
+        return fv
     vals, scopes = _parts(c)
     names: set[Ident] = set()
     for v in vals:
