@@ -216,11 +216,10 @@ def _defined(value) -> bool | Pending:
 
 
 class TotalBigraph(PartialBigraph):
-    """A memo-table with every edge sampled or pending.  As a world of the
-    compositional evaluator it keeps, once ``denot`` has built them, its two
-    boolean classes."""
+    """A memo-table with every edge sampled or pending: a world of the
+    compositional evaluator.  It keeps nothing beyond its nodes and edges."""
 
-    __slots__ = ("_bool_classes",)
+    __slots__ = ()
 
     def __init__(self, left=(), right=(), edges=None):
         super().__init__(left, right, edges)

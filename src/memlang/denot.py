@@ -29,11 +29,9 @@ object, whichever equal world the class was computed at, so the body's
 classes are already canonical over the base and are kept un-rebased; when
 such a class is the whole bound result, the body's result is ``bind``'s,
 by the monad's left unit law ``return x >>= f = f x`` (Moggi, "Notions of
-computation and monads", 1991).  A class ``canonicalize`` read from a
-world it neither cut down nor renumbered keeps that world in a slot, as a
-term keeps its size, and ``class_world`` hands it out: ``bind`` runs its
-body at the world ``den_fresh`` or ``den_mem`` built, not at a copy.  A
-copy made by ``drawn`` (``dataclasses.replace``) starts without it.
+computation and monads", 1991).  A class is a named tuple of its six
+fields, equal only to a class with the same fields; it keeps nothing
+else, so any other world it describes is rebuilt by ``class_world``.
 
 Memoized functions are interpreted by a row of answers over the existing
 atoms (one probability per atom, obtained by running the body on that
@@ -83,14 +81,8 @@ all that a configuration's denotation reads: the term, the values of its
 free variables, the memo-table and, of each closure, the binder, the body
 and the captured values of the body's other free variables.
 
-Each world keeps its two boolean classes, built on its first boolean
-result and set once, and ``canonicalize`` hands them out for every boolean
-value over that base, so ``unit``, ``den_flip``, ``den_app``, ``den_eq``
-and the rebasing in ``bind`` and ``_observed`` share them and their hashes
-are taken once.  Every other class is built anew: a table of them per
-world would grow with every call.  A flip's result is an unmerged
-``dist.two_point`` coin over the world's two boolean classes, hashed only
-when looked up.  Environments are plain
+A flip's result is an unmerged ``dist.two_point`` coin over the world's
+two boolean classes, hashed only when looked up.  Environments are plain
 dicts (``Env``), copied at each binding: the table keys on the values of
 a term's free variables, so nothing here reads an environment's hash,
 order or labels, which ``opsem.FrozenMap`` keeps for the operational
@@ -99,17 +91,15 @@ side.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, TypeVar, Union
+from typing import Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from . import bigraph as B
 from . import opsem as O
 from . import syntax as S
 from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, mixed, two_point
-from .hashonce import HashOnce
 
 BiasState = Mapping[int, Fraction]
 K = TypeVar("K")
@@ -192,20 +182,22 @@ def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> _CheckedBias:
 # Canonical classes
 
 
-class _KeepsWorld(HashOnce):
-    # the world ``canonicalize`` read a class from, when it is the one the
-    # class describes; see ``class_world``
-    __slots__ = ("_world",)
-
-
-@dataclass(frozen=True, slots=True)
-class CanonicalClass(_KeepsWorld):
+class CanonicalClass(NamedTuple):
     base: B.TotalBigraph
     value: O.EnvValue
     fresh_funs: tuple[int, ...]
     fresh_biases: tuple[Fraction, ...]
     fresh_atoms: tuple[int, ...]
     ext_edges: tuple[tuple[int, int, B.EdgeVal], ...]
+
+    # a class equals only a class, never the plain tuple of its fields
+    def __eq__(self, other: object) -> bool:
+        return type(other) is CanonicalClass and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def bias_of(self, fun: int) -> Fraction:
         return self.fresh_biases[self.fresh_funs.index(fun)]
@@ -226,10 +218,9 @@ class CanonicalClass(_KeepsWorld):
         return {(f, a): v.chance for f, a, v in self.ext_edges if isinstance(v, B.Pending)}
 
     def drawn(self, outcome: Mapping[tuple[int, int], bool]) -> "CanonicalClass":
-        """This class with the pending edges in ``outcome`` drawn.  The copy
-        does not keep this class's world, whose edges it changes."""
+        """This class with the pending edges in ``outcome`` drawn."""
         edges = tuple((f, a, outcome.get((f, a), v)) for f, a, v in self.ext_edges)
-        return dataclasses.replace(self, ext_edges=edges)
+        return self._replace(ext_edges=edges)
 
     def to_json(self) -> dict:
         return {
@@ -243,17 +234,6 @@ class CanonicalClass(_KeepsWorld):
                 f"fun{f}": str(b) for f, b in zip(self.fresh_funs, self.fresh_biases)
             },
         }
-
-
-def _bool_classes(world: B.TotalBigraph) -> tuple[CanonicalClass, CanonicalClass]:
-    """The world's two boolean classes, indexed by the boolean: built on
-    first use and kept on the world, so every boolean result at the world
-    shares them and hashes each once."""
-    classes = getattr(world, "_bool_classes", None)
-    if classes is None:
-        classes = tuple(CanonicalClass(world, value, (), (), (), ()) for value in O.BOOLS)
-        world._bool_classes = classes
-    return classes
 
 
 def canonicalize(
@@ -270,15 +250,10 @@ def canonicalize(
     mentions no fresh node lives at the identity extension of the base:
     its class holds the value as it is, with no fresh part.
 
-    ``world`` must agree with the base on the base's edges.  When no fresh
-    node is discarded or renumbered, ``world`` is the world the class
-    describes, and the class keeps it for ``class_world``.
+    ``world`` must agree with the base on the base's edges.
     """
     if base is not world and not (base.left <= world.left and base.right <= world.right):
         raise ValueError("world does not extend the base graph")
-    if type(value) is O.BoolV:
-        return _bool_classes(base)[value.value]
-
     funs, atoms = O.value_labels(value)
     fresh_fun_order = [f for f in funs if f not in base.left]
     fresh_atom_order = [a for a in atoms if a not in base.right]
@@ -300,7 +275,7 @@ def canonicalize(
         if v is None:
             raise ValueError(f"world leaves edge ({f}, {a}) unsampled")
         edges.append((fmap.get(f, f), amap.get(a, a), v))
-    cls = CanonicalClass(
+    return CanonicalClass(
         base,
         O.relabel(value, fmap, amap),
         tuple(fmap.values()),
@@ -308,32 +283,15 @@ def canonicalize(
         tuple(amap.values()),
         tuple(sorted(edges)),
     )
-    if (
-        fresh_fun_order == new_funs
-        and fresh_atom_order == new_atoms
-        and len(world.left) == len(base.left) + len(new_funs)
-        and len(world.right) == len(base.right) + len(new_atoms)
-    ):
-        # nothing renumbered, nothing discarded
-        object.__setattr__(cls, "_world", world)
-    return cls
 
 
-def class_world(cls: CanonicalClass, base: B.TotalBigraph | None = None) -> B.TotalBigraph:
-    """The total world a class describes: its base plus its fresh nodes.
-    ``base``, when given, stands in for the class's own base; it must have
-    the same nodes and differ only on edges the class does not touch.  A
+def class_world(cls: CanonicalClass) -> B.TotalBigraph:
+    """The total world a class describes: its base plus its fresh nodes.  A
     class with no fresh part describes its base world, which is returned as
-    it is, and a class ``canonicalize`` kept a world for returns that world
-    over its own base; any other world is rebuilt."""
-    if base is None or base is cls.base:
-        world = getattr(cls, "_world", None)
-        if world is not None:
-            return world
-        base = cls.base
+    it is; any other world is rebuilt."""
     if cls.is_identity():
-        return base
-    return base.extended(cls.fresh_funs, cls.fresh_atoms, {(f, a): v for f, a, v in cls.ext_edges})
+        return cls.base
+    return cls.base.extended(cls.fresh_funs, cls.fresh_atoms, {(f, a): v for f, a, v in cls.ext_edges})
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +343,13 @@ def unit(graph: B.TotalBigraph, value: O.EnvValue) -> FinDist[CanonicalClass]:
     return dirac(canonicalize(graph, graph, value, {}))
 
 
-def _rebase(
-    base: B.TotalBigraph, cls: CanonicalClass, biases: BiasState, at: B.TotalBigraph | None = None
-) -> CanonicalClass:
-    """A class re-expressed over ``base``, a sub-world of its own base, or
-    of ``at`` standing in for it (see ``class_world``); ``biases`` covers
-    the functions that base adds to ``base``, and the class's fresh biases
-    are merged in."""
+def _rebase(base: B.TotalBigraph, cls: CanonicalClass, biases: BiasState) -> CanonicalClass:
+    """A class re-expressed over ``base``, a sub-world of its own base;
+    ``biases`` covers the functions that base adds to ``base``, and the
+    class's fresh biases are merged in."""
     all_biases = dict(biases)
     all_biases.update(zip(cls.fresh_funs, cls.fresh_biases))
-    return canonicalize(base, class_world(cls, at), cls.value, all_biases)
+    return canonicalize(base, class_world(cls), cls.value, all_biases)
 
 
 def bind(
@@ -504,9 +459,10 @@ def transport(
 
 
 def den_flip(graph: B.TotalBigraph, theta) -> FinDist[CanonicalClass]:
-    """The coin with chance ``theta`` of true, as the world's two boolean
+    """The coin with chance ``theta`` of true over the world's two boolean
     classes, which differ, so nothing is merged."""
-    false, true = _bool_classes(graph)
+    true = CanonicalClass(graph, O.BOOLS[True], (), (), (), ())
+    false = CanonicalClass(graph, O.BOOLS[False], (), (), (), ())
     return two_point(true, false, as_prob(theta))
 
 
@@ -740,8 +696,10 @@ def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph, table: Table) 
 
 def _observed(result: FinDist[CanonicalClass], world: B.TotalBigraph, biases: BiasState) -> FinDist[CanonicalClass]:
     """A term's result moved onto ``world``, which differs from its base only
-    on edges the term did not read, over the empty world, drawn."""
-    return expand(FinDist([(_rebase(EMPTY_WORLD, cls, biases, world), q) for cls, q in result.items()]))
+    on edges the term did not read, over the empty world, drawn.  A class
+    over ``world`` in place of its base is the same class, since it touches
+    none of those edges."""
+    return expand(FinDist([(_rebase(EMPTY_WORLD, cls._replace(base=world), biases), q) for cls, q in result.items()]))
 
 
 # a weight and the weighted classes of one leaf, per leaf

@@ -1,18 +1,21 @@
 """Exact finitely-supported probability distributions over hashable values.
 
-A distribution keeps its weights in a dict, so building one hashes every
-value in it.  A point mass from ``dirac`` keeps its one value instead, and
-a coin from ``two_point`` its two distinct values and their weights; each
-hashes its values only when a lookup needs the dict: ``prob``, ``in``,
-``==``, ``support`` and ``repr``.  ``items()``, ``len()`` and iteration
-read the values as they are, so a reduction step or a primitive's result
-that is only unpacked, as it mostly is, never hashes its values.
+A distribution keeps its (value, weight) pairs, and the dict of its
+weights that lookups read.  The general constructor merges duplicate
+values, so it builds that dict at once and hashes every value.  A point
+mass from ``dirac`` and a coin from ``two_point`` are built from pairs
+known to be distinct, so they skip the merge, and their dict is built on
+the first lookup: ``prob``, ``in``, ``==``, ``support`` and ``repr``.
+``items()``, ``len()`` and iteration read the pairs as they are, so a
+reduction step or a primitive's result that is only unpacked, as it
+mostly is, never hashes its values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from fractions import Fraction
+from operator import itemgetter
 from typing import Generic, TypeVar
 
 T = TypeVar("T", bound=Hashable)
@@ -51,9 +54,11 @@ class FinDist(Generic[T]):
 
     Zero weights are dropped and duplicate keys merged on construction, so
     two distributions are equal iff they have identical support and weights.
+    A distribution keeps its (value, weight) pairs and builds the dict of
+    its weights once, on the first lookup; the merge builds it at once.
     """
 
-    __slots__ = ("_weights",)
+    __slots__ = ("_pairs", "_dict")
 
     def __init__(self, weights: Mapping[T, Fraction] | Iterable[tuple[T, Fraction]]):
         pairs = weights.items() if isinstance(weights, Mapping) else weights
@@ -69,89 +74,56 @@ class FinDist(Generic[T]):
         total = _total(acc.values())
         if total.numerator != total.denominator:  # a lowest-terms 1 is 1/1
             raise MassError(f"total mass {total} != 1")
-        self._weights = acc
+        self._pairs = acc.items()
+        self._dict = acc
+
+    def _weights(self) -> dict[T, Fraction]:
+        if self._dict is None:
+            self._dict = dict(self._pairs)
+        return self._dict
 
     def items(self) -> list[tuple[T, Fraction]]:
-        return list(self._weights.items())
+        return list(self._pairs)
 
     def support(self) -> set[T]:
-        return set(self._weights)
+        return set(self._weights())
 
     def prob(self, value: T) -> Fraction:
-        return self._weights.get(value, ZERO)
+        return self._weights().get(value, ZERO)
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._pairs)
 
     def __iter__(self) -> Iterator[T]:
-        return iter(self._weights)
+        return map(itemgetter(0), self._pairs)
 
     def __contains__(self, value: T) -> bool:
-        return value in self._weights
+        return value in self._weights()
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinDist) and self._weights == other._weights
+        return isinstance(other, FinDist) and self._weights() == other._weights()
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v!r}: {w}" for v, w in self._weights.items())
+        inner = ", ".join(f"{v!r}: {w}" for v, w in self._weights().items())
         return "FinDist({" + inner + "})"
 
 
-class _PointMass(FinDist[T]):
-    """``dirac``'s point mass: its one value, with weight 1.  The weight dict
-    that ``FinDist``'s lookups read is built on each lookup; the methods
-    that only unpack the distribution do without it."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: T):
-        self._value = value
-
-    @property
-    def _weights(self) -> dict[T, Fraction]:  # type: ignore[override]
-        return {self._value: ONE}
-
-    def items(self) -> list[tuple[T, Fraction]]:
-        return [(self._value, ONE)]
-
-    def __len__(self) -> int:
-        return 1
-
-    def __iter__(self) -> Iterator[T]:
-        return iter((self._value,))
+def _unmerged(pairs: tuple[tuple[T, Fraction], ...]) -> FinDist[T]:
+    """A distribution of ``pairs``, distinct values with positive weights
+    that sum to 1, taken as they are: nothing is merged, summed or hashed."""
+    dist = object.__new__(FinDist)
+    dist._pairs = pairs
+    dist._dict = None
+    return dist
 
 
 def dirac(value: T) -> FinDist[T]:
     """Point mass at ``value``.  Its one weight is 1 by construction, so it
     is stored without ``FinDist``'s merge and mass check, and the value is
     not hashed until a lookup needs it."""
-    return _PointMass(value)
-
-
-class _TwoPoint(FinDist[T]):
-    """``two_point``'s coin: two distinct values with positive weights that
-    sum to 1, kept unmerged.  Like ``_PointMass``, it builds the weight
-    dict on each lookup."""
-
-    __slots__ = ("_first", "_second", "_p", "_q")
-
-    def __init__(self, first: T, p: Fraction, second: T, q: Fraction):
-        self._first, self._p, self._second, self._q = first, p, second, q
-
-    @property
-    def _weights(self) -> dict[T, Fraction]:  # type: ignore[override]
-        return {self._first: self._p, self._second: self._q}
-
-    def items(self) -> list[tuple[T, Fraction]]:
-        return [(self._first, self._p), (self._second, self._q)]
-
-    def __len__(self) -> int:
-        return 2
-
-    def __iter__(self) -> Iterator[T]:
-        return iter((self._first, self._second))
+    return _unmerged(((value, ONE),))
 
 
 def two_point(first: T, second: T, p) -> FinDist[T]:
@@ -168,10 +140,10 @@ def two_point(first: T, second: T, p) -> FinDist[T]:
     if q.numerator < 0:
         raise MassError(f"negative weight {q} for {second!r}")
     if not q:
-        return _PointMass(first)
+        return dirac(first)
     if not p:
-        return _PointMass(second)
-    return _TwoPoint(first, p, second, q)
+        return dirac(second)
+    return _unmerged(((first, p), (second, q)))
 
 
 def mixed(

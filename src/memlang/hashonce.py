@@ -6,19 +6,20 @@ dataclass ``__hash__`` walks the whole structure on every call; a
 ``HashOnce`` value walks it on the first call and keeps the result, so a
 value built from already-hashed parts costs one level (the cached hash of
 hash-consing, after Filliâtre and Conchon, "Type-safe modular
-hash-consing", ML Workshop 2006, without the sharing table).
+hash-consing", ML Workshop 2006, without the sharing table).  A canonical
+class of ``denot`` is a named tuple, not a ``HashOnce``: its hash is a
+tuple's, over a world and a value that keep theirs.
 
 Sharing is kept only where it is bounded by construction, for the values
-both semantics compute most: booleans.  ``opsem`` holds the two boolean
-values and the two returned boolean literals a step puts in place of a
-redex, each in an immutable tuple built at import, and each world of
-``denot`` keeps its two boolean classes in a slot, built on its first
-boolean result and set once.  A table of every value built would grow
-with every call and outlive it, so there is none.
+the operational semantics computes most: booleans.  ``opsem`` holds the
+two boolean values and the two returned boolean literals a step puts in
+place of a redex, each in an immutable tuple built at import.  A table
+of every value built would grow with every call and outlive it, so there
+is none.
 
 A kept hash, like every other per-object cache (a term's size and free
-variables, a class's world), is read with a default, so a first read
-costs no raised and caught ``AttributeError``.
+variables), is read with a default, so a first read costs no raised and
+caught ``AttributeError``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""The shared booleans: each boolean value, returned literal and per-world
-boolean class is built once, and no per-object cache is read by raising."""
+"""The shared booleans: each boolean value and returned literal is built
+once, no per-object cache is read by raising, and no world or class is
+left to the cyclic collector."""
 
+import gc
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from memlang import bigraph as B
@@ -78,53 +79,22 @@ def test_every_boolean_a_step_returns_is_a_shared_literal():
     assert rules == {"Flip", "App", "Eq", "MemoCtx"}
 
 
-def world_with_a_function() -> tuple[B.TotalBigraph, B.TotalBigraph]:
-    world = B.TotalBigraph([0], [0, 1], {(0, 0): True, (0, 1): False})
-    wider, _ = world.add_left_defined({0: False, 1: True})
-    return world, wider
-
-
-def test_a_world_shares_its_two_boolean_classes():
-    world, wider = world_with_a_function()
-    third = Fraction(1, 3)
-    true, false = [cls for cls, _ in D.den_flip(world, third).items()]
-    for flag, shared in ((False, false), (True, true)):
-        built = D.CanonicalClass(world, O.BoolV(flag), (), (), (), ())
-        assert shared == built and hash(shared) == hash(built)
-        assert shared.base is world and shared.value is O.BOOLS[flag]
-        atom = 0 if flag else 1
-        others = [
-            D.den_app(world, 0, atom).items()[0][0],
-            D.den_eq(world, 0, 0 if flag else 1).items()[0][0],
-            D.unit(world, O.BoolV(flag)).items()[0][0],
-            D.canonicalize(world, world, O.BoolV(flag), {}),
-            # a class read from a wider world and cut back to the base
-            D.canonicalize(world, wider, O.BoolV(flag), {1: third}),
-        ]
-        assert all(cls is shared for cls in others)
-    kept = world._bool_classes
-    assert len(kept) == 2 and kept[0] is false and kept[1] is true
-    # a wider world keeps its own pair
-    assert D.unit(wider, O.BOOLS[True]).items()[0][0] is not true
-
-
-def test_a_world_keeps_no_more_than_its_two_boolean_classes():
-    world, _ = world_with_a_function()
-    first = D._bool_classes(world)
-    for path in SOUND:
-        D.den_comp(load(path), world, {}, {0: Fraction(1, 2)})
-    assert D._bool_classes(world) is first and len(first) == 2
-    assert B.TotalBigraph.__slots__ == ("_bool_classes",)
-    assert not hasattr(world, "__dict__")
-
-
-def test_every_boolean_class_a_denotation_holds_is_its_worlds():
-    # den_comp's own results on the bundled sound programs, before expand
-    # copies the classes it draws
-    checked = 0
-    for path in SOUND:
-        for cls in D.den_comp(load(path), D.EMPTY_WORLD, {}, {}).support():
-            if isinstance(cls.value, O.BoolV):
-                assert cls is D._bool_classes(cls.base)[cls.value.value]
-                checked += 1
-    assert checked >= 4
+def test_a_checking_pass_leaves_no_world_or_class_to_the_cyclic_collector():
+    # a world keeps no class and a class keeps nothing but its fields, so a
+    # warm pass over criterion 6's corpus frees its worlds and classes by
+    # reference counting; DEBUG_SAVEALL keeps whatever the collector finds
+    corpus = soundness_corpus(200, 20243)
+    for program in corpus:
+        D.check_soundness(program)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        for program in corpus:
+            D.check_soundness(program)
+        gc.collect()
+        found = [obj for obj in gc.garbage if isinstance(obj, (B.TotalBigraph, D.CanonicalClass))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert len(found) == 0
