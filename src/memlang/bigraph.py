@@ -243,10 +243,6 @@ def empty() -> PartialBigraph:
     return PartialBigraph()
 
 
-def empty_total() -> TotalBigraph:
-    return TotalBigraph()
-
-
 @dataclass(frozen=True)
 class Embedding:
     """Injective, edge-preserving map between graphs.

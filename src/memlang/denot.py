@@ -74,19 +74,18 @@ so splits and witnesses are what a fresh evaluation gives.  The table is
 passed explicitly and lives for one top-level call: ``den_comp`` without
 one starts its own, as ``den_program`` does, and ``check_soundness``
 starts a second one for all of its terminals, so the two sides it
-compares never share one.  The same table keeps each configuration leaf's
-closure biases under (closures, world), derived once and checked once.
+compares never share one.  The table holds nothing but these results.
 ``check_soundness`` denotes once each group of terminals that agree on
 all that a configuration's denotation reads: the term, the values of its
 free variables, the memo-table and, of each closure, the binder, the body
 and the captured values of the body's other free variables.
 
 A flip's result is an unmerged ``dist.two_point`` coin over the world's
-two boolean classes, hashed only when looked up.  Environments are plain
-dicts (``Env``), copied at each binding: the table keys on the values of
-a term's free variables, so nothing here reads an environment's hash,
-order or labels, which ``opsem.FrozenMap`` keeps for the operational
-side.
+two boolean classes, hashed only when looked up.  An environment is any
+mapping from names to values, a configuration's ``opsem.FrozenMap`` as it
+is, and each binding copies it into a plain dict (``{**env, name:
+value}``): the table keys on the values of a term's free variables, so
+nothing here reads an environment's hash, order or labels.
 """
 
 from __future__ import annotations
@@ -103,11 +102,10 @@ from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, mixed, two_
 
 BiasState = Mapping[int, Fraction]
 K = TypeVar("K")
-# (term, world, values of the term's free variables) -> [(bias state, result)],
-# and (closures, world) -> the closure biases ``_closure_biases`` derived there
-Table = dict[tuple, Union[list[tuple["_CheckedBias", "FinDist[CanonicalClass]"]], "_CheckedBias"]]
+# (term, world, values of the term's free variables) -> [(bias state, result)]
+Table = dict[tuple, list[tuple["_CheckedBias", "FinDist[CanonicalClass]"]]]
 
-EMPTY_WORLD = B.empty_total()
+EMPTY_WORLD = B.TotalBigraph()
 
 
 class NonCollapsedClass(Exception):
@@ -149,21 +147,6 @@ class _CheckedBias(dict):
         raise TypeError("a checked bias state cannot be changed")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
-
-
-class Env(dict):
-    """An environment of ``den_comp``: a plain dict from names to values,
-    made for one call.  ``set`` copies it with one more binding, as
-    ``opsem.FrozenMap.set`` does, but nothing here needs an environment's
-    hash, order or labels: the table keys on the values of a term's free
-    variables."""
-
-    __slots__ = ()
-
-    def set(self, key: S.Ident, value: O.EnvValue) -> "Env":
-        out = Env(self)
-        out[key] = value
-        return out
 
 
 def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> _CheckedBias:
@@ -358,7 +341,7 @@ def bind(
     dist: FinDist[CanonicalClass],
     name: S.Ident,
     body: S.Comp,
-    env: Env,
+    env: Mapping[S.Ident, O.EnvValue],
     table: Table | None = None,
 ) -> FinDist[CanonicalClass]:
     """Sequence a result at (graph, bias) with ``body``, evaluated with
@@ -394,7 +377,7 @@ def bind(
         carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
         lam = bias if identity else {**bias, **carried}
         try:
-            result = den_comp(body, world, env.set(name, cls.value), lam, table)
+            result = den_comp(body, world, {**env, name: cls.value}, lam, table)
         except EdgeRead as read:
             chance = cls.pending().get(read.pair)
             if chance is None:
@@ -504,7 +487,7 @@ def clear_caches() -> None:
 
 def _fresh_bias(
     graph: B.TotalBigraph,
-    env: Env,
+    env: Mapping[S.Ident, O.EnvValue],
     binder: S.Ident,
     body: S.Comp,
     bias: BiasState,
@@ -529,7 +512,7 @@ def _fresh_bias(
         B.check_undefined_budget(len(assign))
         world, atom = graph.add_right_defined({f: assign.get(f, _UNASSIGNED) for f in funs})
         try:
-            q = prob_true(den_comp(body, world, env.set(binder, O.AtomV(atom)), bias, table))
+            q = prob_true(den_comp(body, world, {**env, binder: O.AtomV(atom)}, bias, table))
         except EdgeRead as read:
             fun, read_atom = read.pair
             if read_atom != atom:
@@ -551,7 +534,7 @@ def _fresh_bias(
 
 def den_mem(
     graph: B.TotalBigraph,
-    env: Env,
+    env: Mapping[S.Ident, O.EnvValue],
     binder: S.Ident,
     body: S.Comp,
     bias: BiasState,
@@ -562,7 +545,7 @@ def den_mem(
     body's (wiring-independent) probability on a new atom."""
     bias = _bias_state(graph, bias)
     row = {
-        a: _edge(prob_true(den_comp(body, graph, env.set(binder, O.AtomV(a)), bias, table)))
+        a: _edge(prob_true(den_comp(body, graph, {**env, binder: O.AtomV(a)}, bias, table)))
         for a in sorted(graph.right)
     }
     new_bias = _fresh_bias(graph, env, binder, body, bias, table)
@@ -579,14 +562,11 @@ def den_comp(
 ) -> FinDist[CanonicalClass]:
     """Compositional interpretation of a well-typed computation whose free
     variables are covered by env over the given world, at a bias state
-    assigning a probability to each of the world's functions.  An ``env``
-    that is not an ``Env`` is copied into one.
+    assigning a probability to each of the world's functions.
 
     ``table`` holds the results already computed in the same top-level
     call (see the module docstring); a call without one starts its own."""
     bias = _bias_state(graph, bias)
-    if type(env) is not Env:
-        env = Env(env.items())
     if table is None:
         table = {}
     # a result depends on the environment only through the term's free
@@ -609,7 +589,7 @@ def den_comp(
         subject = O.eval_value(env, comp.subject)
         if not isinstance(subject, O.PairV):
             raise O.MalformedConfiguration("match scrutinee must be a pair")
-        env2 = env.set(comp.fst_name, subject.fst).set(comp.snd_name, subject.snd)
+        env2 = {**env, comp.fst_name: subject.fst, comp.snd_name: subject.snd}
         result = den_comp(comp.body, graph, env2, bias, table)
     elif isinstance(comp, S.Flip):
         result = den_flip(graph, comp.bias)
@@ -641,7 +621,7 @@ def den_program(program: S.Comp) -> FinDist[CanonicalClass]:
     """Denotation of a closed program at the empty world, with every edge
     it returns drawn."""
     B.check_undefined_budget(0)  # an invalid MEMLANG_MAX_UNDEF fails even where nothing expands
-    return expand(den_comp(program, EMPTY_WORLD, Env(), {}))
+    return expand(den_comp(program, EMPTY_WORLD, {}, {}))
 
 
 def mem_phi(
@@ -679,19 +659,13 @@ def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph, table: Table) 
     checked bias state.  Computed in creation order; a body can only
     mention older functions, and wirings to unmentioned ones marginalize
     out, so the 1/2 placeholder for not-yet-computed entries cannot
-    influence the result.  ``table`` keeps each derivation that returns,
-    under (closures, world), as it keeps ``den_comp``'s results."""
-    key = (closures, world)
-    checked = table.get(key)
-    if checked is not None:
-        return checked
+    influence the result."""
     biases: dict[int, Fraction] = {}
     for fun in sorted(world.left):
         closure = closures[fun]
         lam = _bias_state(world, {f: biases.get(f, HALF) for f in world.left})
-        biases[fun] = _fresh_bias(world, Env(closure.captured.items()), closure.binder, closure.body, lam, table)
-    checked = table[key] = _bias_state(world, biases)
-    return checked
+        biases[fun] = _fresh_bias(world, closure.captured, closure.binder, closure.body, lam, table)
+    return _bias_state(world, biases)
 
 
 def _observed(result: FinDist[CanonicalClass], world: B.TotalBigraph, biases: BiasState) -> FinDist[CanonicalClass]:
@@ -726,8 +700,7 @@ def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
             p = {}
             for fun, atom in sorted(undef):
                 closure = closures[fun]
-                env = Env(closure.captured.items())
-                env[closure.binder] = O.AtomV(atom)
+                env = {**closure.captured, closure.binder: O.AtomV(atom)}
                 p[(fun, atom)] = prob_true(den_comp(closure.body, world, env, biases, table))
             chain_w = single_w = ONE
             for (fun, atom), bit in assign.items():

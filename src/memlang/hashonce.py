@@ -1,14 +1,16 @@
 """Immutable values that compute their hash once.
 
 The checker keys dictionaries on deep immutable structure: configurations,
-terms, environments, memo-tables and canonical classes.  A generated
-dataclass ``__hash__`` walks the whole structure on every call; a
-``HashOnce`` value walks it on the first call and keeps the result, so a
+terms, memo-tables and canonical classes.  A generated dataclass
+``__hash__`` walks the whole structure on every call; a ``HashOnce``
+value walks it on the first call and keeps the result, so a
 value built from already-hashed parts costs one level (the cached hash of
 hash-consing, after Filliâtre and Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006, without the sharing table).  A canonical
 class of ``denot`` is a named tuple, not a ``HashOnce``: its hash is a
-tuple's, over a world and a value that keep theirs.
+tuple's, over a world and a value that keep theirs.  Nor is an
+environment, ``opsem.FrozenMap``: a read-only dict that keeps its hash in
+a slot of its own.
 
 Sharing is kept only where it is bounded by construction, for the values
 the operational semantics computes most: booleans.  ``opsem`` holds the

@@ -10,6 +10,9 @@ term, and the memo markers whose body, hold the redex, outermost first.  A
 step rebuilds that spine around the rule's result and reads the pending
 memoizations off its markers.
 
+Environments and closure maps are ``FrozenMap``s: read-only dicts that
+hash by their items.
+
 Every step checks its configuration, on what each part already keeps
 rather than by a walk: an environment keeps the labels its values mention
 (``FrozenMap.labels``, derived as the map is built), and the progress
@@ -31,11 +34,10 @@ and retained closures up to bound-variable renaming).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, Optional, Union
 
 from . import bigraph as B
 from . import syntax as S
@@ -98,37 +100,41 @@ RETURNED_BOOLS = (S.Return(S.BoolLit(False)), S.Return(S.BoolLit(True)))
 _first = itemgetter(0)
 
 
-class FrozenMap(HashOnce):
-    """Small immutable map with deterministic ordering, usable as a dict key.
+class FrozenMap(dict):
+    """Small immutable map, usable as a dict key: a dict whose mutators
+    raise ``TypeError``.  It hashes as the frozenset of its items, taken on
+    the first ``hash()`` and kept in a slot, and equals any dict with the
+    same items, whatever their order.
 
     The map also keeps the labels its values mention (``labels``).  ``set``
     derives them from this map's and the new value's, and walks every value
     again only when the key was bound already, whose old value's labels may
     go."""
 
-    __slots__ = ("_d", "_key", "_labels")
-    _hash_key = attrgetter("_key")
+    __slots__ = ("_hash", "_labels")
 
     def __init__(self, items: Mapping | Iterable[tuple] = ()):
-        d = dict(items)
-        self._d = d
-        self._key = tuple(sorted(d.items(), key=lambda kv: kv[0]))
-        self._labels = _labels_of(d.values())
+        super().__init__(items)
+        self._labels = _labels_of(self.values())
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("a FrozenMap cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
+
+    def __reduce__(self):
+        # a copy or a pickle is rebuilt through the constructor, since the
+        # default protocol would fill it through the mutators
+        return FrozenMap, (dict(self),)
 
     def set(self, key, value) -> "FrozenMap":
-        """This map with ``key`` bound to ``value``; the pair goes into its
-        sorted place, replacing the key's old pair if it has one."""
-        d = dict(self._d)
-        d[key] = value
-        items = self._key
-        i = bisect_left(items, key, key=_first)
-        end = i + 1 if i < len(items) and items[i][0] == key else i
+        """This map with ``key`` bound to ``value``."""
         out = FrozenMap.__new__(FrozenMap)
-        out._d = d
-        out._key = items[:i] + ((key, value),) + items[end:]
+        dict.update(out, self)
+        dict.__setitem__(out, key, value)
         funs, atoms = self._labels
-        if end > i:
-            out._labels = _labels_of(d.values())
+        if key in self:
+            out._labels = _labels_of(out.values())
         elif type(value) is AtomV:
             out._labels = (funs, atoms.union((value.label,)))
         elif type(value) is FunV:
@@ -144,32 +150,14 @@ class FrozenMap(HashOnce):
         """(function labels, atom labels) the values mention."""
         return self._labels
 
-    def get(self, key, default=None):
-        return self._d.get(key, default)
-
-    def __getitem__(self, key):
-        return self._d[key]
-
-    def __contains__(self, key) -> bool:
-        return key in self._d
-
-    def keys(self):
-        return [k for k, _ in self._key]
-
-    def items(self) -> tuple:
-        return self._key
-
-    def __iter__(self) -> Iterator:
-        return iter(self.keys())
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FrozenMap) and self._key == other._key
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._hash = hash(frozenset(self.items()))
+        return h
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k!r}: {v!r}" for k, v in self._key)
+        inner = ", ".join(f"{k!r}: {v!r}" for k, v in sorted(self.items(), key=_first))
         return "FrozenMap({" + inner + "})"
 
 
@@ -332,7 +320,7 @@ def _markers(dec: Optional[Decomposition]) -> list[S.MemoCtx]:
 
 
 def _validate(config: Configuration, dec: Optional[Decomposition]) -> None:
-    if config.closures._d.keys() != config.graph.left:
+    if config.closures.keys() != config.graph.left:
         raise MalformedConfiguration("closure map must cover exactly the function labels")
     funs, atoms = config.env.labels()
     if not funs <= config.graph.left or not atoms <= config.graph.right:
@@ -594,6 +582,14 @@ class Observation(HashOnce):
 
 
 def observe(config: Configuration) -> Observation:
+    """The observation of a terminal configuration.  A bare ``memfn`` or
+    ``fresh()`` is taken one step further, through ``let val %r <- t in
+    return %r``: no source program can bind a ``%`` name
+    (``S.alpha_canonical`` relies on the same), so the binding shadows
+    nothing, and the step returns the new function or atom."""
+    if isinstance(config.term, (S.MemFn, S.Fresh)):
+        bound = S.Let("%r", config.term, S.Return(S.Var("%r")))
+        ((config, _),) = step(Configuration(config.env, bound, config.graph, config.closures)).items()
     if not isinstance(config.term, S.Return):
         raise MalformedConfiguration(
             f"observation requires a returned value, got {S.pretty(config.term)}"

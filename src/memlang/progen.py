@@ -11,7 +11,7 @@ world-indexed evaluator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -278,13 +278,7 @@ class SuiteResult:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "count": self.count,
-            "seed": self.seed,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def soundness_corpus(count: int, seed: int) -> list[S.Comp]:

@@ -406,10 +406,6 @@ def parse_program(text: str) -> Comp:
 # Pretty-printer (the normative formatter; output reparses to the same tree)
 
 
-def pretty_rat(q: Fraction) -> str:
-    return str(q)
-
-
 def pretty_val(v: Val) -> str:
     if isinstance(v, BoolLit):
         return "true" if v.value else "false"
@@ -433,7 +429,7 @@ def pretty(c: ExtTerm) -> str:
             f"in {pretty(c.body)}"
         )
     if isinstance(c, Flip):
-        return f"flip({pretty_rat(c.bias)})"
+        return f"flip({c.bias})"
     if isinstance(c, Fresh):
         return "fresh()"
     if isinstance(c, Eq):

@@ -10,6 +10,7 @@ import pytest
 from memlang import cli
 from memlang import denot as D
 from memlang import opsem as O
+from memlang import syntax as S
 from memlang.dist import FinDist, ONE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,6 +124,27 @@ def test_enumerate_p1(capsys):
     assert code == 0
     dist = {row["value"]: row["prob"] for row in payload["distribution"]}
     assert dist == {True: "1/3", False: "2/3"}
+
+
+@pytest.mark.parametrize("text", [
+    "fresh()",
+    "memfn x. flip(1/2)",
+    "let val a <- fresh() in memfn x. x == a",
+])
+def test_enumerate_observes_a_bare_fresh_or_memfn_as_returned(capsys, tmp_path, text):
+    # a terminal bare fresh() or memfn is observed as if it were bound and
+    # returned
+    returned = f"let val r <- {text} in return r"
+    assert O.observational_bigstep(S.parse_program(text)) == O.observational_bigstep(S.parse_program(returned))
+    payloads = []
+    for name, source in (("bare.mem", text), ("returned.mem", returned)):
+        path = tmp_path / name
+        path.write_text(source + "\n")
+        code, payload = run_cli(capsys, "enumerate", str(path), "--observe")
+        assert code == 0 and payload["semantics"] == "exhaustive-observed"
+        del payload["file"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
 
 
 def test_enumerate_diagonal_byte_identical(capsys):

@@ -139,7 +139,7 @@ def reference_bind(graph, bias, dist, name, body, env, table=None):
         world = rebuilt_world(cls)
         carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
         try:
-            result = D.den_comp(body, world, env.set(name, cls.value), {**bias, **carried})
+            result = D.den_comp(body, world, {**env, name: cls.value}, {**bias, **carried})
         except D.EdgeRead as read:
             chance = cls.pending().get(read.pair)
             if chance is None:
@@ -317,7 +317,7 @@ def bind_dropping_carried_biases(graph, bias, dist, name, body, env, table=None)
     was given, without the biases of the fresh functions the class carries."""
     weighted = []
     for cls, p in dist.items():
-        result = D.den_comp(body, D.class_world(cls), env.set(name, cls.value), bias, table)
+        result = D.den_comp(body, D.class_world(cls), {**env, name: cls.value}, bias, table)
         carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
         weighted += [(D._rebase(graph, cls2, carried), p * q) for cls2, q in result.items()]
     return FinDist(weighted)
@@ -325,7 +325,7 @@ def bind_dropping_carried_biases(graph, bias, dist, name, body, env, table=None)
 
 def test_a_bind_that_drops_a_carried_bias_is_rejected(monkeypatch):
     # the body runs at a world with f's function, under the program's
-    # checked (empty) state; `python -O` runs this test too (test_golden)
+    # checked (empty) state; `python -O` runs this test too (test_bigraph)
     p = S.parse_program("let val f <- memfn x. flip(1/3) in let val a <- fresh() in f @ a")
     assert bool_dist(D.den_program(p)) == {True: THIRD, False: Fraction(2, 3)}
     monkeypatch.setattr(D, "bind", bind_dropping_carried_biases)
@@ -626,7 +626,7 @@ def eager_fresh_bias(graph, env, binder, body, bias):
     for bits in itertools.product((False, True), repeat=len(funs)):
         conn = tuple(zip(funs, bits))
         world, atom = graph.add_right_defined(dict(conn))
-        q = D.prob_true(D.den_comp(body, world, env.set(binder, O.AtomV(atom)), bias))
+        q = D.prob_true(D.den_comp(body, world, {**env, binder: O.AtomV(atom)}, bias))
         if first is None:
             first = (conn, q)
         elif q != first[1]:
@@ -783,8 +783,8 @@ def frozen_map_sets(monkeypatch) -> Counter:
 
 
 def test_denotations_set_no_frozen_map(monkeypatch):
-    # denot's environments are Envs; only the operational side's are
-    # FrozenMaps, and a closure's captured map is copied, not extended
+    # denot's environments are plain dicts; only the operational side's
+    # are FrozenMaps, and a closure's captured map is copied, not extended
     callers = frozen_map_sets(monkeypatch)
     for program in soundness_corpus(200, 20243):
         D.check_soundness(program)
@@ -792,13 +792,6 @@ def test_denotations_set_no_frozen_map(monkeypatch):
         D.den_program(family(n))
     assert callers["memlang.opsem"] > 0
     assert callers["memlang.denot"] == 0
-
-
-def test_env_set_copies():
-    env = D.Env({"a": O.AtomV(0)})
-    env2 = env.set("b", O.BoolV(True)).set("a", O.AtomV(1))
-    assert type(env2) is D.Env
-    assert env == {"a": O.AtomV(0)} and env2 == {"a": O.AtomV(1), "b": O.BoolV(True)}
 
 
 def outcome(run):
@@ -823,7 +816,7 @@ def test_den_comp_is_the_same_for_a_frozen_map_and_an_env(seed):
         lambda e: D.den_comp(fn, graph, e, lam),
         lambda e: D.den_mem(graph, e, fn.binder, fn.body, lam),
     ):
-        frozen, plain = outcome(lambda: run(env)), outcome(lambda: run(D.Env(env.items())))
+        frozen, plain = outcome(lambda: run(env)), outcome(lambda: run(dict(env)))
         assert frozen == plain and repr(frozen) == repr(plain)
 
 
@@ -954,40 +947,17 @@ def test_check_dataflow_rejects_bad_preconditions():
 # -- closure biases ------------------------------------------------------------
 
 
-def test_closure_biases_are_derived_once_per_closures_and_world(monkeypatch):
-    program = S.parse_program(
-        "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
-        "let val g <- memfn y. f @ a in return (f, g)"
-    )
-    ((config, _),) = O.enumerate_bigstep(program).items()
-    world = config.graph.completed(lambda pair: False)
-    derived = []
-    fresh_bias = D._fresh_bias
-    monkeypatch.setattr(D, "_fresh_bias", lambda *args: derived.append(args) or fresh_bias(*args))
-    table = {}
-    first = D._closure_biases(config.closures, world, table)
-    assert len(derived) == 2 and type(first) is D._CheckedBias
-    assert first == {0: THIRD, 1: ZERO}
-    assert D._closure_biases(config.closures, world, table) is first and len(derived) == 2
-    # an equal world built afresh finds the same entry; another table does not
-    again = config.graph.completed(lambda pair: False)
-    assert D._closure_biases(config.closures, again, table) is first and len(derived) == 2
-    assert D._closure_biases(config.closures, world, {}) == first and len(derived) == 4
-
-
 def test_a_closure_bias_derivation_that_reads_an_unassigned_edge_keeps_nothing():
     # g's body reads f's unsampled edge to a: at the placeholder world the
-    # derivation raises, and the table keeps no entry for it
+    # derivation raises
     program = S.parse_program(
         "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
         "let val g <- memfn y. f @ a in return (f, g)"
     )
     ((config, _),) = O.enumerate_bigstep(program).items()
     world = config.graph.completed(lambda pair: D._UNASSIGNED)
-    table = {}
     with pytest.raises(D.EdgeRead):
-        D._closure_biases(config.closures, world, table)
-    assert (config.closures, world) not in table
+        D._closure_biases(config.closures, world, {})
 
 
 # -- structural invariants --------------------------------------------------------

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import operator
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -61,6 +64,53 @@ def test_frozen_map_set_equals_building_the_map_afresh(start, updates):
         assert m.items() == fresh.items() and m.keys() == fresh.keys()
         assert m == fresh and hash(m) == hash(fresh)
         assert m[key] == value and len(m) == len(d)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda m: operator.setitem(m, "c", O.BoolV(True)),
+    lambda m: operator.delitem(m, "a"),
+    lambda m: operator.ior(m, {"c": O.BoolV(True)}),
+    lambda m: m.clear(),
+    lambda m: m.pop("a"),
+    lambda m: m.popitem(),
+    lambda m: m.setdefault("c", O.BoolV(True)),
+    lambda m: m.update({"a": O.AtomV(1)}),
+], ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"])
+def test_frozen_map_mutators_raise_and_change_nothing(mutate):
+    m = O.FrozenMap({"a": O.AtomV(0), "b": O.FunV(1)})
+    h, labels = hash(m), m.labels()
+    with pytest.raises(TypeError):
+        mutate(m)
+    assert m == {"a": O.AtomV(0), "b": O.FunV(1)} and list(m) == ["a", "b"]
+    assert hash(m) == h and m.labels() == labels
+
+
+def test_frozen_maps_built_in_different_orders_are_one_key():
+    items = [("b", O.AtomV(0)), ("a", O.FunV(1)), ("c", O.BoolV(False))]
+    m1 = O.FrozenMap(items)
+    m2 = O.EMPTY_MAP.set("c", O.BoolV(False)).set("a", O.FunV(1)).set("b", O.AtomV(0))
+    assert list(m1) != list(m2)
+    assert m1 == m2 and hash(m1) == hash(m2) and len({m1: 1, m2: 2}) == 1
+    assert repr(m1) == repr(m2) == (
+        "FrozenMap({'a': FunV(label=1), 'b': AtomV(label=0), 'c': BoolV(value=False)})"
+    )
+
+
+def test_a_frozen_map_equals_a_plain_dict_with_its_items():
+    m = O.FrozenMap({"x": O.AtomV(0)}).set("f", O.FunV(2))
+    assert m == {"f": O.FunV(2), "x": O.AtomV(0)} and {"x": O.AtomV(0), "f": O.FunV(2)} == m
+    assert m != {"x": O.AtomV(0)} and m != {"x": O.AtomV(0), "f": O.FunV(3)}
+    assert dict(m) == {**m} == m
+
+
+@pytest.mark.parametrize("rebuild", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_or_pickled_configuration_is_equal(rebuild):
+    ((config, _),) = O.enumerate_bigstep(S.parse_program(
+        "let val a <- fresh() in let val f <- memfn x. x == a in return (f, a)")).items()
+    again = rebuild(config)
+    assert again == config and hash(again) == hash(config)
+    assert again.env.labels() == config.env.labels() and type(again.closures) is O.FrozenMap
 
 
 def _walked_labels(m: O.FrozenMap) -> tuple[frozenset, frozenset]:
