@@ -63,27 +63,37 @@ observed at the one world it was evaluated at.
 
 A result is a function of the world, the bias state, the term and the
 values of the term's free variables, so ``den_comp`` keeps the results it
-returns in a table and looks each evaluation up there first (Michie's
-memo functions, "Memo functions and machine learning", Nature 1968).  The
-key is (term, world, the free variables' values); each key holds its bias
-states, compared by ``==``, with their results.  A ``let`` body that
-ignores its binder thus runs once for all the classes whose world it
-shares, and a ``memfn`` body that ignores its binder once for a whole row.
-A call that raises (``EdgeRead``, ``FreshnessViolation``) stores nothing,
-so splits and witnesses are what a fresh evaluation gives.  The table is
-passed explicitly and lives for one top-level call: ``den_comp`` without
-one starts its own, as ``den_program`` does, and ``check_soundness``
-starts a second one for all of its terminals, so the two sides it
-compares never share one.  The table holds nothing but these results.
-``check_soundness`` denotes once each group of terminals that agree on
-all that a configuration's denotation reads: the term, the values of its
-free variables, the memo-table and, of each closure, the binder, the body
-and the captured values of the body's other free variables.
+returns in a table and looks an evaluation up there first (Michie's memo
+functions, "Memo functions and machine learning", Nature 1968).  The key
+is (term, world, the free variables' values); each key holds its bias
+states, compared by ``==``, with their results.  A lookup pays only where
+it is cheaper than the evaluation it saves, so only a ``let``, a
+``match``, a ``flip``, a ``fresh()`` and a ``memfn`` are kept.  A
+``return``, an equality and an application are evaluated at once, which
+costs less than building, hashing and storing their key, and an ``if``
+only picks its branch, which is looked up in its turn.  A ``let`` body
+that ignores its binder thus runs once for all the classes whose world it
+shares, and a ``memfn`` body that ignores its binder, a ``flip`` among
+them, once for a whole row.  A call that raises (``EdgeRead``,
+``FreshnessViolation``) stores nothing, so splits and witnesses are what a
+fresh evaluation gives.  The table is passed explicitly and lives for one
+top-level call: ``den_comp`` without one starts its own, as
+``den_program`` does, and ``check_soundness`` starts a second one for all
+of its terminals, so the two sides it compares never share one.  The
+table holds nothing but these results.  ``check_soundness`` denotes once
+each group of terminals that agree on all that a configuration's
+denotation reads: the term, the values of its free variables, the
+memo-table and, of each closure, the binder, the body and the captured
+values of the body's other free variables.  It groups the enumerator's
+paths unmerged, and where every leaf weighs and observes the same under
+both weightings, its single-bias sum is the chain-rule sum itself.
 
-A flip's result is an unmerged ``dist.two_point`` coin over the world's
-two boolean classes, hashed only when looked up.  An environment is any
-mapping from names to values, a configuration's ``opsem.FrozenMap`` as it
-is, and each binding copies it into a plain dict (``{**env, name:
+A boolean mentions no label, so its class is the identity class at the
+base, which ``canonicalize`` builds at once, without walking the value for
+labels.  A flip's result is an unmerged ``dist.two_point`` coin over the
+world's two boolean classes, hashed only when looked up.  An environment
+is any mapping from names to values, a configuration's ``opsem.FrozenMap``
+as it is, and each binding copies it into a plain dict (``{**env, name:
 value}``): the table keys on the values of a term's free variables, so
 nothing here reads an environment's hash, order or labels.
 """
@@ -98,7 +108,7 @@ from typing import Iterator, Mapping, NamedTuple, TypeVar, Union
 from . import bigraph as B
 from . import opsem as O
 from . import syntax as S
-from .dist import FinDist, ONE, ZERO, HALF, as_prob, dirac, dist_eq, mixed, two_point
+from .dist import FinDist, HALF, ONE, ZERO, MassError, as_prob, dirac, dist_eq, mixed, two_point
 
 BiasState = Mapping[int, Fraction]
 K = TypeVar("K")
@@ -147,6 +157,11 @@ class _CheckedBias(dict):
         raise TypeError("a checked bias state cannot be changed")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
+
+    def __reduce__(self):
+        # a copy or a pickle is rebuilt through the constructor, since the
+        # default protocol would fill it through the mutators
+        return _CheckedBias, (dict(self),)
 
 
 def _bias_state(graph: B.TotalBigraph, bias: BiasState) -> _CheckedBias:
@@ -231,12 +246,15 @@ def canonicalize(
     edges and biases; the retained ones are renumbered to the smallest
     labels the base does not use, in first-occurrence order.  A value that
     mentions no fresh node lives at the identity extension of the base:
-    its class holds the value as it is, with no fresh part.
+    its class holds the value as it is, with no fresh part.  A boolean
+    mentions no node at all, so its class is built without a walk.
 
     ``world`` must agree with the base on the base's edges.
     """
     if base is not world and not (base.left <= world.left and base.right <= world.right):
         raise ValueError("world does not extend the base graph")
+    if type(value) is O.BoolV:
+        return CanonicalClass(base, value, (), (), (), ())
     funs, atoms = O.value_labels(value)
     fresh_fun_order = [f for f in funs if f not in base.left]
     fresh_atom_order = [a for a in atoms if a not in base.right]
@@ -301,9 +319,13 @@ _UNASSIGNED = B.Pending(HALF)
 
 def _edge(chance: Fraction) -> bool | B.Pending:
     """An edge that is true with ``chance``, pending unless the chance is
-    0 or 1."""
-    if chance == ONE or chance == ZERO:
-        return chance == ONE
+    0 or 1.  Tested on the integer parts, as ``as_prob`` does: a lowest-terms
+    0 is 0/1 and a lowest-terms 1 is 1/1."""
+    numerator = chance.numerator
+    if numerator == 0:
+        return False
+    if numerator == chance.denominator:
+        return True
     return B.Pending(chance)
 
 
@@ -371,11 +393,15 @@ def bind(
     while todo:
         cls, p, drawn = todo.pop()
         # a class with no fresh part lives at graph, whichever equal world
-        # object it was computed at; nothing is carried, den_comp copies the bias
+        # object it was computed at, and carries no bias: the body runs
+        # under the checked state as it is
         identity = cls.is_identity()
-        world = graph if identity else class_world(cls)
-        carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
-        lam = bias if identity else {**bias, **carried}
+        if identity:
+            world, lam = graph, bias
+        else:
+            world = class_world(cls)
+            carried = dict(zip(cls.fresh_funs, cls.fresh_biases))
+            lam = {**bias, **carried}
         try:
             result = den_comp(body, world, {**env, name: cls.value}, lam, table)
         except EdgeRead as read:
@@ -567,6 +593,27 @@ def den_comp(
     ``table`` holds the results already computed in the same top-level
     call (see the module docstring); a call without one starts its own."""
     bias = _bias_state(graph, bias)
+    # a leaf, and an if that only picks its branch, costs less to evaluate
+    # than to look up, so it is evaluated before the table is consulted
+    if isinstance(comp, S.Return):
+        return unit(graph, O.eval_value(env, comp.value))
+    if isinstance(comp, S.If):
+        flag = O.eval_value(env, comp.cond)
+        if not isinstance(flag, O.BoolV):
+            raise O.MalformedConfiguration("if scrutinee must be a boolean")
+        return den_comp(comp.then if flag.value else comp.orelse, graph, env, bias, table)
+    if isinstance(comp, S.Eq):
+        lhs = O.eval_value(env, comp.lhs)
+        rhs = O.eval_value(env, comp.rhs)
+        if not isinstance(lhs, O.AtomV) or not isinstance(rhs, O.AtomV):
+            raise O.MalformedConfiguration("equality compares atoms")
+        return den_eq(graph, lhs.label, rhs.label)
+    if isinstance(comp, S.App):
+        fn = O.eval_value(env, comp.fn)
+        arg = O.eval_value(env, comp.arg)
+        if not isinstance(fn, O.FunV) or not isinstance(arg, O.AtomV):
+            raise O.MalformedConfiguration("application needs a function and an atom")
+        return den_app(graph, fn.label, arg.label)
     if table is None:
         table = {}
     # a result depends on the environment only through the term's free
@@ -575,16 +622,9 @@ def den_comp(
     for seen, result in entries:
         if seen == bias:
             return result
-    if isinstance(comp, S.Return):
-        result = unit(graph, O.eval_value(env, comp.value))
-    elif isinstance(comp, S.Let):
+    if isinstance(comp, S.Let):
         bound = den_comp(comp.bound, graph, env, bias, table)
         result = bind(graph, bias, bound, comp.name, comp.body, env, table)
-    elif isinstance(comp, S.If):
-        flag = O.eval_value(env, comp.cond)
-        if not isinstance(flag, O.BoolV):
-            raise O.MalformedConfiguration("if scrutinee must be a boolean")
-        result = den_comp(comp.then if flag.value else comp.orelse, graph, env, bias, table)
     elif isinstance(comp, S.Match):
         subject = O.eval_value(env, comp.subject)
         if not isinstance(subject, O.PairV):
@@ -595,18 +635,6 @@ def den_comp(
         result = den_flip(graph, comp.bias)
     elif isinstance(comp, S.Fresh):
         result = den_fresh(graph, bias)
-    elif isinstance(comp, S.Eq):
-        lhs = O.eval_value(env, comp.lhs)
-        rhs = O.eval_value(env, comp.rhs)
-        if not isinstance(lhs, O.AtomV) or not isinstance(rhs, O.AtomV):
-            raise O.MalformedConfiguration("equality compares atoms")
-        result = den_eq(graph, lhs.label, rhs.label)
-    elif isinstance(comp, S.App):
-        fn = O.eval_value(env, comp.fn)
-        arg = O.eval_value(env, comp.arg)
-        if not isinstance(fn, O.FunV) or not isinstance(arg, O.AtomV):
-            raise O.MalformedConfiguration("application needs a function and an atom")
-        result = den_app(graph, fn.label, arg.label)
     elif isinstance(comp, S.MemFn):
         result = den_mem(graph, env, comp.binder, comp.body, bias, table)
     else:
@@ -684,12 +712,15 @@ def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
     """Both weightings of a configuration's completions, from one pass:
     (chain rule, single bias), each as its weighted leaves, not yet mixed.
     See ``den_config``.  The closure biases and chain-rule probabilities
-    are evaluated at every leaf, through ``table``."""
+    are evaluated at every leaf, through ``table``.  When every leaf has
+    the same weight and the same observed world under both, the single-bias
+    leaves are the chain-rule list itself."""
     if O.memo_stack(config.term):
         raise ValueError("configuration denotation requires a marker-free term")
     graph, closures = config.graph, config.closures
     undef = graph.undefined_pairs()
     chain, single = [], []
+    agree = True
     todo: list[dict[tuple[int, int], bool]] = [{}]
     while todo:
         assign = todo.pop()
@@ -724,9 +755,10 @@ def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
             single_world = graph.completed(lambda pair: assign.get(pair, _edge(biases[pair[0]])))
         chain_dist = _observed(result, chain_world, biases)
         single_dist = chain_dist if single_world == chain_world else _observed(result, single_world, biases)
+        agree = agree and single_dist is chain_dist and single_w == chain_w
         chain.append((chain_w, chain_dist.items()))
         single.append((single_w, single_dist.items()))
-    return chain, single
+    return chain, chain if agree else single
 
 
 def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
@@ -771,7 +803,13 @@ def check_soundness(program: S.Comp) -> SoundnessReport:
     """Compare the compositional denotation of a closed program with the
     weighted sum of its terminal configurations' denotations.  Each sum is
     merged once, over every terminal's leaves; the leaf weights of each
-    terminal and the terminal weights are each checked to sum to 1.
+    terminal and the terminal weights are each checked to sum to 1.  The
+    terminals are the paths of ``opsem.terminal_paths``, which
+    ``enumerate_bigstep`` would merge first: each path's weight is checked
+    to be non-negative, and the weights of the groups below, which sum to
+    what the paths' do, are checked to sum to 1 where the sums mix them.
+    Where every terminal's leaves have the same weight and world under
+    both weightings, ``bias_formula_rhs`` is ``rhs`` itself.
 
     ``_den_config`` reads a terminal's term, the values of the term's free
     variables, its graph and, of each closure, the binder, the body and
@@ -780,9 +818,10 @@ def check_soundness(program: S.Comp) -> SoundnessReport:
     summed weight, in the place of the first of them, so each sum keeps
     its order."""
     lhs = den_program(program)
-    terminals = O.enumerate_bigstep(program)
     groups: dict[tuple, list] = {}
-    for cfg, w in terminals.items():
+    for cfg, w in O.terminal_paths(program):
+        if w.numerator < 0:
+            raise MassError(f"negative weight {w} for a terminal path")
         closures = tuple((label, *_read_of(closure)) for label, closure in cfg.closures.items())
         key = (cfg.term, tuple(map(cfg.env.get, S.free_var_names(cfg.term))), cfg.graph, closures)
         if key in groups:
@@ -791,12 +830,16 @@ def check_soundness(program: S.Comp) -> SoundnessReport:
             groups[key] = [cfg, w]
     table: Table = {}  # the terminals' own, not den_program's; lives for this call
     chain_terms, single_terms = [], []
+    agree = True
     for cfg, w in groups.values():
         chain, single = _den_config(cfg, table)
-        chain_terms.append((w, mixed(chain)))
-        single_terms.append((w, mixed(single)))
+        chain_items = mixed(chain)
+        chain_terms.append((w, chain_items))
+        single_terms.append((w, chain_items if single is chain else mixed(single)))
+        agree = agree and single is chain
     rhs = FinDist(mixed(chain_terms))
-    bias_rhs = FinDist(mixed(single_terms))
+    # where every terminal's leaves agree, the two sums are the same items
+    bias_rhs = rhs if agree else FinDist(mixed(single_terms))
     return SoundnessReport(
         lhs=lhs,
         rhs=rhs,

@@ -25,10 +25,11 @@ equality, a memo return) puts one of the two ``RETURNED_BOOLS`` in place of
 its redex, so none of them is built or hashed again.
 
 ``enumerate_bigstep`` unfolds ``step`` exhaustively with exact rational
-weights; ``run_sampled`` follows one trace of ``step`` with a seeded generator;
-``observe`` quotients terminal configurations down to the data a caller can
-actually distinguish (returned value, the reachable slice of the memo-table,
-and retained closures up to bound-variable renaming).
+weights, merging the terminals of ``terminal_paths``; ``run_sampled``
+follows one trace of ``step`` with a seeded generator; ``observe``
+quotients terminal configurations down to the data a caller can actually
+distinguish (returned value, the reachable slice of the memo-table, and
+retained closures up to bound-variable renaming).
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ def _labels_of(values: Iterable) -> tuple[frozenset[int], frozenset[int]]:
 
 
 EMPTY_MAP = FrozenMap()
+EMPTY_GRAPH = B.empty()
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +190,7 @@ class Configuration(HashOnce):
 
 
 def initial_configuration(program: S.Comp) -> Configuration:
-    return Configuration(EMPTY_MAP, program, B.empty(), EMPTY_MAP)
+    return Configuration(EMPTY_MAP, program, EMPTY_GRAPH, EMPTY_MAP)
 
 
 def eval_value(env: FrozenMap, v: S.Val) -> EnvValue:
@@ -481,6 +483,13 @@ def run_sampled(program: S.Comp, seed: int) -> tuple[Configuration, list[Configu
 
 def enumerate_bigstep(program: S.Comp) -> FinDist[Configuration]:
     """Exact distribution over terminal configurations."""
+    return FinDist(terminal_paths(program))
+
+
+def terminal_paths(program: S.Comp) -> list[tuple[Configuration, Fraction]]:
+    """Every path of ``step`` from the program to a terminal configuration,
+    as (terminal, the product of the path's weights), not merged: equal
+    terminals reached along different paths appear once per path."""
     pending: list[tuple[Configuration, Fraction]] = [
         (initial_configuration(program), ONE)
     ]
@@ -497,7 +506,7 @@ def enumerate_bigstep(program: S.Comp) -> FinDist[Configuration]:
         for successor, q in step(config).items():
             # a factor that is the ONE object is not multiplied
             pending.append((successor, q if weight is ONE else weight if q is ONE else weight * q))
-    return FinDist(terminals)
+    return terminals
 
 
 # ---------------------------------------------------------------------------

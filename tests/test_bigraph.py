@@ -387,8 +387,9 @@ def test_completed_rejects_exactly_what_the_constructor_rejects(g, data):
 def test_the_rejection_checks_survive_python_O():
     # the delta checks are not asserts: under `python -O` they reject the
     # same derivations, a step still rejects an environment whose labels
-    # lie outside the graph, and a coin still rejects a weight outside
-    # [0, 1], in a flip step too
+    # lie outside the graph, a coin still rejects a weight outside [0, 1],
+    # in a flip step too, and check_soundness still rejects terminal paths
+    # whose weights are not a distribution
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("MEMLANG_MAX_UNDEF", None)
     tests = [
@@ -400,13 +401,14 @@ def test_the_rejection_checks_survive_python_O():
         "tests/test_opsem.py::test_step_rejects_a_restored_environment_naming_a_label_outside_the_graph",
         "tests/test_dist.py::test_two_point_rejects_a_weight_outside_the_unit_interval_as_findist_does",
         "tests/test_opsem.py::test_a_flip_step_rejects_a_bias_outside_the_unit_interval",
+        "tests/test_denot.py::test_check_soundness_rejects_terminal_paths_whose_weights_are_not_a_distribution",
     ]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
         cwd=ROOT, env=env, capture_output=True, check=False,
     )
     assert proc.returncode == 0, proc.stdout.decode()[-2000:]
-    assert b"18 passed" in proc.stdout
+    assert b"20 passed" in proc.stdout
 
 
 @pytest.mark.parametrize(

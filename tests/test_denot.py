@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 from collections import Counter
@@ -14,7 +16,7 @@ from memlang import denot as D
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang import typecheck as TC
-from memlang.dist import FinDist, ONE, ZERO, as_prob, dist_eq, mixed, weighted_mix
+from memlang.dist import FinDist, MassError, ONE, ZERO, as_prob, dist_eq, mixed, weighted_mix
 from memlang.progen import (
     ProgramGen,
     _mem_instance,
@@ -310,6 +312,24 @@ def test_a_checked_bias_state_is_still_compared_with_the_world():
     with pytest.raises(TypeError):
         checked.update({0: ONE})
     assert checked == {0: HALF}
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda state: pickle.loads(pickle.dumps(state))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_or_pickled_checked_bias_state_is_equal_and_cannot_be_changed(duplicate):
+    world = B.TotalBigraph([0, 1], [], {})
+    checked = D._bias_state(world, {0: HALF, 1: THIRD})
+    twin = duplicate(checked)
+    assert type(twin) is D._CheckedBias and twin == checked
+    assert D._bias_state(world, twin) is twin
+    with pytest.raises(TypeError):
+        twin[0] = ONE
+    with pytest.raises(TypeError):
+        twin.update({1: ONE})
+    assert twin == {0: HALF, 1: THIRD}
 
 
 def bind_dropping_carried_biases(graph, bias, dist, name, body, env, table=None):
@@ -761,6 +781,19 @@ def test_den_program_runs_a_body_once_per_world(monkeypatch, n):
     assert len(thetas) == 8
 
 
+def test_den_comp_tables_only_the_terms_whose_lookup_saves_work():
+    # a let, a match, a flip, a fresh() and a memfn keep their results; a
+    # return, an equality, an application and an if are evaluated afresh
+    p = S.parse_program(
+        "let val a <- fresh() in "
+        "let val f <- memfn x. let val e <- x == a in if e then flip(1/3) else return true in "
+        "let val b <- f @ a in match (a, b) as (c, d) in return d"
+    )
+    table = {}
+    assert bool_dist(D.den_comp(p, EMPTY, {}, {}, table)) == {True: THIRD, False: Fraction(2, 3)}
+    assert {type(term).__name__ for term, _, _ in table} == {"Let", "Match", "Flip", "Fresh", "MemFn"}
+
+
 def test_den_program_keeps_no_table_between_calls(monkeypatch):
     p = load("sound/p1_third.mem")
     before = D.den_program(p)
@@ -925,6 +958,51 @@ def test_check_soundness_logs_bias_formula_divergence():
     report = D.check_soundness(load("sound/undef_edge_terminal.mem"))
     assert report.equal
     assert not report.bias_formula_agrees
+
+
+def test_bias_formula_rhs_is_rhs_itself_where_every_leaf_agrees():
+    # p1_half's terminals have no unsampled edge: each has one leaf, of
+    # weight 1 under both weightings
+    p = load("sound/p1_half.mem")
+    report = D.check_soundness(p)
+    assert report.bias_formula_rhs is report.rhs and report.bias_formula_agrees
+    assert report.rhs == soundness_sums_per_terminal(p)[1]
+
+
+def test_bias_formula_rhs_is_built_apart_where_a_leaf_differs():
+    p = load("sound/undef_edge_terminal.mem")
+    rhs, bias_rhs = soundness_sums_per_terminal(p)
+    report = D.check_soundness(p)
+    assert report.bias_formula_rhs is not report.rhs
+    assert report.rhs == rhs and report.bias_formula_rhs == bias_rhs and rhs != bias_rhs
+
+
+def negated_against_two_copies(path):
+    # the path's weight is negated and it is taken twice more: the weights
+    # still sum to 1, and the group of the three paths keeps its weight
+    cfg, w = path
+    return [(cfg, -w), (cfg, w), (cfg, w)]
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [lambda path: [(path[0], path[1] + Fraction(1, 8))], negated_against_two_copies],
+    ids=["mass_above_one", "negative_path_in_a_positive_group"],
+)
+def test_check_soundness_rejects_terminal_paths_whose_weights_are_not_a_distribution(monkeypatch, perturb):
+    # check_soundness groups the unmerged paths itself; `python -O` runs
+    # this test too (test_bigraph)
+    terminal_paths = O.terminal_paths
+
+    def perturbed(program):
+        first, *rest = terminal_paths(program)
+        return [*perturb(first), *rest]
+
+    p = load("sound/p1_half.mem")
+    assert D.check_soundness(p).equal
+    monkeypatch.setattr(O, "terminal_paths", perturbed)
+    with pytest.raises(MassError):
+        D.check_soundness(p)
 
 
 def test_check_dataflow_examples():

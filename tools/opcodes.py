@@ -1,0 +1,79 @@
+"""Count the Python opcodes that one warm pass of the checker executes.
+
+    python tools/opcodes.py
+
+Prints a JSON object with two counts:
+
+- ``criterion6_check_soundness``: ``check_soundness`` over criterion 6's
+  corpus, ``progen.soundness_corpus(200, 20243)``;
+- ``family_den_program``: ``den_program`` over the fresh_denote family,
+  n = 1..5 (``membench/workloads.py``'s ``family_text``).
+
+Each pass is counted with ``sys.settrace`` and ``frame.f_trace_opcodes``
+after one untraced pass over the same program objects, so the caches a
+term keeps on itself (its size, its free variables, its hash) are warm.
+Unlike wall time, the count does not depend on the load of the machine:
+for one tree and one Python version it is fixed once the hash seed is, so
+the script runs itself again under ``PYTHONHASHSEED=0`` when that is not
+set.  It imports the ``memlang`` of the tree it lives in.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from memlang import denot, progen, syntax  # noqa: E402
+from membench.workloads import FAMILY_SIZES, family_text  # noqa: E402
+
+
+def count_opcodes(run) -> int:
+    """Opcodes executed by ``run()``, counted in every Python frame it enters."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def warm_count(fn, programs) -> int:
+    def run():
+        for program in programs:
+            fn(program)
+
+    run()
+    return count_opcodes(run)
+
+
+def main() -> None:
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+    corpus = progen.soundness_corpus(200, 20243)
+    family = [syntax.parse_program(family_text(n)) for n in FAMILY_SIZES]
+    counts = {
+        "criterion6_check_soundness": warm_count(denot.check_soundness, corpus),
+        "family_den_program": warm_count(denot.den_program, family),
+    }
+    print(json.dumps(counts, indent=1))
+
+
+if __name__ == "__main__":
+    main()
