@@ -434,7 +434,7 @@ def _step_outcomes(config: Configuration, dec: Optional[Decomposition]) -> FinDi
         return dirac(out(RETURNED_BOOLS[lhs == rhs]))
     if isinstance(redex, S.Flip):
         # the two successors differ in their terms, so nothing is merged
-        return two_point(out(RETURNED_BOOLS[True]), out(RETURNED_BOOLS[False]), Fraction(redex.bias))
+        return two_point(out(RETURNED_BOOLS[True]), out(RETURNED_BOOLS[False]), redex.bias)
     if isinstance(redex, S.If):
         flag = _as_bool(eval_value(env, redex.cond), "if scrutinee")
         return dirac(out(redex.then if flag else redex.orelse))

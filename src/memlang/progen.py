@@ -6,6 +6,9 @@ is reproducible from (count, seed).  Generated memoized bodies only apply
 functions to atoms bound outside the outermost enclosing abstraction, so
 they always pass the cheap freshness check and are safe for the
 world-indexed evaluator.
+
+A generator's scope indexes its names by type as it binds them, so asking
+for the names of a type is one dict lookup.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import bigraph as B
 from . import denot as D
@@ -35,17 +38,34 @@ def let_chain(bindings: list[tuple[str, S.Comp]], tail: S.Comp) -> S.Comp:
     return out
 
 
-@dataclass(frozen=True)
-class _Scope:
-    types: tuple[tuple[str, TC.Ty], ...]
+class _Scope(NamedTuple):
+    """The names in scope, indexed by type: ``bind`` extends the index, so
+    asking for the names of a type is one lookup, not a scan."""
+
+    types: tuple[TC.Ty, ...]  # the type of each binding, in binding order
+    by_type: Mapping[TC.Ty, tuple[str, ...]]  # each type's names, in binding order
+    pairs: tuple[tuple[str, TC.ProdT], ...]  # the bindings of product type
     clean_atoms: frozenset[str]  # atoms usable as application arguments
     in_memfn: bool
 
+    def bind(self, name: str, ty: TC.Ty) -> "_Scope":
+        clean, pairs = self.clean_atoms, self.pairs
+        if ty is TC.ATOM and not self.in_memfn:
+            clean = clean | {name}
+        elif isinstance(ty, TC.ProdT):
+            pairs += ((name, ty),)
+        by_type = {**self.by_type, ty: self.by_type.get(ty, ()) + (name,)}
+        return _Scope(self.types + (ty,), by_type, pairs, clean, self.in_memfn)
+
+
+_EMPTY_SCOPE = _Scope((), {}, (), frozenset(), False)
+
 
 def _scope_from(types: Mapping[str, TC.Ty]) -> _Scope:
-    items = tuple(types.items())
-    atoms = frozenset(n for n, t in items if t == TC.ATOM)
-    return _Scope(items, atoms, False)
+    scope = _EMPTY_SCOPE
+    for name, ty in types.items():
+        scope = scope.bind(name, ty)
+    return scope
 
 
 class ProgramGen:
@@ -76,24 +96,13 @@ class ProgramGen:
         return f"{prefix}{self._names}"
 
     @staticmethod
-    def _of_type(scope: _Scope, ty: TC.Ty) -> list[str]:
-        return [n for n, t in scope.types if t == ty]
+    def _of_type(scope: _Scope, ty: TC.Ty) -> Sequence[str]:
+        return scope.by_type.get(ty, ())
 
-    @staticmethod
-    def _pairs(scope: _Scope) -> list[str]:
-        return [n for n, t in scope.types if isinstance(t, TC.ProdT)]
-
-    def _app_args(self, scope: _Scope) -> list[str]:
+    def _app_args(self, scope: _Scope) -> Sequence[str]:
         if scope.in_memfn:
             return sorted(scope.clean_atoms)
         return self._of_type(scope, TC.ATOM)
-
-    @staticmethod
-    def _bind(scope: _Scope, name: str, ty: TC.Ty) -> _Scope:
-        clean = scope.clean_atoms
-        if ty == TC.ATOM and not scope.in_memfn:
-            clean = clean | {name}
-        return _Scope(scope.types + ((name, ty),), clean, scope.in_memfn)
 
     def _value_types(self, scope: _Scope) -> list[TC.Ty]:
         out: list[TC.Ty] = [TC.BOOL]
@@ -106,7 +115,7 @@ class ProgramGen:
     def _realizable(self, scope: _Scope, ty: TC.Ty) -> bool:
         """Whether ``_val`` can build a value of ``ty`` in ``scope``.  Draws
         nothing from the rng."""
-        if ty == TC.BOOL or self._of_type(scope, ty):
+        if ty is TC.BOOL or self._of_type(scope, ty):
             return True
         return (
             isinstance(ty, TC.ProdT)
@@ -118,7 +127,7 @@ class ProgramGen:
         """A value of ``ty``.  A pair is built from its parts when the scope
         can build both, and is a variable of the whole product type
         otherwise; such a type came from the scope, so it has one."""
-        if ty == TC.BOOL:
+        if ty is TC.BOOL:
             names = self._of_type(scope, TC.BOOL)
             if names and self.rng.random() < 0.5:
                 return S.Var(self.rng.choice(names))
@@ -150,12 +159,12 @@ class ProgramGen:
             clean = scope.clean_atoms
         else:
             clean = frozenset(self._of_type(scope, TC.ATOM))
-        inner = _Scope(scope.types + ((binder, TC.ATOM),), clean, True)
+        inner = scope._replace(clean_atoms=clean, in_memfn=True).bind(binder, TC.ATOM)
         return S.MemFn(binder, self._comp(inner, depth + 1, TC.BOOL))
 
     def _branch_want(self, scope: _Scope) -> TC.Ty:
         candidates: list[TC.Ty] = [TC.BOOL, TC.BOOL]
-        candidates.extend(t for _, t in scope.types)
+        candidates.extend(scope.types)
         return self.rng.choice(candidates)
 
     def _statement(self, scope: _Scope, depth: int) -> tuple[str, S.Comp, TC.Ty]:
@@ -173,7 +182,7 @@ class ProgramGen:
         feasible += ["retval"]
         if depth + 1 < self.max_depth:
             feasible += ["ifc"] * 2
-            if self._pairs(scope):
+            if scope.pairs:
                 feasible += ["matchc"]
         kind = self.rng.choice(feasible)
         if kind in ("flip", "eq", "app"):
@@ -200,12 +209,9 @@ class ProgramGen:
             orelse = self._comp(scope, depth + 1, want)
             return self._ident("v"), S.If(scrut, then, orelse), want
         if kind == "matchc":
-            name = self.rng.choice(self._pairs(scope))
-            prod = dict(scope.types)[name]
-            if not isinstance(prod, TC.ProdT):
-                raise TypeError(f"{name} is not a pair: {prod!r}")
+            name, prod = self.rng.choice(scope.pairs)
             fst, snd = self._ident("m"), self._ident("m")
-            inner = self._bind(self._bind(scope, fst, prod.fst), snd, prod.snd)
+            inner = scope.bind(fst, prod.fst).bind(snd, prod.snd)
             want = self._branch_want(inner)
             body = self._comp(inner, depth + 1, want)
             return self._ident("v"), S.Match(S.Var(name), fst, snd, body), want
@@ -224,7 +230,7 @@ class ProgramGen:
                     TC.ProdT(self.rng.choice(value_types), self.rng.choice(value_types))
                 )
             want = self.rng.choice(options)
-        if want == TC.BOOL:
+        if want is TC.BOOL:
             kinds = ["retval", "retval"]
             if self._flips < self.max_flips:
                 kinds += ["flip"] * 2
@@ -257,7 +263,7 @@ class ProgramGen:
         while len(bindings) < room and self.rng.random() < 0.72:
             name, rhs, ty = self._statement(scope, depth + len(bindings))
             bindings.append((name, rhs))
-            scope = self._bind(scope, name, ty)
+            scope = scope.bind(name, ty)
         return let_chain(bindings, self._finisher(scope, want))
 
 

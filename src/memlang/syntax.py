@@ -8,10 +8,17 @@ application ``v @ w``.  Source files are UTF-8 with ``#`` line comments.
 
 Biases are exact rationals: ``flip(1/3)`` and ``flip(0.5)`` are stored as
 ``Fraction`` values, never floats.
+
+The lexer is one compiled regular expression scanned with ``finditer``: each
+match is a token and the blanks and comments before it.  A token is a plain
+tuple ``(kind, text, offset)``; a ``ParseError``'s line and column are
+computed from the offset only when the error is raised, and the end of input
+sits one past the last character, after a trailing comment too.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -151,254 +158,198 @@ class ParseError(Exception):
         self.found = found
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "kw" | "ident" | "number" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+# (kind, text, offset): kind is "kw", "ident", "number", "sym" or "eof", and
+# the offset is that of the token's first character in the source
+Token = tuple[str, str, int]
+
+# Each match is the blanks and comments before one token, then the token.
+# Identifiers are words that start with a letter: [^\W\d_] also admits
+# numerals that are not letters ("²", "½"), so a word that does not start
+# with an ASCII letter is checked with str.isalpha.  Numbers are ASCII
+# digits only: str.isdigit() also accepts "²".  Every other character is
+# unexpected.
+_TOKEN = re.compile(
+    r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?:(?P<kw>(?:%s)(?!\w))
+      |(?P<ident>[A-Za-z]\w*)
+      |(?P<number>[0-9]+(?:\.[0-9]+)?)
+      |(?P<sym><-|==|[(),.@/])
+      |(?P<eof>\Z)
+      |(?P<word>[^\W\d_]\w*)
+      |(?P<bad>.))"""
+    % "|".join(sorted(KEYWORDS)),
+    re.VERBOSE,
+)
+_CHECKED = frozenset({"word", "bad", "eof"})
 
 
-_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also accepts "²"
-_SYMBOLS = ("<-", "==", "(", ")", ",", ".", "@", "/")
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def error(message: str) -> ParseError:
-        return ParseError(message, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            tokens.append(Token("number", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, start_line, start_col))
-                col += len(sym)
-                i += len(sym)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok = (kind, m[kind], m.start(kind))
+        if kind in _CHECKED:
+            if kind == "eof":  # always the last match
                 break
-        else:
-            raise error(f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", line, col))
+            if kind == "bad" or not tok[1][0].isalpha():
+                raise ParseError(f"unexpected character {tok[1][0]!r}", *_line_col(text, tok[2]))
+            tok = ("ident", *tok[1:])
+        tokens.append(tok)
+    tokens.append(tok)
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent; the grammar is LL(1) over this token stream)
+# Parser (recursive descent; the grammar is LL(1) over this token stream).
+# A keyword or symbol is told by its text alone: no identifier or number
+# has the text of one.
 
-_VAL_STARTERS = frozenset({("kw", "true"), ("kw", "false")})
-
-
-def _literal(tok: Token, text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ValueError:  # more digits than Python converts to an int
-        raise ParseError("number has too many digits", tok.line, tok.col) from None
+_VAL_WORDS = frozenset({"true", "false", "("})
+_VAL_EXPECTED = frozenset({"true", "false", "identifier", "("})
+_COMP_EXPECTED = frozenset(
+    {"return", "let", "if", "match", "flip", "fresh", "memfn", "true", "false", "identifier", "("}
+)
 
 
 class _Parser:
+    """The tokens are kept in reverse, so that ``take`` pops the next one
+    and ``tokens[-1]`` peeks at it.  The end-of-input token is taken only
+    where it is an error.  ``parse_comp`` runs one frame per nesting level."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.tokens = _tokenize(text)[::-1]
+        self.take = self.tokens.pop
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, tok: Token, expected=(), found: Optional[str] = None) -> ParseError:
+        return ParseError(message, *_line_col(self.text, tok[2]), expected, found)
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected) -> ParseError:
-        tok = self.peek()
-        found = tok.text or "end of input"
+    def fail(self, expected, tok: Token) -> ParseError:
+        found = tok[1] or "end of input"
         exp = ", ".join(sorted(expected))
-        return ParseError(
-            f"expected {exp}, found {found!r}", tok.line, tok.col, expected, found
-        )
+        return self.error(f"expected {exp}, found {found!r}", tok, expected, found)
 
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == sym:
-            return self.advance()
-        raise self.fail({sym})
+    def expect(self, word: str) -> None:
+        tok = self.take()
+        if tok[1] != word:
+            raise self.fail({word}, tok)
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text == word:
-            return self.advance()
-        raise self.fail({word})
-
-    def expect_ident(self) -> str:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return self.advance().text
-        if tok.kind == "kw":
-            raise ParseError(
-                f"reserved word {tok.text!r} cannot be used as an identifier",
-                tok.line, tok.col, {"identifier"}, tok.text,
+    def ident(self) -> str:
+        tok = self.take()
+        if tok[0] == "ident":
+            return tok[1]
+        if tok[0] == "kw":
+            raise self.error(
+                f"reserved word {tok[1]!r} cannot be used as an identifier",
+                tok, {"identifier"}, tok[1],
             )
-        raise self.fail({"identifier"})
+        raise self.fail({"identifier"}, tok)
 
-    def starts_value(self) -> bool:
-        tok = self.peek()
-        return (
-            tok.kind == "ident"
-            or (tok.kind, tok.text) in _VAL_STARTERS
-            or (tok.kind == "sym" and tok.text == "(")
-        )
+    def literal(self, tok: Token, text: str) -> Fraction:
+        try:
+            return Fraction(text)
+        except ValueError:  # more digits than Python converts to an int
+            raise self.error("number has too many digits", tok) from None
 
-    def parse_val(self) -> Val:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("true", "false"):
-            self.advance()
-            return BoolLit(tok.text == "true")
-        if tok.kind == "ident":
-            return Var(self.advance().text)
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
-            fst = self.parse_val()
-            self.expect_sym(",")
-            snd = self.parse_val()
-            self.expect_sym(")")
+    def parse_val(self, tok: Token) -> Val:
+        """The value that starts at ``tok``, which is already taken."""
+        kind, word, _ = tok
+        if kind == "ident":
+            return Var(word)
+        if word == "true" or word == "false":
+            return BoolLit(word == "true")
+        if word == "(":
+            fst = self.parse_val(self.take())
+            self.expect(",")
+            snd = self.parse_val(self.take())
+            self.expect(")")
             return PairVal(fst, snd)
-        raise self.fail({"true", "false", "identifier", "("})
+        raise self.fail(_VAL_EXPECTED, tok)
 
     def parse_rat(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "number":
-            raise self.fail({"number"})
-        self.advance()
-        if self.peek().kind == "sym" and self.peek().text == "/":
-            if "." in tok.text:
-                raise ParseError(
-                    "decimal numerator not allowed in a fraction",
-                    tok.line, tok.col, {"integer"}, tok.text,
+        tok = self.take()
+        if tok[0] != "number":
+            raise self.fail({"number"}, tok)
+        if self.tokens[-1][1] == "/":
+            if "." in tok[1]:
+                raise self.error(
+                    "decimal numerator not allowed in a fraction", tok, {"integer"}, tok[1]
                 )
-            self.advance()
-            den = self.peek()
-            if den.kind != "number" or "." in den.text:
-                raise self.fail({"integer"})
-            self.advance()
-            if not den.text.strip("0"):
-                raise ParseError("zero denominator", den.line, den.col)
-            value = _literal(tok, f"{tok.text}/{den.text}")
+            self.take()
+            den = self.take()
+            if den[0] != "number" or "." in den[1]:
+                raise self.fail({"integer"}, den)
+            if not den[1].strip("0"):
+                raise self.error("zero denominator", den)
+            value = self.literal(tok, f"{tok[1]}/{den[1]}")
         else:
-            value = _literal(tok, tok.text)
+            value = self.literal(tok, tok[1])
         if value < 0 or value > 1:
-            raise ParseError(
-                f"bias must be between 0 and 1, got {value}", tok.line, tok.col
-            )
+            raise self.error(f"bias must be between 0 and 1, got {value}", tok)
         return value
 
     def parse_comp(self) -> Comp:
-        tok = self.peek()
-        if tok.kind == "kw":
-            if tok.text == "return":
-                self.advance()
-                return Return(self.parse_val())
-            if tok.text == "let":
-                self.advance()
-                self.expect_kw("val")
-                name = self.expect_ident()
-                self.expect_sym("<-")
-                bound = self.parse_comp()
-                self.expect_kw("in")
-                body = self.parse_comp()
-                return Let(name, bound, body)
-            if tok.text == "if":
-                self.advance()
-                cond = self.parse_val()
-                self.expect_kw("then")
-                then = self.parse_comp()
-                self.expect_kw("else")
-                orelse = self.parse_comp()
-                return If(cond, then, orelse)
-            if tok.text == "match":
-                self.advance()
-                subject = self.parse_val()
-                self.expect_kw("as")
-                self.expect_sym("(")
-                fst = self.expect_ident()
-                self.expect_sym(",")
-                snd = self.expect_ident()
-                self.expect_sym(")")
-                self.expect_kw("in")
-                body = self.parse_comp()
-                return Match(subject, fst, snd, body)
-            if tok.text == "flip":
-                self.advance()
-                self.expect_sym("(")
-                bias = self.parse_rat()
-                self.expect_sym(")")
-                return Flip(bias)
-            if tok.text == "fresh":
-                self.advance()
-                self.expect_sym("(")
-                self.expect_sym(")")
-                return Fresh()
-            if tok.text == "memfn":
-                self.advance()
-                binder = self.expect_ident()
-                self.expect_sym(".")
-                return MemFn(binder, self.parse_comp())
-        if self.starts_value():
-            lhs = self.parse_val()
-            op = self.peek()
-            if op.kind == "sym" and op.text == "==":
-                self.advance()
-                return Eq(lhs, self.parse_val())
-            if op.kind == "sym" and op.text == "@":
-                self.advance()
-                return App(lhs, self.parse_val())
-            raise self.fail({"==", "@"})
-        raise self.fail(
-            {"return", "let", "if", "match", "flip", "fresh", "memfn",
-             "true", "false", "identifier", "("}
-        )
+        tok = self.take()
+        word = tok[1]
+        if word == "let":
+            self.expect("val")
+            name = self.ident()
+            self.expect("<-")
+            bound = self.parse_comp()
+            self.expect("in")
+            return Let(name, bound, self.parse_comp())
+        if word == "return":
+            return Return(self.parse_val(self.take()))
+        if word == "flip":
+            self.expect("(")
+            bias = self.parse_rat()
+            self.expect(")")
+            return Flip(bias)
+        if word == "fresh":
+            self.expect("(")
+            self.expect(")")
+            return Fresh()
+        if word == "memfn":
+            binder = self.ident()
+            self.expect(".")
+            return MemFn(binder, self.parse_comp())
+        if word == "if":
+            cond = self.parse_val(self.take())
+            self.expect("then")
+            then = self.parse_comp()
+            self.expect("else")
+            return If(cond, then, self.parse_comp())
+        if word == "match":
+            subject = self.parse_val(self.take())
+            self.expect("as")
+            self.expect("(")
+            fst = self.ident()
+            self.expect(",")
+            snd = self.ident()
+            self.expect(")")
+            self.expect("in")
+            return Match(subject, fst, snd, self.parse_comp())
+        if tok[0] == "ident" or word in _VAL_WORDS:
+            lhs = self.parse_val(tok)
+            op = self.take()
+            if op[1] == "==":
+                return Eq(lhs, self.parse_val(self.take()))
+            if op[1] == "@":
+                return App(lhs, self.parse_val(self.take()))
+            raise self.fail({"==", "@"}, op)
+        raise self.fail(_COMP_EXPECTED, tok)
 
 
 def parse_program(text: str) -> Comp:
     """Parse a whole program; raises ParseError on malformed input."""
     parser = _Parser(text)
     comp = parser.parse_comp()
-    if parser.peek().kind != "eof":
-        raise parser.fail({"end of input"})
+    if parser.tokens[-1][0] != "eof":
+        raise parser.fail({"end of input"}, parser.tokens[-1])
     return comp
 
 

@@ -7,6 +7,10 @@ pair at the head of the stack, and the stack is split between subterms
 according to the textual position of the markers.  A source computation
 is typed as an extended term at the empty stack, so one walker carries
 every rule.
+
+The base types ``BOOL``, ``ATOM`` and ``FUN`` are the one instance of their
+class each, compared and hashed by identity (a copy or an unpickled copy is
+the same object); products (``ProdT``) compare and hash structurally.
 """
 
 from __future__ import annotations
@@ -20,22 +24,34 @@ from . import syntax as S
 # Types
 
 
-@dataclass(frozen=True)
-class BoolT:
+class _BaseType:
+    """A base type has one instance, the module-level constant named by
+    ``_name``: it is compared and hashed by identity, and a copy or an
+    unpickled copy of it is that instance again."""
+
+    __slots__ = ()
+    _name: str
+
     def __repr__(self) -> str:
-        return "bool"
+        return self._name.lower()
+
+    def __reduce__(self) -> str:
+        return self._name
 
 
-@dataclass(frozen=True)
-class AtomT:
-    def __repr__(self) -> str:
-        return "atom"
+class BoolT(_BaseType):
+    __slots__ = ()
+    _name = "BOOL"
 
 
-@dataclass(frozen=True)
-class FunT:
-    def __repr__(self) -> str:
-        return "fun"
+class AtomT(_BaseType):
+    __slots__ = ()
+    _name = "ATOM"
+
+
+class FunT(_BaseType):
+    __slots__ = ()
+    _name = "FUN"
 
 
 @dataclass(frozen=True)
@@ -162,7 +178,7 @@ def _pop(stack: MemoStack, marker: S.MemoCtx) -> MemoStack:
 def _memo_result(ty: Ty, marker: S.MemoCtx) -> Ty:
     """A marker writes its body's result into the memo-table, so the body
     must yield a boolean, wherever the marker stands."""
-    if ty != BOOL:
+    if ty is not BOOL:
         raise TypeMismatch("bool (memoized result)", repr(ty), S.pretty(marker))
     return ty
 
@@ -182,7 +198,7 @@ def _check_ext(ctx: TyCtx, stack: MemoStack, e: S.ExtTerm) -> tuple[Ty, MemoStac
         return _check_ext(ctx.extend(e.name, bound_ty), rest, e.body)
     if isinstance(e, S.If):
         cond_ty = type_of_value(ctx, e.cond)
-        if cond_ty != BOOL:
+        if cond_ty is not BOOL:
             raise TypeMismatch("bool", repr(cond_ty), S.pretty(e))
         orelse: S.ExtTerm = e.orelse
         if isinstance(orelse, S.MemoCtx):
@@ -213,21 +229,21 @@ def _check_ext(ctx: TyCtx, stack: MemoStack, e: S.ExtTerm) -> tuple[Ty, MemoStac
     if isinstance(e, S.Eq):
         for side in (e.lhs, e.rhs):
             ty = type_of_value(ctx, side)
-            if ty != ATOM:
+            if ty is not ATOM:
                 raise TypeMismatch("atom", repr(ty), S.pretty(e))
         return BOOL, stack
     if isinstance(e, S.MemFn):
         # a body is source syntax: it carries no markers of its own
         body_ty = type_of_comp(ctx.extend(e.binder, ATOM), e.body)
-        if body_ty != BOOL:
+        if body_ty is not BOOL:
             raise TypeMismatch("bool (memoized function body)", repr(body_ty), S.pretty(e))
         return FUN, stack
     if isinstance(e, S.App):
         fn_ty = type_of_value(ctx, e.fn)
-        if fn_ty != FUN:
+        if fn_ty is not FUN:
             raise TypeMismatch("fun", repr(fn_ty), S.pretty(e))
         arg_ty = type_of_value(ctx, e.arg)
-        if arg_ty != ATOM:
+        if arg_ty is not ATOM:
             raise TypeMismatch("atom", repr(arg_ty), S.pretty(e))
         return BOOL, stack
     raise TypeError(f"not a computation: {e!r}")

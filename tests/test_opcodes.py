@@ -1,0 +1,35 @@
+"""tools/opcodes.py's counters, run on a few programs, so the script keeps
+working as the package changes."""
+
+import importlib.util
+from pathlib import Path
+
+from memlang import denot, progen
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcodes.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("opcodes_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_set_up_count_is_positive_and_repeatable():
+    tool = _tool()
+    tool.set_up(3, 20243)  # a first call runs some one-time work of the library
+    first = tool.count_opcodes(lambda: tool.set_up(3, 20243))
+    assert first > 1000
+    assert tool.count_opcodes(lambda: tool.set_up(3, 20243)) == first
+    assert tool.count_opcodes(lambda: tool.set_up(6, 20243)) > first
+
+
+def test_the_warm_checker_count_is_positive_and_repeatable():
+    tool = _tool()
+    programs = progen.soundness_corpus(3, 20243)
+    first = tool.warm_count(denot.check_soundness, programs)
+    assert first > 1000
+    assert tool.warm_count(denot.check_soundness, programs) == first
+    family = [tool.syntax.parse_program(tool.family_text(n)) for n in (1, 2)]
+    assert tool.warm_count(denot.den_program, family) > 0

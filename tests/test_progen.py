@@ -104,6 +104,22 @@ def test_a_pair_whose_part_the_scope_cannot_build_is_a_variable():
     assert isinstance(gen._val(_scope_from({"a": TC.ATOM}), pair), S.PairVal)
 
 
+def test_the_scope_index_lists_each_types_names_in_binding_order():
+    pair = TC.ProdT(TC.ATOM, TC.BOOL)
+    scope = _scope_from({"a": TC.ATOM, "b": TC.BOOL, "p": pair, "c": TC.ATOM})
+    scope = scope.bind("q", TC.ProdT(TC.ATOM, TC.BOOL)).bind("f", TC.FUN)
+    assert scope.types == (TC.ATOM, TC.BOOL, pair, TC.ATOM, pair, TC.FUN)
+    assert dict(scope.by_type) == {
+        TC.ATOM: ("a", "c"), TC.BOOL: ("b",), pair: ("p", "q"), TC.FUN: ("f",)
+    }
+    assert scope.pairs == (("p", pair), ("q", pair))
+    assert scope.clean_atoms == {"a", "c"}
+    # a binding leaves the scope it extends as it was
+    base = _scope_from({"a": TC.ATOM})
+    assert base.bind("d", TC.ATOM).by_type[TC.ATOM] == ("a", "d")
+    assert base.by_type[TC.ATOM] == ("a",) and base.clean_atoms == {"a"}
+
+
 def test_the_monad_is_commutative_pointwise():
     # let xk <- m in let yk <- n in k equals the swapped order at a random
     # world and five bias states a case: the law that licenses reordering

@@ -1,10 +1,13 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlang import cli
 from memlang import syntax as S
 from memlang.progen import ProgramGen
 
@@ -202,3 +205,58 @@ def test_only_ascii_digits_are_numbers(digit):
 def test_number_with_too_many_digits_is_a_parse_error(text):
     with pytest.raises(S.ParseError, match="too many digits"):
         S.parse_program(text)
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [("return # c", 11), ("let val x <- flip(1/2) in # body missing", 41)],
+)
+def test_end_of_input_after_a_trailing_comment_is_one_past_the_last_character(tmp_path, capsys, text, col):
+    with pytest.raises(S.ParseError) as exc:
+        S.parse_program(text)
+    assert (exc.value.line, exc.value.col, exc.value.found) == (1, col, "end of input")
+    assert col == len(text) + 1
+    source = tmp_path / "trailing.mem"
+    source.write_text(text, encoding="utf-8")
+    assert cli.main(["check", str(source)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"].startswith(f"1:{col}: ")
+
+
+# Pieces a text is drawn from: every kind of token, keywords run together
+# with letters, blanks, comments, newlines, and letters and digits outside
+# ASCII, of which only the letters may be in a word
+_PIECES = [
+    "return", "let", "val", "in", "if", "then", "else", "match", "as", "flip",
+    "fresh", "memfn", "true", "false", "x", "y_1", "inx", "é", "xé", "a٣", "b²",
+    "²", "٣", "１", "1", "0", "0.5", "1/3", "2/0", "0.5/2", "1.",
+    "<-", "==", "(", ")", ",", ".", "@", "/", "<", "=", "$",
+    " ", "\t", "\r", "\n", "# c", "#(x", "# é",
+]
+
+
+def _offset(text: str, line: int, col: int) -> int:
+    lines = text.split("\n")
+    assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1
+    return sum(len(earlier) + 1 for earlier in lines[: line - 1]) + col - 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join))
+def test_a_parse_error_points_at_what_its_message_names(text):
+    try:
+        S.parse_program(text)
+    except S.ParseError as exc:
+        at = _offset(text, exc.line, exc.col)
+        if exc.message.startswith("unexpected character"):
+            assert exc.message == f"unexpected character {text[at]!r}"
+        elif exc.found == "end of input":
+            assert at == len(text)
+        else:
+            # a token found where another was expected, a reserved word, or
+            # the number of a bias, a zero denominator or an overlong number
+            found = exc.found or re.match(r"[0-9.]+", text[at:])[0]
+            assert text.startswith(found, at)
+            # a whole word or number, not its tail: only a number ends just
+            # before a word starts
+            if at and found[0].isalnum() and re.match(r"\w", text[at - 1]):
+                assert found[0].isalpha() and text[at - 1] in "0123456789"

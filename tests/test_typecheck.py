@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -165,3 +167,29 @@ def test_source_typing_rejects_memo_markers():
     for term in (marked, S.Let("x", marked, S.Return(S.Var("x"))), S.MemFn("y", marked)):
         with pytest.raises(TC.StackMismatch):
             TC.type_of_comp(TC.EMPTY_CTX, term)
+
+
+@pytest.mark.parametrize("ty", [TC.BOOL, TC.ATOM, TC.FUN], ids=repr)
+def test_a_base_type_copied_or_pickled_is_the_same_object(ty):
+    assert copy.copy(ty) is ty
+    assert copy.deepcopy(ty) is ty
+    assert pickle.loads(pickle.dumps(ty)) is ty
+    pair = pickle.loads(pickle.dumps(TC.ProdT(ty, TC.BOOL)))
+    assert pair.fst is ty and pair.snd is TC.BOOL
+
+
+def test_base_types_are_compared_and_hashed_by_identity():
+    assert len({TC.BOOL, TC.ATOM, TC.FUN}) == 3
+    assert TC.BOOL == TC.BOOL and TC.BOOL != TC.ATOM and TC.ATOM != TC.FUN
+    assert hash(TC.BOOL) == object.__hash__(TC.BOOL)
+    assert [repr(t) for t in (TC.BOOL, TC.ATOM, TC.FUN)] == ["bool", "atom", "fun"]
+
+
+def test_product_types_compare_and_hash_structurally():
+    a = TC.ProdT(TC.ATOM, TC.ProdT(TC.BOOL, TC.FUN))
+    b = TC.ProdT(TC.ATOM, TC.ProdT(TC.BOOL, TC.FUN))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert a != TC.ProdT(TC.ATOM, TC.ProdT(TC.FUN, TC.BOOL))
+    assert TC.ProdT(TC.BOOL, TC.BOOL) != TC.BOOL
+    assert copy.deepcopy(a) == a

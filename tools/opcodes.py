@@ -1,17 +1,23 @@
-"""Count the Python opcodes that one warm pass of the checker executes.
+"""Count the Python opcodes that the front end and one warm pass of the
+checker execute.
 
     python tools/opcodes.py
 
-Prints a JSON object with two counts:
+Prints a JSON object with three counts:
 
 - ``criterion6_check_soundness``: ``check_soundness`` over criterion 6's
   corpus, ``progen.soundness_corpus(200, 20243)``;
 - ``family_den_program``: ``den_program`` over the fresh_denote family,
-  n = 1..5 (``membench/workloads.py``'s ``family_text``).
+  n = 1..5 (``membench/workloads.py``'s ``family_text``);
+- ``criterion6_setup``: generating criterion 6's corpus, then printing,
+  parsing and typechecking each program, as the soundness_corpus
+  benchmark sets up its items.
 
-Each pass is counted with ``sys.settrace`` and ``frame.f_trace_opcodes``
-after one untraced pass over the same program objects, so the caches a
-term keeps on itself (its size, its free variables, its hash) are warm.
+Each checker pass is counted with ``sys.settrace`` and
+``frame.f_trace_opcodes`` after one untraced pass over the same program
+objects, so the caches a term keeps on itself (its size, its free
+variables, its hash) are warm.  The set-up builds its programs afresh,
+so it is counted once, on new objects, after the library has run once.
 Unlike wall time, the count does not depend on the load of the machine:
 for one tree and one Python version it is fixed once the hash seed is, so
 the script runs itself again under ``PYTHONHASHSEED=0`` when that is not
@@ -28,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from memlang import denot, progen, syntax  # noqa: E402
+from memlang import denot, progen, syntax, typecheck  # noqa: E402
 from membench.workloads import FAMILY_SIZES, family_text  # noqa: E402
 
 
@@ -63,6 +69,14 @@ def warm_count(fn, programs) -> int:
     return count_opcodes(run)
 
 
+def set_up(count: int, seed: int) -> None:
+    """Generate ``soundness_corpus(count, seed)``, then print, parse and
+    typecheck each program."""
+    for program in progen.soundness_corpus(count, seed):
+        parsed = syntax.parse_program(syntax.pretty(program))
+        typecheck.type_of_comp(typecheck.EMPTY_CTX, parsed)
+
+
 def main() -> None:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
@@ -71,6 +85,7 @@ def main() -> None:
     counts = {
         "criterion6_check_soundness": warm_count(denot.check_soundness, corpus),
         "family_den_program": warm_count(denot.den_program, family),
+        "criterion6_setup": count_opcodes(lambda: set_up(200, 20243)),
     }
     print(json.dumps(counts, indent=1))
 
