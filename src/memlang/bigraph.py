@@ -24,20 +24,21 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .hashonce import HashOnce
+from .hashonce import HashOnce, set_field
 
 
-@dataclass(frozen=True, slots=True)
 class Pending(HashOnce):
     """An edge not drawn yet: true with probability ``chance``, independently
     of every other edge.  Its truth value is unknown, so it has none."""
 
-    chance: Fraction
+    __slots__ = _fields = ("chance",)
+
+    def __init__(self, chance: Fraction):
+        set_field(self, "chance", chance)
 
     def __bool__(self) -> bool:
         raise TypeError("a pending edge has no truth value until it is drawn")
@@ -82,6 +83,11 @@ def check_undefined_budget(count: int) -> None:
 class PartialBigraph(HashOnce):
     __slots__ = ("_left", "_right", "_edges", "_key")
     _hash_key = attrgetter("_key")
+    # a graph keeps its own equality, repr and pickle, and stores its slots
+    # once, in _set
+    __hash__ = HashOnce.__hash__
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     def __init__(
         self,
@@ -207,6 +213,9 @@ class PartialBigraph(HashOnce):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PartialBigraph) and self._key == other._key
 
+    def __reduce__(self):
+        return type(self), (self._left, self._right, self._edges)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(left={sorted(self._left)}, right={sorted(self._right)}, edges={list(self.edge_items())})"
 
@@ -243,18 +252,26 @@ def empty() -> PartialBigraph:
     return PartialBigraph()
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(HashOnce):
     """Injective, edge-preserving map between graphs.
 
     Edge values (including undefined ones) must agree: the target never
     adds or removes information on pairs coming from the source.
     """
 
-    source: PartialBigraph
-    target: PartialBigraph
-    left_map: tuple[tuple[int, int], ...]
-    right_map: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("source", "target", "left_map", "right_map")
+
+    def __init__(
+        self,
+        source: PartialBigraph,
+        target: PartialBigraph,
+        left_map: tuple[tuple[int, int], ...],
+        right_map: tuple[tuple[int, int], ...],
+    ):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "left_map", left_map)
+        set_field(self, "right_map", right_map)
 
     @staticmethod
     def make(source, target, left_map: Mapping[int, int], right_map: Mapping[int, int]) -> "Embedding":

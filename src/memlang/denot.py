@@ -101,7 +101,6 @@ nothing here reads an environment's hash, order or labels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, TypeVar, Union
 
@@ -782,8 +781,7 @@ def den_config(config: O.Configuration) -> FinDist[CanonicalClass]:
     return FinDist(mixed(_den_config(config, {})[0]))
 
 
-@dataclass
-class SoundnessReport:
+class SoundnessReport(NamedTuple):
     lhs: FinDist[CanonicalClass]
     rhs: FinDist[CanonicalClass]
     equal: bool

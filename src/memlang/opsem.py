@@ -35,7 +35,6 @@ retained closures up to bound-variable renaming).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Union
@@ -44,7 +43,7 @@ from . import bigraph as B
 from . import syntax as S
 from . import typecheck as TC
 from .dist import ONE, ZERO, FinDist, dirac, map_dist, two_point
-from .hashonce import HashOnce
+from .hashonce import HashOnce, set_field
 
 _STEP_BUDGET = 1_000_000
 
@@ -69,25 +68,33 @@ class JudgementFailure(Exception):
 # Runtime values and immutable maps
 
 
-@dataclass(frozen=True, slots=True)
 class BoolV(HashOnce):
-    value: bool
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class FunV(HashOnce):
-    label: int
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: int):
+        set_field(self, "label", label)
 
 
-@dataclass(frozen=True, slots=True)
 class AtomV(HashOnce):
-    label: int
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: int):
+        set_field(self, "label", label)
 
 
-@dataclass(frozen=True, slots=True)
 class PairV(HashOnce):
-    fst: "EnvValue"
-    snd: "EnvValue"
+    __slots__ = _fields = ("fst", "snd")
+
+    def __init__(self, fst: EnvValue, snd: EnvValue):
+        set_field(self, "fst", fst)
+        set_field(self, "snd", snd)
 
 
 EnvValue = Union[BoolV, FunV, AtomV, PairV]
@@ -174,19 +181,23 @@ EMPTY_MAP = FrozenMap()
 EMPTY_GRAPH = B.empty()
 
 
-@dataclass(frozen=True, slots=True)
 class Closure(HashOnce):
-    binder: S.Ident
-    body: S.Comp
-    captured: FrozenMap  # name -> EnvValue
+    __slots__ = _fields = ("binder", "body", "captured")
+
+    def __init__(self, binder: S.Ident, body: S.Comp, captured: FrozenMap):
+        set_field(self, "binder", binder)
+        set_field(self, "body", body)
+        set_field(self, "captured", captured)  # name -> EnvValue
 
 
-@dataclass(frozen=True, slots=True)
 class Configuration(HashOnce):
-    env: FrozenMap  # name -> EnvValue
-    term: S.ExtTerm
-    graph: B.PartialBigraph
-    closures: FrozenMap  # fun label -> Closure
+    __slots__ = _fields = ("env", "term", "graph", "closures")
+
+    def __init__(self, env: FrozenMap, term: S.ExtTerm, graph: B.PartialBigraph, closures: FrozenMap):
+        set_field(self, "env", env)  # name -> EnvValue
+        set_field(self, "term", term)
+        set_field(self, "graph", graph)
+        set_field(self, "closures", closures)  # fun label -> Closure
 
 
 def initial_configuration(program: S.Comp) -> Configuration:
@@ -354,7 +365,7 @@ def _term_size(t: S.ExtTerm) -> int:
             n += _val_size(v)
         for _, body in scopes:
             n += _term_size(body)
-    object.__setattr__(t, "_size", n)
+    set_field(t, "_size", n)
     return n
 
 
@@ -578,16 +589,19 @@ def check_stack_invariants(config: Configuration) -> bool:
 # Observations of terminal configurations
 
 
-@dataclass(frozen=True, slots=True)
 class Observation(HashOnce):
     """What a caller can distinguish about a terminal configuration: the
     returned value, the slice of the memo-table reachable from it, and the
     retained closures with bound variables renamed canonically.  Labels are
     renumbered in first-occurrence order of a left-to-right traversal."""
 
-    value: EnvValue
-    graph: B.PartialBigraph
-    closures: tuple  # ((label, canonical MemFn, ((name, EnvValue), ...)), ...)
+    __slots__ = _fields = ("value", "graph", "closures")
+
+    def __init__(self, value: EnvValue, graph: B.PartialBigraph, closures: tuple):
+        set_field(self, "value", value)
+        set_field(self, "graph", graph)
+        # ((label, canonical MemFn, ((name, EnvValue), ...)), ...)
+        set_field(self, "closures", closures)
 
 
 def observe(config: Configuration) -> Observation:

@@ -14,7 +14,6 @@ for the names of a type is one dict lookup.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -271,8 +270,7 @@ class ProgramGen:
 # Law suites
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     count: int
     seed: int
@@ -284,7 +282,7 @@ class SuiteResult:
         return not self.failures
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def soundness_corpus(count: int, seed: int) -> list[S.Comp]:

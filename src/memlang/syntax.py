@@ -19,106 +19,127 @@ sits one past the last character, after a trailing comment too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Any, Optional, Union
 
-from .hashonce import HashOnce
+from .hashonce import HashOnce, set_field
 
 Ident = str
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
 #
-# Nodes are immutable and keep their hash after the first ``hash()``
-# (``HashOnce``).  Computations and memo markers also keep the evaluator's
-# progress measure, once ``opsem._term_size`` has computed it, and
-# computations their free variables, once ``free_var_names`` has.
+# Nodes are immutable, plain slotted classes whose ``__init__`` stores each
+# field; ``HashOnce`` gives them structural equality, their ``repr`` and
+# their pickles, and keeps their hash after the first ``hash()``.
+# Computations and memo markers also keep the evaluator's progress
+# measure, once ``opsem._term_size`` has computed it, and computations
+# their free variables, once ``free_var_names`` has.
 
 
 class _Term(HashOnce):
     __slots__ = ("_size", "_fv")
 
 
-@dataclass(frozen=True, slots=True)
 class BoolLit(HashOnce):
-    value: bool
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(HashOnce):
-    name: Ident
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: Ident):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class PairVal(HashOnce):
-    fst: "Val"
-    snd: "Val"
+    __slots__ = _fields = ("fst", "snd")
+
+    def __init__(self, fst: Val, snd: Val):
+        set_field(self, "fst", fst)
+        set_field(self, "snd", snd)
 
 
 Val = Union[BoolLit, Var, PairVal]
 
 
-@dataclass(frozen=True, slots=True)
 class Return(_Term):
-    value: Val
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Val):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class Let(_Term):
-    name: Ident
-    bound: "Comp"
-    body: "Comp"
+    __slots__ = _fields = ("name", "bound", "body")
+
+    def __init__(self, name: Ident, bound: Comp, body: Comp):
+        set_field(self, "name", name)
+        set_field(self, "bound", bound)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
 class If(_Term):
-    cond: Val
-    then: "Comp"
-    orelse: "Comp"
+    __slots__ = _fields = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Val, then: Comp, orelse: Comp):
+        set_field(self, "cond", cond)
+        set_field(self, "then", then)
+        set_field(self, "orelse", orelse)
 
 
-@dataclass(frozen=True, slots=True)
 class Match(_Term):
-    subject: Val
-    fst_name: Ident
-    snd_name: Ident
-    body: "Comp"
+    __slots__ = _fields = ("subject", "fst_name", "snd_name", "body")
+
+    def __init__(self, subject: Val, fst_name: Ident, snd_name: Ident, body: Comp):
+        set_field(self, "subject", subject)
+        set_field(self, "fst_name", fst_name)
+        set_field(self, "snd_name", snd_name)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
 class Flip(_Term):
-    bias: Fraction
+    __slots__ = _fields = ("bias",)
+
+    def __init__(self, bias: Fraction):
+        set_field(self, "bias", bias)
 
 
-@dataclass(frozen=True, slots=True)
 class Fresh(_Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Eq(_Term):
-    lhs: Val
-    rhs: Val
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Val, rhs: Val):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, slots=True)
 class MemFn(_Term):
-    binder: Ident
-    body: "Comp"
+    __slots__ = _fields = ("binder", "body")
+
+    def __init__(self, binder: Ident, body: Comp):
+        set_field(self, "binder", binder)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
 class App(_Term):
-    fn: Val
-    arg: Val
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn: Val, arg: Val):
+        set_field(self, "fn", fn)
+        set_field(self, "arg", arg)
 
 
 Comp = Union[Return, Let, If, Match, Flip, Fresh, Eq, MemFn, App]
 
 
-@dataclass(frozen=True, slots=True)
 class MemoCtx(_Term):
     """Pending memoization marker produced only by the evaluator.
 
@@ -128,10 +149,13 @@ class MemoCtx(_Term):
     layer and to the typechecker.
     """
 
-    inner: "ExtTerm"
-    fun_label: int
-    atom_label: int
-    restore_env: Any
+    __slots__ = _fields = ("inner", "fun_label", "atom_label", "restore_env")
+
+    def __init__(self, inner: ExtTerm, fun_label: int, atom_label: int, restore_env: Any):
+        set_field(self, "inner", inner)
+        set_field(self, "fun_label", fun_label)
+        set_field(self, "atom_label", atom_label)
+        set_field(self, "restore_env", restore_env)
 
 
 ExtTerm = Union[Comp, MemoCtx]
@@ -473,7 +497,7 @@ def free_var_names(c: Comp) -> tuple[Ident, ...]:
     for binders, body in scopes:
         names |= set(free_var_names(body)).difference(binders)
     fv = tuple(sorted(names))
-    object.__setattr__(c, "_fv", fv)
+    set_field(c, "_fv", fv)
     return fv
 
 

@@ -15,10 +15,10 @@ the same object); products (``ProdT``) compare and hash structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import syntax as S
+from .hashonce import HashOnce, set_field
 
 # ---------------------------------------------------------------------------
 # Types
@@ -54,10 +54,12 @@ class FunT(_BaseType):
     _name = "FUN"
 
 
-@dataclass(frozen=True)
-class ProdT:
-    fst: "Ty"
-    snd: "Ty"
+class ProdT(HashOnce):
+    __slots__ = _fields = ("fst", "snd")
+
+    def __init__(self, fst: Ty, snd: Ty):
+        set_field(self, "fst", fst)
+        set_field(self, "snd", snd)
 
     def __repr__(self) -> str:
         return f"({self.fst!r} * {self.snd!r})"

@@ -2,6 +2,7 @@
 working as the package changes."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from memlang import denot, progen
@@ -33,3 +34,13 @@ def test_the_warm_checker_count_is_positive_and_repeatable():
     assert tool.warm_count(denot.check_soundness, programs) == first
     family = [tool.syntax.parse_program(tool.family_text(n)) for n in (1, 2)]
     assert tool.warm_count(denot.den_program, family) > 0
+
+
+def test_the_import_count_is_positive_and_repeatable():
+    tool = _tool()
+    before = {name: module for name, module in sys.modules.items() if name.startswith("memlang")}
+    first = tool.import_count()
+    assert first > 1000
+    assert tool.import_count() == first
+    # the caller's own modules are put back
+    assert {name: module for name, module in sys.modules.items() if name.startswith("memlang")} == before

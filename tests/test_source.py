@@ -14,6 +14,36 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
+def _imported_modules(source: str) -> set[str]:
+    """Every module an import statement names, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # node classes are written out by hand, so importing the package
+    # generates no class methods
+    imported = _imported_modules(path.read_text(encoding="utf-8"))
+    assert "dataclasses" not in {name.partition(".")[0] for name in imported}, path.name
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import dataclasses", True),
+    ("from dataclasses import dataclass", True),
+    ("def f():\n    import dataclasses as d", True),
+    ("from .hashonce import HashOnce", False),
+    ("import re", False),
+])
+def test_the_dataclasses_check_finds_an_import(source, found):
+    assert ("dataclasses" in _imported_modules(source)) is found
+
+
 _MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 _MUTABLE_TYPES = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
 _CACHE_DECORATORS = {"cache", "lru_cache"}

@@ -1,9 +1,9 @@
-"""Count the Python opcodes that the front end and one warm pass of the
-checker execute.
+"""Count the Python opcodes that importing the package, the front end and
+one warm pass of the checker execute.
 
     python tools/opcodes.py
 
-Prints a JSON object with three counts:
+Prints a JSON object with four counts:
 
 - ``criterion6_check_soundness``: ``check_soundness`` over criterion 6's
   corpus, ``progen.soundness_corpus(200, 20243)``;
@@ -11,13 +11,20 @@ Prints a JSON object with three counts:
   n = 1..5 (``membench/workloads.py``'s ``family_text``);
 - ``criterion6_setup``: generating criterion 6's corpus, then printing,
   parsing and typechecking each program, as the soundness_corpus
-  benchmark sets up its items.
+  benchmark sets up its items;
+- ``import``: one warm re-import of the eight modules that
+  ``membench/run.py``'s ``import_memlang`` imports, after the ``memlang``
+  modules are dropped from ``sys.modules``, as it does.  Compiling the
+  source is C and is not counted, nor are the frames of the import system
+  itself, which differ with whether a bytecode cache exists; what the
+  modules run as they load (class bodies and whatever they call) is.
 
 Each checker pass is counted with ``sys.settrace`` and
 ``frame.f_trace_opcodes`` after one untraced pass over the same program
 objects, so the caches a term keeps on itself (its size, its free
 variables, its hash) are warm.  The set-up builds its programs afresh,
-so it is counted once, on new objects, after the library has run once.
+so it is counted once, on new objects, after the library has run once;
+the re-import is counted after one untraced re-import.
 Unlike wall time, the count does not depend on the load of the machine:
 for one tree and one Python version it is fixed once the hash seed is, so
 the script runs itself again under ``PYTHONHASHSEED=0`` when that is not
@@ -26,6 +33,8 @@ set.  It imports the ``memlang`` of the tree it lives in.
 
 from __future__ import annotations
 
+import gc
+import importlib
 import json
 import os
 import sys
@@ -38,8 +47,14 @@ from memlang import denot, progen, syntax, typecheck  # noqa: E402
 from membench.workloads import FAMILY_SIZES, family_text  # noqa: E402
 
 
+# membench/run.py's MODULES, in its order
+MODULES = ("syntax", "typecheck", "dist", "bigraph", "opsem", "denot", "progen", "cli")
+
+
 def count_opcodes(run) -> int:
-    """Opcodes executed by ``run()``, counted in every Python frame it enters."""
+    """Opcodes executed by ``run()``, counted in every Python frame it
+    enters except the import system's own.  The cyclic collector is paused
+    meanwhile, so no finalizer of other garbage runs inside the count."""
     count = 0
 
     def local(frame, event, arg):
@@ -49,14 +64,21 @@ def count_opcodes(run) -> int:
         return local
 
     def call(frame, event, arg):
+        if frame.f_code.co_filename.startswith("<frozen importlib"):
+            return None
         frame.f_trace_opcodes = True
         return local
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.settrace(call)
     try:
         run()
     finally:
         sys.settrace(None)
+        if collecting:
+            gc.enable()
     return count
 
 
@@ -77,6 +99,30 @@ def set_up(count: int, seed: int) -> None:
         typecheck.type_of_comp(typecheck.EMPTY_CTX, parsed)
 
 
+def import_count() -> int:
+    """Opcodes of one warm re-import of ``MODULES``.  The modules imported
+    before the call are put back afterwards, so a caller keeps its own."""
+    kept = _drop_memlang()
+
+    def reimport():
+        _drop_memlang()
+        for name in MODULES:
+            importlib.import_module(f"memlang.{name}")
+
+    try:
+        reimport()
+        return count_opcodes(reimport)
+    finally:
+        _drop_memlang()
+        sys.modules.update(kept)
+
+
+def _drop_memlang() -> dict:
+    """Remove the ``memlang`` modules from ``sys.modules`` and return them."""
+    names = [name for name in sys.modules if name.partition(".")[0] == "memlang"]
+    return {name: sys.modules.pop(name) for name in names}
+
+
 def main() -> None:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
@@ -86,6 +132,7 @@ def main() -> None:
         "criterion6_check_soundness": warm_count(denot.check_soundness, corpus),
         "family_den_program": warm_count(denot.den_program, family),
         "criterion6_setup": count_opcodes(lambda: set_up(200, 20243)),
+        "import": import_count(),
     }
     print(json.dumps(counts, indent=1))
 
