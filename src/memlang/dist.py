@@ -77,6 +77,12 @@ class FinDist(Generic[T]):
         self._pairs = acc.items()
         self._dict = acc
 
+    def __reduce__(self):
+        # a copy or a pickle is rebuilt through the constructor from a list
+        # of the pairs: a merged distribution keeps them as a dict view,
+        # which cannot be pickled
+        return FinDist, (list(self._pairs),)
+
     def _weights(self) -> dict[T, Fraction]:
         if self._dict is None:
             self._dict = dict(self._pairs)

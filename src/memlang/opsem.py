@@ -6,26 +6,34 @@ function labels.  Reduction finds the unique leftmost-outermost redex, fires
 one rule, and either stays deterministic or, at a coin flip, splits into an
 exact two-point distribution over successor configurations.  The redex's
 evaluation context is the term's own spine above it: the lets whose bound
-term, and the memo markers whose body, hold the redex, outermost first.  A
-step rebuilds that spine around the rule's result and reads the pending
-memoizations off its markers.
+term, and the memo markers whose body, hold the redex, outermost first.
+The rules are written once (``_fire``) and fill the hole the redex leaves.
+``step`` rebuilds the spine around what fills it and reads the pending
+memoizations off its markers.  The exhaustive enumerator keeps the spine
+instead, as frames linked from the hole up, and seeks the next redex from
+the hole rather than from the root (refocusing), so a reduction costs the
+same at any depth and a configuration is built only at a terminal.
 
 Environments and closure maps are ``FrozenMap``s: read-only dicts that
 hash by their items.
 
-Every step checks its configuration, on what each part already keeps
-rather than by a walk: an environment keeps the labels its values mention
-(``FrozenMap.labels``, derived as the map is built), and the progress
-check compares the redex with what replaces it, since the spine around
-them is rebuilt unchanged.
+Every reduction checks its configuration, on what each part already keeps
+rather than by a walk: the closure map must cover the graph's functions,
+an environment keeps the labels its values mention (``FrozenMap.labels``,
+derived as the map is built) and they must lie in the graph, and the
+progress check compares the redex with what fills its hole, since the
+spine around them is unchanged.  ``step`` checks every memo marker on its
+spine against the graph; the enumerator checks each one when its search
+first meets it, which is as much, since the graph only grows.
 
 Booleans are shared: a literal evaluates to one of the two ``BOOLS``, and
 a rule that yields a boolean (a flip, an application on a defined edge, an
 equality, a memo return) puts one of the two ``RETURNED_BOOLS`` in place of
 its redex, so none of them is built or hashed again.
 
-``enumerate_bigstep`` unfolds ``step`` exhaustively with exact rational
-weights, merging the terminals of ``terminal_paths``; ``run_sampled``
+``terminal_paths`` unfolds the reduction exhaustively, along the paths of
+``step`` and with exact rational weights, and ``enumerate_bigstep`` merges
+its terminals; ``run_sampled``
 follows one trace of ``step`` with a seeded generator; ``observe``
 quotients terminal configurations down to the data a caller can actually
 distinguish (returned value, the reachable slice of the memo-table, and
@@ -42,7 +50,7 @@ from typing import Iterable, Mapping, Optional, Union
 from . import bigraph as B
 from . import syntax as S
 from . import typecheck as TC
-from .dist import ONE, ZERO, FinDist, dirac, map_dist, two_point
+from .dist import ONE, ZERO, FinDist, MassError, dirac, map_dist, two_point
 from .hashonce import HashOnce, set_field
 
 _STEP_BUDGET = 1_000_000
@@ -57,7 +65,9 @@ class MalformedConfiguration(Exception):
 
 
 class StepBudgetExceeded(Exception):
-    """``enumerate_bigstep`` took more than ``_STEP_BUDGET`` steps."""
+    """An exhaustive enumeration (``terminal_paths``, which
+    ``enumerate_bigstep`` and ``denot.check_soundness`` run) took more than
+    ``_STEP_BUDGET`` reductions."""
 
 
 class JudgementFailure(Exception):
@@ -271,10 +281,58 @@ def relabel(value: EnvValue, fmap: Mapping[int, int], amap: Mapping[int, int]) -
 
 Spine = tuple[S.ExtTerm, ...]  # the Let and MemoCtx nodes above a redex
 Decomposition = tuple[Spine, S.ExtTerm]
+# the same nodes linked innermost first, each as (node, the frames above
+# it), None above the outermost; successors of one redex share them
+Frames = Optional[tuple]
+
+_TERMINAL_COMPS = (S.Return, S.MemFn, S.Fresh)
 
 
-def _is_terminal_comp(t: S.ExtTerm) -> bool:
-    return isinstance(t, (S.Return, S.MemFn, S.Fresh))
+def _refocus(
+    t: S.ExtTerm, frames: Frames, graph: Optional[B.PartialBigraph] = None
+) -> Optional[tuple[Frames, S.ExtTerm]]:
+    """The redex next to reduce when ``t`` fills the hole under ``frames``:
+    (the frames above it, the redex), or None when ``t`` is terminal with
+    no frame above it.  The search descends from ``t`` through each let's
+    bound term and each marker's body.  A terminal ``t`` goes into the frame
+    above it, which becomes the redex: a let binding it, or a marker
+    returning it.  Given a graph, each marker met on the way down is
+    checked against it."""
+    while True:
+        if isinstance(t, S.Let):
+            if isinstance(t.bound, _TERMINAL_COMPS):
+                return frames, t
+            frames = (t, frames)
+            t = t.bound
+        elif isinstance(t, S.MemoCtx):
+            if graph is not None:
+                _check_marker(t, graph)
+            if isinstance(t.inner, S.Return):
+                return frames, t
+            frames = (t, frames)
+            t = t.inner
+        elif isinstance(t, _TERMINAL_COMPS):
+            if frames is None:
+                return None
+            node, frames = frames
+            if isinstance(node, S.Let):
+                return frames, S.Let(node.name, t, node.body)
+            if isinstance(t, S.Return):
+                return frames, S.MemoCtx(t, node.fun_label, node.atom_label, node.restore_env)
+            raise Stuck(f"terminal {S.pretty(t)} under a reduction context")
+        elif isinstance(t, (S.If, S.Match, S.Flip, S.Eq, S.App)):
+            return frames, t
+        else:
+            raise Stuck(f"no redex in {t!r}")
+
+
+def _spine(frames: Frames) -> Spine:
+    spine = []
+    while frames is not None:
+        node, frames = frames
+        spine.append(node)
+    spine.reverse()
+    return tuple(spine)
 
 
 def decompose(term: S.ExtTerm) -> Optional[Decomposition]:
@@ -285,27 +343,11 @@ def decompose(term: S.ExtTerm) -> Optional[Decomposition]:
     Returns None when the term is terminal (a return, a function
     abstraction, or a bare fresh() at the top level).
     """
-    spine: list[S.ExtTerm] = []
-    t = term
-    while True:
-        if isinstance(t, S.Let):
-            if _is_terminal_comp(t.bound):
-                return tuple(spine), t
-            spine.append(t)
-            t = t.bound
-        elif isinstance(t, S.MemoCtx):
-            if isinstance(t.inner, S.Return):
-                return tuple(spine), t
-            spine.append(t)
-            t = t.inner
-        elif _is_terminal_comp(t):
-            if spine:
-                raise Stuck(f"terminal {S.pretty(t)} under a reduction context")
-            return None
-        elif isinstance(t, (S.If, S.Match, S.Flip, S.Eq, S.App)):
-            return tuple(spine), t
-        else:
-            raise Stuck(f"no redex in {t!r}")
+    found = _refocus(term, None)
+    if found is None:
+        return None
+    frames, redex = found
+    return _spine(frames), redex
 
 
 def recompose(spine: Spine, term: S.ExtTerm) -> S.ExtTerm:
@@ -332,28 +374,35 @@ def _markers(dec: Optional[Decomposition]) -> list[S.MemoCtx]:
 # One-step reduction
 
 
-def _validate(config: Configuration, dec: Optional[Decomposition]) -> None:
-    if config.closures.keys() != config.graph.left:
+def _check_maps(env: FrozenMap, graph: B.PartialBigraph, closures: FrozenMap) -> None:
+    left = graph.left
+    if closures.keys() != left:
         raise MalformedConfiguration("closure map must cover exactly the function labels")
-    funs, atoms = config.env.labels()
-    if not funs <= config.graph.left or not atoms <= config.graph.right:
+    funs, atoms = env.labels()
+    if not funs <= left or not atoms <= graph.right:
         raise MalformedConfiguration("environment mentions labels outside the graph")
-    for marker in _markers(dec):
-        if marker.fun_label not in config.graph.left or marker.atom_label not in config.graph.right:
-            raise MalformedConfiguration("memo marker mentions labels outside the graph")
+
+
+def _check_marker(marker: S.MemoCtx, graph: B.PartialBigraph) -> None:
+    if marker.fun_label not in graph.left or marker.atom_label not in graph.right:
+        raise MalformedConfiguration("memo marker mentions labels outside the graph")
 
 
 def _term_size(t: S.ExtTerm) -> int:
     # Sized so that every rule except an application on an unsampled edge
     # strictly shrinks the term: one plus the sizes of the parts, except
     # that a bare return weighs only its value and a flip weighs 2.  Kept
-    # on the node: a step rebuilds only the spine above its redex.  A loop,
-    # not a generator, so that a nested term costs one frame per level.
+    # on the node: the enumerator builds only the let or marker a
+    # terminal is plugged into, and step the spine above its redex.  A
+    # loop, not a generator, so that a nested term costs one frame per
+    # level.
     n = getattr(t, "_size", None)
     if n is not None:
         return n
     if isinstance(t, S.Return):
         n = _val_size(t.value)
+    elif isinstance(t, S.Let):
+        n = 1 + _term_size(t.bound) + _term_size(t.body)
     elif isinstance(t, S.Flip):
         n = 2
     elif isinstance(t, S.MemoCtx):
@@ -381,81 +430,104 @@ def _as_bool(value: EnvValue, what: str) -> bool:
     return value.value
 
 
-def _step_outcomes(config: Configuration, dec: Optional[Decomposition]) -> FinDist[Configuration]:
-    """The distribution of successors of one reduction at the configuration's
-    decomposition ``dec``: a point mass except at a flip, whose true branch
-    comes first."""
-    _validate(config, dec)
-    if dec is None:
-        raise MalformedConfiguration("configuration is terminal")
-    spine, redex = dec
-    env, graph, closures = config.env, config.graph, config.closures
-    before = _term_size(redex)
-
-    def out(term, new_env=env, new_graph=graph, new_closures=closures, shrinks=True):
-        # progress: every rule shrinks the term except entering a pending
-        # memoization, which permanently claims one unsampled edge.  The
-        # spine is rebuilt unchanged around the replacement, so the term
-        # shrinks exactly when the replacement is smaller than the redex.
-        if shrinks and _term_size(term) >= before:
-            raise MalformedConfiguration(f"step did not shrink {S.pretty(config.term)}")
-        return Configuration(new_env, recompose(spine, term), new_graph, new_closures)
-
+def _fire(redex: S.ExtTerm, env: FrozenMap, graph: B.PartialBigraph, closures: FrozenMap) -> tuple[tuple, ...]:
+    """The rules of the reduction, each written once: the successors of
+    ``redex`` under the given maps, each as (what fills the hole, env,
+    graph, closures, weight).  There is one, of weight ONE, except at a
+    flip: its true branch comes first, weighted by the bias, and its false
+    branch after, weighted by the rest.  A flip's weights are not checked
+    here: ``step`` and ``terminal_paths`` each drop a branch of weight 0
+    and reject a negative one, as ``two_point`` does."""
     if isinstance(redex, S.Let):
         bound = redex.bound
         if isinstance(bound, S.Return):
-            value = eval_value(env, bound.value)
-            return dirac(out(redex.body, env.set(redex.name, value)))
-        if isinstance(bound, S.MemFn):
+            env2 = env.set(redex.name, eval_value(env, bound.value))
+            successors = ((redex.body, env2, graph, closures, ONE),)
+        elif isinstance(bound, S.MemFn):
             graph2, fun = graph.add_left_undef()
             closures2 = closures.set(fun, Closure(bound.binder, bound.body, env))
-            return dirac(out(redex.body, env.set(redex.name, FunV(fun)), graph2, closures2))
-        if isinstance(bound, S.Fresh):
+            successors = ((redex.body, env.set(redex.name, FunV(fun)), graph2, closures2, ONE),)
+        elif isinstance(bound, S.Fresh):
             graph2, atom = graph.add_right_undef()
-            return dirac(out(redex.body, env.set(redex.name, AtomV(atom)), graph2))
-        raise Stuck(f"let-bound term is not terminal: {S.pretty(bound)}")
-    if isinstance(redex, S.MemoCtx):
+            successors = ((redex.body, env.set(redex.name, AtomV(atom)), graph2, closures, ONE),)
+        else:
+            raise Stuck(f"let-bound term is not terminal: {S.pretty(bound)}")
+    elif isinstance(redex, S.MemoCtx):
         inner = redex.inner
         if not isinstance(inner, S.Return):
             raise Stuck("memo marker redex must wrap a return")
-        result = eval_value(env, inner.value)
-        flag = _as_bool(result, "memoized result")
+        flag = _as_bool(eval_value(env, inner.value), "memoized result")
         graph2 = graph.set_edge(redex.fun_label, redex.atom_label, flag)
-        restored = redex.restore_env
-        return dirac(out(RETURNED_BOOLS[flag], restored, graph2))
-    if isinstance(redex, S.App):
+        successors = ((RETURNED_BOOLS[flag], redex.restore_env, graph2, closures, ONE),)
+    elif isinstance(redex, S.App):
         fn = eval_value(env, redex.fn)
         arg = eval_value(env, redex.arg)
         if not isinstance(fn, FunV) or not isinstance(arg, AtomV):
             raise MalformedConfiguration("application needs a function and an atom")
         edge = graph.edge(fn.label, arg.label)
         if edge is not None:
-            return dirac(out(RETURNED_BOOLS[edge]))
-        closure = closures.get(fn.label)
-        if closure is None:
-            raise MalformedConfiguration(f"no closure for function label {fn.label}")
-        call_env = closure.captured.set(closure.binder, arg)
-        marker = S.MemoCtx(closure.body, fn.label, arg.label, env)
-        return dirac(out(marker, call_env, shrinks=False))
-    if isinstance(redex, S.Eq):
+            successors = ((RETURNED_BOOLS[edge], env, graph, closures, ONE),)
+        else:
+            closure = closures.get(fn.label)
+            if closure is None:
+                raise MalformedConfiguration(f"no closure for function label {fn.label}")
+            call_env = closure.captured.set(closure.binder, arg)
+            marker = S.MemoCtx(closure.body, fn.label, arg.label, env)
+            # entering a memoization claims an unsampled edge for good
+            # instead of shrinking the term: the one rule exempt from the
+            # progress check
+            return ((marker, call_env, graph, closures, ONE),)
+    elif isinstance(redex, S.Eq):
         lhs = eval_value(env, redex.lhs)
         rhs = eval_value(env, redex.rhs)
         if not isinstance(lhs, AtomV) or not isinstance(rhs, AtomV):
             raise MalformedConfiguration("equality compares atoms")
-        return dirac(out(RETURNED_BOOLS[lhs == rhs]))
-    if isinstance(redex, S.Flip):
-        # the two successors differ in their terms, so nothing is merged
-        return two_point(out(RETURNED_BOOLS[True]), out(RETURNED_BOOLS[False]), redex.bias)
-    if isinstance(redex, S.If):
+        successors = ((RETURNED_BOOLS[lhs == rhs], env, graph, closures, ONE),)
+    elif isinstance(redex, S.Flip):
+        p = redex.bias if isinstance(redex.bias, Fraction) else Fraction(redex.bias)
+        successors = (
+            (RETURNED_BOOLS[True], env, graph, closures, p),
+            (RETURNED_BOOLS[False], env, graph, closures, ONE - p),
+        )
+    elif isinstance(redex, S.If):
         flag = _as_bool(eval_value(env, redex.cond), "if scrutinee")
-        return dirac(out(redex.then if flag else redex.orelse))
-    if isinstance(redex, S.Match):
+        successors = ((redex.then if flag else redex.orelse, env, graph, closures, ONE),)
+    elif isinstance(redex, S.Match):
         subject = eval_value(env, redex.subject)
         if not isinstance(subject, PairV):
             raise MalformedConfiguration("match scrutinee must be a pair")
         env2 = env.set(redex.fst_name, subject.fst).set(redex.snd_name, subject.snd)
-        return dirac(out(redex.body, env2))
-    raise Stuck(f"unrecognized redex {redex!r}")
+        successors = ((redex.body, env2, graph, closures, ONE),)
+    else:
+        raise Stuck(f"unrecognized redex {redex!r}")
+    # progress: every other rule shrinks the term.  The frames around the
+    # hole stay as they are, so the term shrinks exactly when what fills
+    # the hole is smaller than the redex.
+    before = _term_size(redex)
+    for successor in successors:
+        if _term_size(successor[0]) >= before:
+            raise MalformedConfiguration(f"step did not shrink {S.pretty(redex)}")
+    return successors
+
+
+def _step_outcomes(config: Configuration, dec: Optional[Decomposition]) -> FinDist[Configuration]:
+    """The distribution of successors of one reduction at the configuration's
+    decomposition ``dec``: a point mass except at a flip, whose true branch
+    comes first."""
+    _check_maps(config.env, config.graph, config.closures)
+    for marker in _markers(dec):
+        _check_marker(marker, config.graph)
+    if dec is None:
+        raise MalformedConfiguration("configuration is terminal")
+    spine, redex = dec
+    successors = [
+        Configuration(env, recompose(spine, term), graph, closures)
+        for term, env, graph, closures, _ in _fire(redex, config.env, config.graph, config.closures)
+    ]
+    if len(successors) == 1:
+        return dirac(successors[0])
+    # the two successors differ in their terms, so nothing is merged
+    return two_point(successors[0], successors[1], redex.bias)
 
 
 def step(config: Configuration) -> FinDist[Configuration]:
@@ -468,7 +540,7 @@ def is_terminal(config: Configuration) -> bool:
     only in a return, a function abstraction or a bare ``fresh()`` at the
     top of the term, so the top of the term decides it without a
     decomposition.  A malformed term is left for ``step`` to reject."""
-    return _is_terminal_comp(config.term)
+    return isinstance(config.term, _TERMINAL_COMPS)
 
 
 def run_sampled(program: S.Comp, seed: int) -> tuple[Configuration, list[Configuration]]:
@@ -500,23 +572,44 @@ def enumerate_bigstep(program: S.Comp) -> FinDist[Configuration]:
 def terminal_paths(program: S.Comp) -> list[tuple[Configuration, Fraction]]:
     """Every path of ``step`` from the program to a terminal configuration,
     as (terminal, the product of the path's weights), not merged: equal
-    terminals reached along different paths appear once per path."""
-    pending: list[tuple[Configuration, Fraction]] = [
-        (initial_configuration(program), ONE)
-    ]
+    terminals reached along different paths appear once per path.
+
+    The paths are walked depth first from a stack, each reduction's
+    successors pushed in ``step``'s order, so the false branch of a flip
+    is walked first.  A pending state keeps the frames above its hole in
+    place of a whole term: a reduction fills the hole, and the next redex
+    is sought from there, not from the root (refocusing: Danvy and
+    Nielsen, "Refocusing in reduction semantics", BRICS RS-04-26, 2004).
+    Frames are shared, not rebuilt, and a ``Configuration`` is built only
+    at a terminal.  Each state is checked as ``step`` checks it: its maps
+    before every reduction, and each memo marker when the search first
+    meets it, which suffices as the graph only grows."""
+    pending = [(None, program, EMPTY_MAP, EMPTY_GRAPH, EMPTY_MAP, ONE)]
     terminals: list[tuple[Configuration, Fraction]] = []
+    budget = _STEP_BUDGET
     steps = 0
     while pending:
-        config, weight = pending.pop()
-        if is_terminal(config):
-            terminals.append((config, weight))
+        frames, term, env, graph, closures, weight = pending.pop()
+        if frames is None and isinstance(term, _TERMINAL_COMPS):
+            terminals.append((Configuration(env, term, graph, closures), weight))
             continue
         steps += 1
-        if steps > _STEP_BUDGET:
-            raise StepBudgetExceeded(f"exhaustive enumeration exceeded {_STEP_BUDGET} steps")
-        for successor, q in step(config).items():
+        if steps > budget:
+            raise StepBudgetExceeded(f"exhaustive enumeration exceeded {budget} steps")
+        frames, redex = _refocus(term, frames, graph)
+        _check_maps(env, graph, closures)
+        for term, env, graph, closures, q in _fire(redex, env, graph, closures):
             # a factor that is the ONE object is not multiplied
-            pending.append((successor, q if weight is ONE else weight if q is ONE else weight * q))
+            if q is ONE:
+                q = weight
+            elif q.numerator <= 0:
+                if q:
+                    successor = Configuration(env, recompose(_spine(frames), term), graph, closures)
+                    raise MassError(f"negative weight {q} for {successor!r}")
+                continue  # the branch a flip of bias 0 or 1 never takes
+            elif weight is not ONE:
+                q = weight * q
+            pending.append((frames, term, env, graph, closures, q))
     return terminals
 
 

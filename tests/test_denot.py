@@ -1132,3 +1132,18 @@ def test_syntactic_check_implies_semantic_acceptance(seed):
     assert S.syntactic_freshness_check(fn)
     bias = {f: Fraction(rng.randint(0, 4), 4) for f in graph.left}
     D.den_mem(graph, env, fn.binder, fn.body, bias)  # must not raise
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda report: pickle.loads(pickle.dumps(report))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_or_pickled_soundness_report_is_equal(duplicate):
+    # its distributions are merged by FinDist's constructor
+    report = D.check_soundness(S.parse_program(
+        "let val a <- fresh() in let val f <- memfn x. flip(1/3) in let val b <- flip(1/2) in "
+        "if b then f @ a else return false"))
+    assert all(type(dist._pairs) is not tuple for dist in (report.lhs, report.rhs, report.bias_formula_rhs))
+    twin = duplicate(report)
+    assert type(twin) is D.SoundnessReport and twin == report and repr(twin) == repr(report)

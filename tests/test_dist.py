@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -236,3 +238,20 @@ def test_monad_associativity(d):
 @given(findists())
 def test_total_mass_exactly_one(d):
     assert sum((w for _, w in d.items()), Fraction(0)) == 1
+
+
+REBUILDS = [copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))]
+
+
+@pytest.mark.parametrize("rebuild", REBUILDS, ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("build", [
+    lambda: FinDist([("a", THIRD), ("b", HALF), ("a", Fraction(1, 6))]),  # merged
+    lambda: FinDist({("x", 1): ONE}),
+    lambda: dirac("a"),
+    lambda: two_point("a", "b", THIRD),
+], ids=["merged", "mapping", "dirac", "two_point"])
+def test_a_copied_or_pickled_distribution_is_equal(rebuild, build):
+    dist = build()
+    again = rebuild(dist)
+    assert type(again) is FinDist and again is not dist
+    assert again == dist and again.items() == dist.items() and repr(again) == repr(dist)

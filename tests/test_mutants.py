@@ -3,9 +3,11 @@
 only, and the soundness check must report a mismatch on the programs
 named for it: bundled ones, or ones kept inline here.
 
-A ``step`` mutant wraps the real ``step`` and rebuilds the successor of the
-redex it changes through the public ``decompose`` and ``recompose``, so it
-does not depend on how ``step`` is written.  A denotational mutant replaces
+A ``step`` mutant wraps ``opsem._fire``, the one function holding the
+reduction's rules, which ``step`` and ``terminal_paths`` both reduce
+through.  It takes a redex and the environment, graph and closures around
+it, and returns the successors of the redex it changes in ``_fire``'s
+form: (what fills the hole, environment, graph, closures, weight).  A denotational mutant replaces
 a function ``denot`` calls through its module (a primitive, ``bind`` or
 ``expand``); ``den_comp``'s table lives for one call, so it cannot hide the
 mutant behind a result computed before."""
@@ -22,56 +24,47 @@ from memlang import denot as D
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang.denot import check_soundness
-from memlang.dist import HALF, ONE, FinDist, as_prob, dirac, dist_eq
+from memlang.dist import HALF, ONE, FinDist, as_prob, dist_eq
 
 SOUND = Path(__file__).resolve().parent.parent / "programs" / "sound"
 
 
-def _negated_sampled_edge(step):
+def _negated_sampled_edge(fire):
     """An application on a sampled edge returns the edge's negation."""
 
-    def mutant(config):
-        dec = O.decompose(config.term)
-        if dec is not None and isinstance(dec[1], S.App):
-            spine, redex = dec
-            fn = O.eval_value(config.env, redex.fn)
-            arg = O.eval_value(config.env, redex.arg)
-            edge = config.graph.edge(fn.label, arg.label)
+    def mutant(redex, env, graph, closures):
+        if isinstance(redex, S.App):
+            fn = O.eval_value(env, redex.fn)
+            arg = O.eval_value(env, redex.arg)
+            edge = graph.edge(fn.label, arg.label)
             if edge is not None:
-                term = O.recompose(spine, S.Return(S.BoolLit(not edge)))
-                return dirac(O.Configuration(config.env, term, config.graph, config.closures))
-        return step(config)
+                return ((S.Return(S.BoolLit(not edge)), env, graph, closures, ONE),)
+        return fire(redex, env, graph, closures)
 
     return mutant
 
 
-def _negated_memo_write(step):
+def _negated_memo_write(fire):
     """A memo marker returns its result but writes the negation into the
     memo-table."""
 
-    def mutant(config):
-        dec = O.decompose(config.term)
-        if dec is not None and isinstance(dec[1], S.MemoCtx):
-            spine, marker = dec
-            flag = O.eval_value(config.env, marker.inner.value).value
-            graph = config.graph.set_edge(marker.fun_label, marker.atom_label, not flag)
-            term = O.recompose(spine, S.Return(S.BoolLit(flag)))
-            return dirac(O.Configuration(marker.restore_env, term, graph, config.closures))
-        return step(config)
+    def mutant(redex, env, graph, closures):
+        if isinstance(redex, S.MemoCtx):
+            flag = O.eval_value(env, redex.inner.value).value
+            graph = graph.set_edge(redex.fun_label, redex.atom_label, not flag)
+            return ((S.Return(S.BoolLit(flag)), redex.restore_env, graph, closures, ONE),)
+        return fire(redex, env, graph, closures)
 
     return mutant
 
 
-def _swapped_flip(step):
+def _swapped_flip(fire):
     """A flip of bias t takes its true branch with chance 1 - t."""
 
-    def mutant(config):
-        dec = O.decompose(config.term)
-        if dec is not None and isinstance(dec[1], S.Flip):
-            spine, flip = dec
-            term = O.recompose(spine, S.Flip(1 - flip.bias))
-            return step(O.Configuration(config.env, term, config.graph, config.closures))
-        return step(config)
+    def mutant(redex, env, graph, closures):
+        if isinstance(redex, S.Flip):
+            redex = S.Flip(1 - redex.bias)
+        return fire(redex, env, graph, closures)
 
     return mutant
 
@@ -191,8 +184,18 @@ KILLS = {
 def test_soundness_check_kills_step_mutant(monkeypatch, mutate, name):
     program = S.parse_program((SOUND / f"{name}.mem").read_text())
     assert check_soundness(program).equal
-    monkeypatch.setattr(O, "step", mutate(O.step))
+    monkeypatch.setattr(O, "_fire", mutate(O._fire))
     assert not check_soundness(program).equal
+
+
+@pytest.mark.parametrize("mutate", list(KILLS), ids=lambda f: f.__name__.lstrip("_"))
+def test_a_step_mutant_changes_the_enumeration(monkeypatch, mutate):
+    # so a mutant that no longer applies, say because the rules moved,
+    # fails here by name rather than passing for a reason of its own
+    programs = [S.parse_program((SOUND / f"{name}.mem").read_text()) for name in KILLS[mutate]]
+    before = [O.terminal_paths(program) for program in programs]
+    monkeypatch.setattr(O, "_fire", mutate(O._fire))
+    assert any(O.terminal_paths(p) != paths for p, paths in zip(programs, before))
 
 
 # denotational mutant -> (the function it replaces, the programs that kill it)

@@ -5,7 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from memlang import denot, progen
+from memlang import denot, opsem, progen
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcodes.py"
 
@@ -44,3 +44,14 @@ def test_the_import_count_is_positive_and_repeatable():
     assert tool.import_count() == first
     # the caller's own modules are put back
     assert {name: module for name, module in sys.modules.items() if name.startswith("memlang")} == before
+
+
+def test_the_bound_nested_count_repeats_and_grows_linearly():
+    # refocusing finds each redex from the hole, so a step costs the same
+    # at any depth of the chain above it; a search from the root makes the
+    # count quadratic, and the ratio about 4
+    tool = _tool()
+    first = tool.warm_count(opsem.terminal_paths, [tool.bound_nested(200)])
+    assert first > 1000
+    assert tool.warm_count(opsem.terminal_paths, [tool.bound_nested(200)]) == first
+    assert tool.warm_count(opsem.terminal_paths, [tool.bound_nested(400)]) < 2.5 * first

@@ -15,7 +15,7 @@ from memlang import opsem as O
 from memlang import syntax as S
 from memlang import typecheck as TC
 from memlang.dist import ONE, FinDist, MassError, dist_eq
-from memlang.progen import ProgramGen, mem_law_programs, _mem_instance
+from memlang.progen import ProgramGen, mem_law_programs, soundness_corpus, _mem_instance
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -356,19 +356,13 @@ def _subterms(t):
 @pytest.mark.parametrize(
     "path", sorted(PROGRAMS.rglob("*.mem")), ids=lambda p: str(p.relative_to(PROGRAMS))
 )
-def test_kept_term_size_equals_a_fresh_walk(monkeypatch, path):
-    # every configuration the enumeration visits, with the sizes that step
-    # kept on its nodes while it ran
+def test_kept_term_size_equals_a_fresh_walk(path):
+    # every configuration the reference enumeration visits, with the sizes
+    # that terminal_paths and then step kept on the nodes while they ran
+    program = S.parse_program(path.read_text())
+    terminals = O.terminal_paths(program)
     visited = []
-    step = O.step
-
-    def recording_step(config):
-        visited.append(config)
-        return step(config)
-
-    monkeypatch.setattr(O, "step", recording_step)
-    terminals = O.enumerate_bigstep(S.parse_program(path.read_text()))
-    visited += terminals.support()
+    _reference_paths(program, visited)
     assert len(visited) > len(terminals)
     for config in visited:
         for t in _subterms(config.term):
@@ -393,25 +387,18 @@ def _spine_markers(term):
 @pytest.mark.parametrize(
     "path", sorted(PROGRAMS.rglob("*.mem")), ids=lambda p: str(p.relative_to(PROGRAMS))
 )
-def test_is_terminal_agrees_with_decompose(monkeypatch, path):
+def test_is_terminal_agrees_with_decompose(path):
     # is_terminal reads only the top of the term; decompose must find no
-    # redex in exactly those configurations the enumeration meets, its
-    # spine must rebuild the term, and its markers must be the ones a walk
-    # of the spine finds
+    # redex in exactly those configurations the reference enumeration
+    # meets, its spine must rebuild the term, and its markers must be the
+    # ones a walk of the spine finds
     met = []
-    is_terminal = O.is_terminal
-
-    def recording_is_terminal(config):
-        met.append(config)
-        return is_terminal(config)
-
-    monkeypatch.setattr(O, "is_terminal", recording_is_terminal)
-    terminals = O.enumerate_bigstep(S.parse_program(path.read_text()))
+    terminals = _reference_paths(S.parse_program(path.read_text()), met)
     assert len(met) > len(terminals)
     for config in met:
         term = config.term
         dec = O.decompose(term)
-        assert is_terminal(config) == (dec is None), S.pretty(term)
+        assert O.is_terminal(config) == (dec is None), S.pretty(term)
         if dec is not None:
             assert O.recompose(*dec) == term, S.pretty(term)
         expected = tuple((m.fun_label, m.atom_label) for m in _spine_markers(term))
@@ -542,6 +529,129 @@ def test_enumerate_two_flips_matches_product_oracle():
         (False, True): Fraction(2, 9),
         (False, False): Fraction(4, 9),
     }
+
+
+# -- terminal_paths against a reference enumerator -----------------------------
+
+
+def _reference_paths(program, visited=None):
+    """``terminal_paths`` written as a plain loop over ``step``: pop a
+    configuration, keep it if terminal, else push its successors in
+    ``step``'s order.  Every configuration popped is appended to
+    ``visited`` when given."""
+    pending = [(O.initial_configuration(program), ONE)]
+    terminals = []
+    steps = 0
+    while pending:
+        config, weight = pending.pop()
+        if visited is not None:
+            visited.append(config)
+        if O.is_terminal(config):
+            terminals.append((config, weight))
+            continue
+        steps += 1
+        if steps > O._STEP_BUDGET:
+            raise O.StepBudgetExceeded(f"exhaustive enumeration exceeded {O._STEP_BUDGET} steps")
+        for successor, q in O.step(config).items():
+            pending.append((successor, weight * q))
+    return terminals
+
+
+def _assert_same_paths(program):
+    got = O.terminal_paths(program)
+    expected = _reference_paths(program)
+    assert got == expected, S.pretty(program)
+    assert repr(got) == repr(expected)
+
+
+def bound_nested(depth: int, bottom: S.Comp = S.Flip(HALF)) -> S.Comp:
+    """``let y1 <- (let y0 <- bottom in return y0) in return y1``, ``depth``
+    lets deep, each nested in the bound position of the next."""
+    term = bottom
+    for i in range(depth):
+        term = S.Let(f"y{i}", term, S.Return(S.Var(f"y{i}")))
+    return term
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PROGRAMS.rglob("*.mem")), ids=lambda p: str(p.relative_to(PROGRAMS))
+)
+def test_terminal_paths_equal_the_reference_on_the_bundled_programs(path):
+    _assert_same_paths(S.parse_program(path.read_text()))
+
+
+def test_terminal_paths_equal_the_reference_on_criterion_6():
+    for program in soundness_corpus(200, 20243):
+        _assert_same_paths(program)
+
+
+def test_terminal_paths_equal_the_reference_on_heavy_programs():
+    rng = random.Random(7)
+    for _ in range(60):
+        _assert_same_paths(ProgramGen(rng, 6, 5, 4, 12).program())
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 40])
+def test_terminal_paths_equal_the_reference_on_bound_nested_chains(depth):
+    _assert_same_paths(bound_nested(depth))
+    # a chain whose bottom binds a function and an atom and applies one to
+    # the other, so a marker stands under every let
+    applied = S.parse_program("let val f <- memfn x. flip(1/3) in let val a <- fresh() in f @ a")
+    _assert_same_paths(bound_nested(depth, applied))
+
+
+def test_terminal_paths_accepts_a_source_marker_whose_labels_exist_when_it_is_reached():
+    marker = S.MemoCtx(S.Return(S.BoolLit(True)), 0, 0, O.EMPTY_MAP)
+    program = S.Let("a", S.Fresh(), S.Let("f", S.MemFn("x", S.Flip(HALF)), marker))
+    _assert_same_paths(program)
+    assert [cfg.graph.edge(0, 0) for cfg, _ in O.terminal_paths(program)] == [True]
+
+
+def _raised(run, program):
+    with pytest.raises(Exception) as info:
+        run(program)
+    return type(info.value), str(info.value)
+
+
+def test_terminal_paths_exceeds_the_step_budget_as_the_reference_does(monkeypatch):
+    monkeypatch.setattr(O, "_STEP_BUDGET", 3)
+    program = load("sound/memo_pair.mem")
+    got = _raised(O.terminal_paths, program)
+    assert got == _raised(_reference_paths, program)
+    assert got == (O.StepBudgetExceeded, "exhaustive enumeration exceeded 3 steps")
+    # a program of exactly three steps stays within the budget
+    _assert_same_paths(S.parse_program("let val x <- flip(1) in let val y <- return x in return y"))
+
+
+def test_terminal_paths_drops_the_branch_a_certain_flip_never_takes():
+    program = S.parse_program("let val b <- flip(0) in let val c <- flip(1) in return (b, c)")
+    _assert_same_paths(program)
+    assert len(O.terminal_paths(program)) == 1
+
+
+@pytest.mark.parametrize("bias", [Fraction(3, 2), Fraction(-1, 2)])
+@pytest.mark.parametrize("nested", [False, True])
+def test_terminal_paths_rejects_a_bias_outside_the_unit_interval_as_step_does(bias, nested):
+    # the MassError names the successor configuration with the negative weight
+    program = S.Flip(bias)
+    if nested:
+        program = S.Let("b", S.Let("c", program, S.Return(S.Var("c"))), S.Return(S.Var("b")))
+    got = _raised(O.terminal_paths, program)
+    assert got == _raised(_reference_paths, program)
+    assert got[0] is MassError and "negative weight" in got[1]
+
+
+@pytest.mark.parametrize("where", ["top", "bound", "body"])
+def test_terminal_paths_rejects_a_source_marker_outside_the_graph(where):
+    marker = S.MemoCtx(S.Return(S.BoolLit(True)), 0, 0, O.EMPTY_MAP)
+    program = {
+        "top": marker,
+        "bound": S.Let("b", marker, S.Return(S.Var("b"))),
+        "body": S.Let("b", S.Flip(HALF), marker),
+    }[where]
+    got = _raised(O.terminal_paths, program)
+    assert got == _raised(_reference_paths, program)
+    assert got == (O.MalformedConfiguration, "memo marker mentions labels outside the graph")
 
 
 # -- judgements and invariants ------------------------------------------------

@@ -3,7 +3,7 @@ one warm pass of the checker execute.
 
     python tools/opcodes.py
 
-Prints a JSON object with four counts:
+Prints a JSON object with five counts:
 
 - ``criterion6_check_soundness``: ``check_soundness`` over criterion 6's
   corpus, ``progen.soundness_corpus(200, 20243)``;
@@ -17,7 +17,10 @@ Prints a JSON object with four counts:
   modules are dropped from ``sys.modules``, as it does.  Compiling the
   source is C and is not counted, nor are the frames of the import system
   itself, which differ with whether a bytecode cache exists; what the
-  modules run as they load (class bodies and whatever they call) is.
+  modules run as they load (class bodies and whatever they call) is;
+- ``bound_nested_terminal_paths``: ``terminal_paths`` on ``bound_nested(200)``,
+  a chain of 200 lets each nested in the bound position of the next,
+  whose cost per step must not grow with the depth of the chain.
 
 Each checker pass is counted with ``sys.settrace`` and
 ``frame.f_trace_opcodes`` after one untraced pass over the same program
@@ -38,12 +41,13 @@ import importlib
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from memlang import denot, progen, syntax, typecheck  # noqa: E402
+from memlang import denot, opsem, progen, syntax, typecheck  # noqa: E402
 from membench.workloads import FAMILY_SIZES, family_text  # noqa: E402
 
 
@@ -99,6 +103,15 @@ def set_up(count: int, seed: int) -> None:
         typecheck.type_of_comp(typecheck.EMPTY_CTX, parsed)
 
 
+def bound_nested(depth: int) -> syntax.Comp:
+    """``let y1 <- (let y0 <- flip(1/2) in return y0) in return y1``,
+    ``depth`` lets deep, each in the bound position of the next."""
+    term = syntax.Flip(Fraction(1, 2))
+    for i in range(depth):
+        term = syntax.Let(f"y{i}", term, syntax.Return(syntax.Var(f"y{i}")))
+    return term
+
+
 def import_count() -> int:
     """Opcodes of one warm re-import of ``MODULES``.  The modules imported
     before the call are put back afterwards, so a caller keeps its own."""
@@ -133,6 +146,7 @@ def main() -> None:
         "family_den_program": warm_count(denot.den_program, family),
         "criterion6_setup": count_opcodes(lambda: set_up(200, 20243)),
         "import": import_count(),
+        "bound_nested_terminal_paths": warm_count(opsem.terminal_paths, [bound_nested(200)]),
     }
     print(json.dumps(counts, indent=1))
 
