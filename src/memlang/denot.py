@@ -35,25 +35,31 @@ else, so any other world it describes is rebuilt by ``class_world``.
 
 Memoized functions are interpreted by a row of answers over the existing
 atoms (one probability per atom, obtained by running the body on that
-atom) plus a single bias for future atoms.  That bias must not depend on
-how a hypothetical new atom is wired to the existing functions;
-``FreshnessViolation`` reports a witnessing pair of wirings when it does:
-the all-False wiring and the first wiring, in binary-counting order over
-the sorted functions, whose probability differs.  The new atom's column
-is split only on the edges the body reads.
+atom) plus a single bias for future atoms.  A body that ignores its binder
+answers alike on every atom, so it runs once for the whole row.  The bias
+must not depend on how a hypothetical new atom is wired to the existing
+functions; ``FreshnessViolation`` reports a witnessing pair of wirings
+when it does: the all-False wiring and the first wiring, in
+binary-counting order over the sorted functions, whose probability
+differs.  The new atom's column is split only on the edges the body
+reads.
 
 Edges are drawn lazily.  ``den_mem`` and ``den_fresh`` each return one
 class, in which every undetermined edge of the new row or column is
 *pending* (``bigraph.Pending``): an independent coin with an exact chance,
-stored as a plain bool when the chance is 0 or 1.  ``transport``'s cross
-edges are pending in the same way.  When ``den_app`` reads a pending edge
-it raises ``EdgeRead``; the ``bind`` whose class owns the edge splits that
-class into its two outcomes and evaluates its body again on each, so a
-body, and any row computed inside it, stays correlated with the edges it
-read.  A pending edge nobody reads is garbage-collected with its node, or
-survives into a result, where ``expand`` draws it as a Bernoulli product.
-``expand`` runs where results are observed: ``den_program``, each leaf
-of ``den_config`` and the law suites.
+stored as a plain bool when the chance is 0 or 1.  Each builds its class
+in closed form: the new node takes the smallest label the world does not
+use, and its row or column is all the fresh structure the class has, so
+neither calls ``canonicalize``, and ``den_fresh`` builds no world.
+``transport``'s cross edges are pending in the same way.  When
+``den_app`` reads a pending edge it raises ``EdgeRead``; the ``bind``
+whose class owns the edge splits that class into its two outcomes and
+evaluates its body again on each, so a body, and any row computed inside
+it, stays correlated with the edges it read.  A pending edge nobody reads
+is garbage-collected with its node, or survives into a result, where
+``expand`` draws it as a Bernoulli product.  ``expand`` runs where
+results are observed: ``den_program``, each leaf of ``den_config`` and
+the law suites.
 
 A configuration's unsampled edges are split the same way: ``den_config``
 gives each a placeholder, splits one only when the closure biases, the
@@ -73,10 +79,11 @@ it is cheaper than the evaluation it saves, so only a ``let``, a
 costs less than building, hashing and storing their key, and an ``if``
 only picks its branch, which is looked up in its turn.  A ``let`` body
 that ignores its binder thus runs once for all the classes whose world it
-shares, and a ``memfn`` body that ignores its binder, a ``flip`` among
-them, once for a whole row.  A call that raises (``EdgeRead``,
-``FreshnessViolation``) stores nothing, so splits and witnesses are what a
-fresh evaluation gives.  The table is passed explicitly and lives for one
+shares.  A ``memfn`` body that ignores its binder needs no lookup to run
+once for a whole row: ``den_mem`` evaluates it once and gives every atom
+that answer.  A call that raises (``EdgeRead``, ``FreshnessViolation``)
+stores nothing, so splits and witnesses are what a fresh evaluation
+gives.  The table is passed explicitly and lives for one
 top-level call: ``den_comp`` without one starts its own, as
 ``den_program`` does, and ``check_soundness`` starts a second one for all
 of its terminals, so the two sides it compares never share one.  The
@@ -487,10 +494,14 @@ def den_eq(graph: B.TotalBigraph, atom_a: int, atom_b: int) -> FinDist[Canonical
 
 def den_fresh(graph: B.TotalBigraph, bias: BiasState) -> FinDist[CanonicalClass]:
     """A new atom whose edge from each existing function is pending with
-    that function's bias."""
+    that function's bias.  Its class is built in closed form: the atom
+    takes the smallest label the world does not use, and its column is the
+    class's only fresh structure, so no world is built and nothing is left
+    for ``canonicalize`` to discard or renumber."""
     bias = _bias_state(graph, bias)
-    world, atom = graph.add_right_defined({f: _edge(p) for f, p in bias.items()})
-    return dirac(canonicalize(graph, world, O.AtomV(atom), {}))
+    (atom,) = B.smallest_free(1, graph.right)
+    column = tuple((f, atom, _edge(p)) for f, p in sorted(bias.items()))
+    return dirac(CanonicalClass(graph, O.AtomV(atom), (), (), (atom,), column))
 
 
 def prob_true(dist: FinDist[CanonicalClass]) -> Fraction:
@@ -567,15 +578,30 @@ def den_mem(
 ) -> FinDist[CanonicalClass]:
     """A new function: its answer on each existing atom is pending with the
     body's probability at that atom, and its bias on future atoms is the
-    body's (wiring-independent) probability on a new atom."""
+    body's (wiring-independent) probability on a new atom.
+
+    A body that ignores its binder (one that rebinds it included) answers
+    alike on every atom, so it runs once, with ``env`` as it is, for the
+    whole row.  The class is read off the row in closed form: the function
+    takes the smallest label the world does not use, and its row, in atom
+    order, is the class's only fresh structure, so ``canonicalize`` is not
+    called."""
     bias = _bias_state(graph, bias)
-    row = {
-        a: _edge(prob_true(den_comp(body, graph, {**env, binder: O.AtomV(a)}, bias, table)))
-        for a in sorted(graph.right)
-    }
+    atoms = sorted(graph.right)
+    if atoms and binder not in S.free_var_names(body):
+        row = dict.fromkeys(atoms, _edge(prob_true(den_comp(body, graph, env, bias, table))))
+    else:
+        row = {
+            a: _edge(prob_true(den_comp(body, graph, {**env, binder: O.AtomV(a)}, bias, table)))
+            for a in atoms
+        }
     new_bias = _fresh_bias(graph, env, binder, body, bias, table)
-    world, fun = graph.add_left_defined(row)
-    return dirac(canonicalize(graph, world, O.FunV(fun), {fun: new_bias}))
+    # nothing reads this world: a row is added to one because that is where
+    # membench/tracing.py counts the rows built (bigraph.rows_built)
+    graph.add_left_defined(row)
+    (fun,) = B.smallest_free(1, graph.left)
+    edges = tuple((fun, a, v) for a, v in row.items())
+    return dirac(CanonicalClass(graph, O.FunV(fun), (fun,), (as_prob(new_bias),), (), edges))
 
 
 def den_comp(

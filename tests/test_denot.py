@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlang import bigraph as B
@@ -16,7 +16,7 @@ from memlang import denot as D
 from memlang import opsem as O
 from memlang import syntax as S
 from memlang import typecheck as TC
-from memlang.dist import FinDist, MassError, ONE, ZERO, as_prob, dist_eq, mixed, weighted_mix
+from memlang.dist import FinDist, MassError, ONE, ZERO, as_prob, dirac, dist_eq, mixed, weighted_mix
 from memlang.progen import (
     ProgramGen,
     _mem_instance,
@@ -449,6 +449,136 @@ def test_den_mem_rejects_binder_application_with_witnesses():
     assert wa[0] != wb[0]
 
 
+# -- the primitives' classes in closed form ----------------------------------------
+
+
+def reference_den_fresh(graph, bias):
+    """den_fresh's general construction: the world with the new column
+    added, canonicalized."""
+    bias = D._bias_state(graph, bias)
+    world, atom = graph.add_right_defined({f: D._edge(p) for f, p in bias.items()})
+    return dirac(D.canonicalize(graph, world, O.AtomV(atom), {}))
+
+
+def reference_den_mem(graph, env, binder, body, bias, table=None):
+    """den_mem's general construction: the body run on each atom, the world
+    with the new row added, canonicalized."""
+    bias = D._bias_state(graph, bias)
+    row = {
+        a: D._edge(D.prob_true(D.den_comp(body, graph, {**env, binder: O.AtomV(a)}, bias, table)))
+        for a in sorted(graph.right)
+    }
+    new_bias = D._fresh_bias(graph, env, binder, body, bias, table)
+    world, fun = graph.add_left_defined(row)
+    return dirac(D.canonicalize(graph, world, O.FunV(fun), {fun: new_bias}))
+
+
+def result_or_violation(run):
+    """``run``'s result with its items and repr, or the type and message of
+    the exception it raises."""
+    try:
+        result = run()
+    except (D.EdgeRead, D.FreshnessViolation) as exc:
+        return type(exc), str(exc)
+    return result, result.items(), repr(result)
+
+
+# bodies over the binder x, a function h and an atom c of the world
+MEM_BODIES = [
+    "flip(1/3)",
+    "return true",
+    "h @ c",
+    "h @ x",
+    "x == c",
+    "let val y <- fresh() in h @ y",
+    "let val x <- fresh() in h @ x",
+    "let val y <- return x in y == c",
+    "let val g <- memfn z. flip(1/2) in g @ x",
+]
+EDGE_VALUES = st.sampled_from([False, True, B.Pending(THIRD), B.Pending(HALF), B.Pending(Fraction(3, 4))])
+PROBS = st.sampled_from([ZERO, Fraction(1, 5), HALF, Fraction(2, 3), ONE, 0, 1])
+
+
+@st.composite
+def worlds_and_biases(draw):
+    """A world whose labels may have gaps, with sampled and pending edges,
+    and a bias state for it, checked or not."""
+    left = draw(st.sets(st.integers(0, 6), max_size=3))
+    right = draw(st.sets(st.integers(0, 6), max_size=4))
+    edges = {(f, a): draw(EDGE_VALUES) for f in sorted(left) for a in sorted(right)}
+    bias = {f: draw(PROBS) for f in sorted(left)}
+    graph = B.TotalBigraph(left, right, edges)
+    return graph, D._bias_state(graph, bias) if draw(st.booleans()) else bias
+
+
+def gapped_world(edge) -> tuple[B.TotalBigraph, dict]:
+    """Functions 1 and 3 and atoms 0, 2 and 5, so the smallest free label
+    on either side is not the largest label plus one."""
+    edges = dict.fromkeys(itertools.product([1, 3], [0, 2, 5]), edge)
+    return B.TotalBigraph([1, 3], [0, 2, 5], edges), {1: HALF, 3: ONE}
+
+
+@settings(max_examples=150, deadline=None)
+@given(worlds_and_biases())
+@example(gapped_world(B.Pending(THIRD)))
+def test_den_fresh_equals_the_canonicalized_world(world_and_bias):
+    graph, bias = world_and_bias
+    result, expected = D.den_fresh(graph, bias), reference_den_fresh(graph, bias)
+    assert result == expected and result.items() == expected.items() and repr(result) == repr(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(worlds_and_biases(), st.sampled_from(MEM_BODIES), st.randoms(use_true_random=False))
+@example(gapped_world(True), "let val x <- fresh() in h @ x", random.Random(0))
+def test_den_mem_equals_the_canonicalized_world(world_and_bias, text, rng):
+    graph, bias = world_and_bias
+    env = {}
+    if graph.left:
+        env["h"] = O.FunV(rng.choice(sorted(graph.left)))
+    if graph.right:
+        env["c"] = O.AtomV(rng.choice(sorted(graph.right)))
+    if ("h" in text and "h" not in env) or ("c" in text and "c" not in env):
+        text = "flip(1/3)"
+    body = S.parse_program(text)
+    result = result_or_violation(lambda: D.den_mem(graph, env, "x", body, bias))
+    assert result == result_or_violation(lambda: reference_den_mem(graph, env, "x", body, bias))
+
+
+@pytest.mark.parametrize(
+    "text, binder_free",
+    [
+        ("flip(1/3)", True),
+        ("h @ c", True),
+        ("let val x <- fresh() in h @ x", True),
+        ("x == c", False),
+        ("let val y <- return x in y == c", False),
+    ],
+)
+def test_a_binder_free_row_runs_its_body_once(monkeypatch, text, binder_free):
+    graph = B.TotalBigraph([0], [0, 2, 3], {(0, 0): True, (0, 2): False, (0, 3): B.Pending(THIRD)})
+    env = {"h": O.FunV(0), "c": O.AtomV(2)}
+    body = S.parse_program(text)
+    expected = reference_den_mem(graph, env, "x", body, {0: HALF})
+    den_comp, calls = D.den_comp, []
+
+    def counted(comp, world, *rest):
+        calls.append((comp, world))
+        return den_comp(comp, world, *rest)
+
+    def row_runs(body, graph):
+        return sum(comp is body and world is graph for comp, world in calls)
+
+    monkeypatch.setattr(D, "den_comp", counted)
+    result = D.den_mem(graph, env, "x", body, {0: HALF})
+    assert result == expected and result.items() == expected.items()
+    assert row_runs(body, graph) == (1 if binder_free else len(graph.right))
+    # with no atom there is no row to fill: the body runs only on a new atom
+    empty_row = B.TotalBigraph([0], [], {})
+    flip = S.parse_program("flip(1/3)")
+    D.den_mem(empty_row, env, "x", flip, {0: HALF})
+    assert row_runs(flip, empty_row) == 0 and any(comp is flip for comp, _ in calls)
+
+
 def test_den_comp_p1_reproduction():
     p = load("sound/p1_third.mem")
     assert bool_dist(D.den_program(p)) == {True: THIRD, False: Fraction(2, 3)}
@@ -514,15 +644,18 @@ def test_scaling_family_builds_linearly_many_rows_and_wirings(monkeypatch):
 
     monkeypatch.setattr(B.TotalBigraph, "add_left_defined", counted_left)
     monkeypatch.setattr(B.TotalBigraph, "add_right_defined", counted_right)
-    # check_soundness on the chained family builds n + 1 wirings in
-    # den_program and n for each of its two terminal configurations
-    for family, n, run, wirings_per_n in (
-        (scaling_family, 12, D.den_program, 2),
-        (chained_family, 10, D.check_soundness, 4),
+    # a fresh atom's class is built without a world, so the wirings are the
+    # new atoms _fresh_bias adds, one per memfn's row here: den_program on
+    # the scaling family builds 4, f's once and g's in each of three runs of
+    # its let, whatever n is.  check_soundness on the chained family builds
+    # n in den_program and n for each of its two terminal configurations
+    for family, n, run, max_wirings in (
+        (scaling_family, 12, D.den_program, 4),
+        (chained_family, 10, D.check_soundness, 3 * 10),
     ):
         counts.update(rows=0, wirings=0)
         run(family(n))
-        assert 0 < counts["rows"] <= n and 0 < counts["wirings"] <= wirings_per_n * n
+        assert 0 < counts["rows"] <= n and 0 < counts["wirings"] <= max_wirings
 
 
 def test_memfn_body_reading_a_pending_edge_stays_correlated():

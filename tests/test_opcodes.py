@@ -55,3 +55,13 @@ def test_the_bound_nested_count_repeats_and_grows_linearly():
     assert first > 1000
     assert tool.warm_count(opsem.terminal_paths, [tool.bound_nested(200)]) == first
     assert tool.warm_count(opsem.terminal_paths, [tool.bound_nested(400)]) < 2.5 * first
+
+
+def test_the_heavy_count_is_positive_and_repeatable():
+    tool = _tool()
+    programs = tool.heavy_programs(3, 8)
+    # the first programs of the counted set, drawn the same way each time
+    assert programs == tool.heavy_programs(50, 8)[:3]
+    first = tool.warm_count(denot.check_soundness, programs)
+    assert first > 1000
+    assert tool.warm_count(denot.check_soundness, programs) == first

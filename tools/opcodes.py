@@ -3,7 +3,7 @@ one warm pass of the checker execute.
 
     python tools/opcodes.py
 
-Prints a JSON object with five counts:
+Prints a JSON object with six counts:
 
 - ``criterion6_check_soundness``: ``check_soundness`` over criterion 6's
   corpus, ``progen.soundness_corpus(200, 20243)``;
@@ -20,7 +20,11 @@ Prints a JSON object with five counts:
   modules run as they load (class bodies and whatever they call) is;
 - ``bound_nested_terminal_paths``: ``terminal_paths`` on ``bound_nested(200)``,
   a chain of 200 lets each nested in the bound position of the next,
-  whose cost per step must not grow with the depth of the chain.
+  whose cost per step must not grow with the depth of the chain;
+- ``heavy_check_soundness``: ``check_soundness`` over ``heavy_programs(50, 8)``,
+  50 programs each drawn by a new ``ProgramGen(rng, 6, 5, 4, 12)`` on one
+  ``random.Random(8)``: larger programs than criterion 6's, with more
+  memfns and fresh atoms.
 
 Each checker pass is counted with ``sys.settrace`` and
 ``frame.f_trace_opcodes`` after one untraced pass over the same program
@@ -40,6 +44,7 @@ import gc
 import importlib
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -112,6 +117,14 @@ def bound_nested(depth: int) -> syntax.Comp:
     return term
 
 
+def heavy_programs(count: int, seed: int) -> list[syntax.Comp]:
+    """``count`` programs, each drawn by a new ``ProgramGen(rng, 6, 5, 4, 12)``
+    on one ``random.Random(seed)``.  One generator reused for every program
+    would spend its budgets on the first and make trivial programs after it."""
+    rng = random.Random(seed)
+    return [progen.ProgramGen(rng, 6, 5, 4, 12).program() for _ in range(count)]
+
+
 def import_count() -> int:
     """Opcodes of one warm re-import of ``MODULES``.  The modules imported
     before the call are put back afterwards, so a caller keeps its own."""
@@ -147,6 +160,7 @@ def main() -> None:
         "criterion6_setup": count_opcodes(lambda: set_up(200, 20243)),
         "import": import_count(),
         "bound_nested_terminal_paths": warm_count(opsem.terminal_paths, [bound_nested(200)]),
+        "heavy_check_soundness": warm_count(denot.check_soundness, heavy_programs(50, 8)),
     }
     print(json.dumps(counts, indent=1))
 
