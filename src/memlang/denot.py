@@ -44,6 +44,16 @@ binary-counting order over the sorted functions, whose probability
 differs.  The new atom's column is split only on the edges the body
 reads.
 
+A body that ignores its binder (one that rebinds it included) cannot name
+the new atom, so it reads no edge of its column, and its bias is its
+answer at the function's own world.  This is naturality: the model is a
+presheaf over memo-table worlds, so adding an atom that a term cannot name
+does not change the chance that the term returns true (Stark, *Names and
+Higher-Order Functions*, PhD thesis, Cambridge 1994).  Such a bias needs
+no new atom, no split and no witness, and in ``den_mem`` it is the row's
+own evaluation, found in the table.  Only a body that reads its binder is
+run at a world with a new atom.
+
 Edges are drawn lazily.  ``den_mem`` and ``den_fresh`` each return one
 class, in which every undetermined edge of the new row or column is
 *pending* (``bigraph.Pending``): an independent coin with an exact chance,
@@ -81,9 +91,10 @@ only picks its branch, which is looked up in its turn.  A ``let`` body
 that ignores its binder thus runs once for all the classes whose world it
 shares.  A ``memfn`` body that ignores its binder needs no lookup to run
 once for a whole row: ``den_mem`` evaluates it once and gives every atom
-that answer.  A call that raises (``EdgeRead``, ``FreshnessViolation``)
-stores nothing, so splits and witnesses are what a fresh evaluation
-gives.  The table is passed explicitly and lives for one
+that answer, and its bias on a new atom, taken at the same world, is a
+lookup of that evaluation, or a leaf.  A call that raises (``EdgeRead``,
+``FreshnessViolation``) stores nothing, so splits and witnesses are what
+a fresh evaluation gives.  The table is passed explicitly and lives for one
 top-level call: ``den_comp`` without one starts its own, as
 ``den_program`` does, and ``check_soundness`` starts a second one for all
 of its terminals, so the two sides it compares never share one.  The
@@ -97,7 +108,11 @@ both weightings, its single-bias sum is the chain-rule sum itself.
 
 A boolean mentions no label, so its class is the identity class at the
 base, which ``canonicalize`` builds at once, without walking the value for
-labels.  A flip's result is an unmerged ``dist.two_point`` coin over the
+labels, and which ``_rebase`` asks for without building a bias map.  When
+``bind``'s bound result is one class, not split, and its body answers only
+booleans, their rebased pairs are ``bind``'s result as they are, not
+merged: booleans that differ at the class's world differ over the base.
+A flip's result is an unmerged ``dist.two_point`` coin over the
 world's two boolean classes, hashed only when looked up.  An environment
 is any mapping from names to values, a configuration's ``opsem.FrozenMap``
 as it is, and each binding copies it into a plain dict (``{**env, name:
@@ -114,7 +129,7 @@ from typing import Iterator, Mapping, NamedTuple, TypeVar, Union
 from . import bigraph as B
 from . import opsem as O
 from . import syntax as S
-from .dist import FinDist, HALF, ONE, ZERO, MassError, as_prob, dirac, dist_eq, mixed, two_point
+from .dist import FinDist, HALF, ONE, ZERO, MassError, _unmerged, as_prob, dirac, dist_eq, mixed, two_point
 
 BiasState = Mapping[int, Fraction]
 K = TypeVar("K")
@@ -357,7 +372,12 @@ def unit(graph: B.TotalBigraph, value: O.EnvValue) -> FinDist[CanonicalClass]:
 def _rebase(base: B.TotalBigraph, cls: CanonicalClass, biases: BiasState) -> CanonicalClass:
     """A class re-expressed over ``base``, a sub-world of its own base;
     ``biases`` covers the functions that base adds to ``base``, and the
-    class's fresh biases are merged in."""
+    class's fresh biases are merged in.  A boolean mentions no function, so
+    its class is the identity class at ``base`` and no bias map is built;
+    ``canonicalize`` still checks that the class's world extends
+    ``base``."""
+    if type(cls.value) is O.BoolV:
+        return canonicalize(base, class_world(cls), cls.value, biases)
     all_biases = dict(biases)
     all_biases.update(zip(cls.fresh_funs, cls.fresh_biases))
     return canonicalize(base, class_world(cls), cls.value, all_biases)
@@ -385,6 +405,10 @@ def bind(
     graph and are kept as they are, and a weight that is the ``ONE`` object
     is not multiplied.  If that class is the whole of ``dist``, the body's
     result is the result: the left unit law, ``return x >>= f = f x``.
+    When a class with a fresh part is the whole of ``dist`` and is not
+    split, and its body answers only booleans, their classes over graph
+    are as distinct as they were at the class's world, so the rebased
+    pairs are the result as they are, with nothing merged.
 
     A class's pending edges stay pending while the body runs.  When the
     body reads one, the class is split into its two outcomes and the body
@@ -424,6 +448,10 @@ def bind(
                 raise ValueError("let body must answer at the extended world")
         if not identity:
             items = [(_rebase(graph, cls2, carried), q) for cls2, q in items]
+            if not drawn and len(dist) == 1 and all(type(cls2.value) is O.BoolV for cls2, _ in items):
+                # one unsplit class of weight 1, and booleans that differ at
+                # the class's world differ over graph: nothing to merge
+                return _unmerged(tuple(items))
         elif len(dist) == 1:
             return result
         weighted += items if p is ONE else [(cls2, p if q is ONE else p * q) for cls2, q in items]
@@ -539,7 +567,14 @@ def _fresh_bias(
     those wirings over the sorted functions, so the witnesses are the
     all-False wiring and the first wiring whose probability differs.  A
     violation inside the body is held to its leaf's turn in that order,
-    so the first failure is the one the wirings meet in counting order."""
+    so the first failure is the one the wirings meet in counting order.
+
+    A body that does not have its binder free (one that rebinds it
+    included) cannot name the new atom, so every wiring gives it the same
+    probability: by naturality, its probability at ``graph`` itself.  It
+    runs there, with ``env`` as it is, and no atom is added."""
+    if binder not in S.free_var_names(body):
+        return prob_true(den_comp(body, graph, env, bias, table))
     funs = sorted(graph.left)
     leaves = []
     todo: list[dict[int, bool]] = [{}]
@@ -582,10 +617,11 @@ def den_mem(
 
     A body that ignores its binder (one that rebinds it included) answers
     alike on every atom, so it runs once, with ``env`` as it is, for the
-    whole row.  The class is read off the row in closed form: the function
-    takes the smallest label the world does not use, and its row, in atom
-    order, is the class's only fresh structure, so ``canonicalize`` is not
-    called."""
+    whole row; ``_fresh_bias`` asks for the same evaluation at the same
+    world, which under a table is a lookup, or else a leaf.  The class is
+    read off the row in closed form: the function takes the smallest label
+    the world does not use, and its row, in atom order, is the class's only
+    fresh structure, so ``canonicalize`` is not called."""
     bias = _bias_state(graph, bias)
     atoms = sorted(graph.right)
     if atoms and binder not in S.free_var_names(body):

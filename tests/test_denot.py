@@ -460,6 +460,37 @@ def reference_den_fresh(graph, bias):
     return dirac(D.canonicalize(graph, world, O.AtomV(atom), {}))
 
 
+def reference_fresh_bias(graph, env, binder, body, bias, table=None):
+    """_fresh_bias's general construction, for every body: the body run on
+    a new atom whose column is split on the edges it reads, the leaves
+    compared in binary-counting order of their least wirings."""
+    funs = sorted(graph.left)
+    leaves = []
+    todo = [{}]
+    while todo:
+        assign = todo.pop()
+        B.check_undefined_budget(len(assign))
+        world, atom = graph.add_right_defined({f: assign.get(f, D._UNASSIGNED) for f in funs})
+        try:
+            q = D.prob_true(D.den_comp(body, world, {**env, binder: O.AtomV(atom)}, bias, table))
+        except D.EdgeRead as read:
+            if read.pair[1] != atom:
+                raise
+            todo += [{**assign, read.pair[0]: True}, {**assign, read.pair[0]: False}]
+            continue
+        except D.FreshnessViolation as violation:
+            q = violation
+        leaves.append((tuple((f, assign.get(f, False)) for f in funs), q))
+    leaves.sort(key=lambda leaf: [bit for _, bit in leaf[0]])
+    first = leaves[0]
+    for conn, q in leaves:
+        if isinstance(q, D.FreshnessViolation):
+            raise q
+        if q != first[1]:
+            raise D.FreshnessViolation(body, first, (conn, q))
+    return first[1]
+
+
 def reference_den_mem(graph, env, binder, body, bias, table=None):
     """den_mem's general construction: the body run on each atom, the world
     with the new row added, canonicalized."""
@@ -468,7 +499,7 @@ def reference_den_mem(graph, env, binder, body, bias, table=None):
         a: D._edge(D.prob_true(D.den_comp(body, graph, {**env, binder: O.AtomV(a)}, bias, table)))
         for a in sorted(graph.right)
     }
-    new_bias = D._fresh_bias(graph, env, binder, body, bias, table)
+    new_bias = reference_fresh_bias(graph, env, binder, body, bias, table)
     world, fun = graph.add_left_defined(row)
     return dirac(D.canonicalize(graph, world, O.FunV(fun), {fun: new_bias}))
 
@@ -555,6 +586,11 @@ def test_den_mem_equals_the_canonicalized_world(world_and_bias, text, rng):
     ],
 )
 def test_a_binder_free_row_runs_its_body_once(monkeypatch, text, binder_free):
+    # a binder-free body is asked at the row's world twice, for the row and
+    # for the bias, and at no other world; under den_program's table the
+    # second finds the first's result (test_den_program_runs_a_body_once_per_world).
+    # A body that reads its binder runs once per atom, and once more at a
+    # world with a new atom, for the bias
     graph = B.TotalBigraph([0], [0, 2, 3], {(0, 0): True, (0, 2): False, (0, 3): B.Pending(THIRD)})
     env = {"h": O.FunV(0), "c": O.AtomV(2)}
     body = S.parse_program(text)
@@ -571,12 +607,121 @@ def test_a_binder_free_row_runs_its_body_once(monkeypatch, text, binder_free):
     monkeypatch.setattr(D, "den_comp", counted)
     result = D.den_mem(graph, env, "x", body, {0: HALF})
     assert result == expected and result.items() == expected.items()
-    assert row_runs(body, graph) == (1 if binder_free else len(graph.right))
-    # with no atom there is no row to fill: the body runs only on a new atom
+    assert row_runs(body, graph) == (2 if binder_free else len(graph.right))
+    assert sum(comp is body for comp, _ in calls) == (2 if binder_free else len(graph.right) + 1)
+    # with no atom there is no row to fill: the body runs once, for the
+    # bias, at the row's world itself
     empty_row = B.TotalBigraph([0], [], {})
     flip = S.parse_program("flip(1/3)")
     D.den_mem(empty_row, env, "x", flip, {0: HALF})
-    assert row_runs(flip, empty_row) == 0 and any(comp is flip for comp, _ in calls)
+    assert row_runs(flip, empty_row) == 1 and sum(comp is flip for comp, _ in calls) == 1
+
+
+# -- a binder-free body's bias at its own world -------------------------------------
+
+
+def bias_or_exception(run):
+    """``run``'s bias, or the pair an ``EdgeRead`` names, or the type and
+    message of a ``FreshnessViolation``."""
+    try:
+        return run()
+    except D.EdgeRead as read:
+        return D.EdgeRead, read.pair
+    except D.FreshnessViolation as violation:
+        return D.FreshnessViolation, str(violation)
+
+
+# binder-free bodies over a function h and an atom c of the world
+BINDER_FREE_BODIES = [
+    "flip(1/3)",
+    "return true",
+    "h @ c",
+    "let val y <- fresh() in h @ y",
+    "let val g <- memfn z. z == c in let val y <- fresh() in g @ y",
+    "let val g <- memfn z. h @ z in g @ c",
+    "let val x <- fresh() in h @ x",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds_and_biases(), st.sampled_from(BINDER_FREE_BODIES), st.randoms(use_true_random=False))
+@example(gapped_world(B.Pending(THIRD)), "h @ c", random.Random(0))
+@example(gapped_world(True), "let val g <- memfn z. h @ z in g @ c", random.Random(0))
+def test_a_binder_free_bias_equals_the_new_atom_construction(world_and_bias, text, rng):
+    # the body cannot name a new atom, so its answer there is its answer at
+    # the world itself: the same bias, the same pending edge read, or the
+    # same freshness violation (a nested memfn that applies h to its binder)
+    graph, bias = world_and_bias
+    env = {}
+    if graph.left:
+        env["h"] = O.FunV(rng.choice(sorted(graph.left)))
+    if graph.right:
+        env["c"] = O.AtomV(rng.choice(sorted(graph.right)))
+    if ("h" in text and "h" not in env) or ("c" in text and "c" not in env):
+        text = "flip(1/3)"
+    body = S.parse_program(text)
+    assert "x" not in S.free_var_names(body)
+    result = bias_or_exception(lambda: D._fresh_bias(graph, env, "x", body, bias, {}))
+    assert result == bias_or_exception(lambda: reference_fresh_bias(graph, env, "x", body, bias))
+
+
+def with_gaps(graph, env, rng):
+    """A world and environment relabelled onto labels drawn from 0..6, so
+    labels have gaps, with about a third of the edges pending."""
+    fmap = dict(zip(sorted(graph.left), sorted(rng.sample(range(7), len(graph.left)))))
+    amap = dict(zip(sorted(graph.right), sorted(rng.sample(range(7), len(graph.right)))))
+    edges = {
+        (fmap[f], amap[a]): B.Pending(rng.choice([THIRD, HALF])) if rng.random() < 1 / 3 else v
+        for (f, a), v in graph.edge_items()
+    }
+    world = B.TotalBigraph(fmap.values(), amap.values(), edges)
+    return world, {name: O.relabel(value, fmap, amap) for name, value in env.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_a_generated_binder_free_bias_equals_the_new_atom_construction(seed, checked):
+    rng = random.Random(seed)
+    graph, types, env = _random_world(rng)
+    graph, env = with_gaps(graph, env, rng)
+    bias = {f: Fraction(rng.randint(0, 4), 4) for f in graph.left}
+    if checked:
+        bias = D._bias_state(graph, bias)
+    for _ in range(20):
+        fn = ProgramGen(rng).gen_memfn(types)
+        if fn.binder not in S.free_var_names(fn.body):
+            break
+    else:
+        return
+    result = bias_or_exception(lambda: D._fresh_bias(graph, env, fn.binder, fn.body, bias, {}))
+    expected = bias_or_exception(lambda: reference_fresh_bias(graph, env, fn.binder, fn.body, bias))
+    assert result == expected
+
+
+def test_bind_keeps_the_booleans_of_one_unsplit_class_unmerged():
+    # a fresh atom's class, with h's edge to it pending, is the whole bound
+    # result: a boolean body's pairs are kept as they are, and equal the
+    # general construction's, merged by FinDist, item for item
+    graph = B.TotalBigraph([0], [0], {(0, 0): True})
+    bias = D._bias_state(graph, {0: THIRD})
+    env = {"h": O.FunV(0), "c": O.AtomV(0)}
+    bound = D.den_fresh(graph, bias)
+    for text, unmerged in (
+        ("flip(1/3)", True),
+        ("x == c", True),
+        ("let val y <- fresh() in h @ y", True),  # the inner let splits on y's edge
+        ("h @ x", False),  # splits the class: two weights, not one
+        ("let val b <- h @ x in return true", False),  # a split whose two trues merge
+        ("return x", False),  # not a boolean
+    ):
+        body = S.parse_program(text)
+        result = result_or_violation(lambda: D.bind(graph, bias, bound, "x", body, env))
+        expected = result_or_violation(lambda: reference_bind(graph, bias, bound, "x", body, env))
+        assert result == expected, text
+        if isinstance(result[0], FinDist):
+            assert (type(result[0]._pairs) is tuple) == unmerged, text
+    merged = D.bind(graph, bias, bound, "x", S.parse_program("let val b <- h @ x in return true"), env)
+    assert merged.items() == [(D.CanonicalClass(graph, O.BOOLS[True], (), (), (), ()), ONE)]
 
 
 def test_den_comp_p1_reproduction():
@@ -629,6 +774,13 @@ def chained_family(n: int) -> S.Comp:
     return S.parse_program(funs + "let val a <- fresh() in f0 @ a")
 
 
+def reading_family(n: int) -> S.Comp:
+    """An atom c, n memfns whose bodies compare their binder with c, then
+    one fresh atom to which only the first is applied."""
+    funs = "".join(f"let val f{i} <- memfn x. x == c in " for i in range(n))
+    return S.parse_program("let val c <- fresh() in " + funs + "let val a <- fresh() in f0 @ a")
+
+
 def test_scaling_family_builds_linearly_many_rows_and_wirings(monkeypatch):
     counts = {"rows": 0, "wirings": 0}
     add_left = B.TotalBigraph.add_left_defined
@@ -644,18 +796,22 @@ def test_scaling_family_builds_linearly_many_rows_and_wirings(monkeypatch):
 
     monkeypatch.setattr(B.TotalBigraph, "add_left_defined", counted_left)
     monkeypatch.setattr(B.TotalBigraph, "add_right_defined", counted_right)
-    # a fresh atom's class is built without a world, so the wirings are the
-    # new atoms _fresh_bias adds, one per memfn's row here: den_program on
-    # the scaling family builds 4, f's once and g's in each of three runs of
-    # its let, whatever n is.  check_soundness on the chained family builds
-    # n in den_program and n for each of its two terminal configurations
-    for family, n, run, max_wirings in (
-        (scaling_family, 12, D.den_program, 4),
-        (chained_family, 10, D.check_soundness, 3 * 10),
+    # a fresh atom's class is built without a world, and a body that does
+    # not read its binder takes its bias at its own world, so the wirings
+    # are the new atoms _fresh_bias adds for a body that reads its binder:
+    # none in the scaling and chained families.  den_program on the scaling
+    # family builds 4 rows, f's once and g's in each of three runs of its
+    # let, whatever n is; check_soundness on the chained family builds one
+    # row per memfn, and on the reading family also one wiring per memfn in
+    # den_program and one per closure bias of its one terminal
+    for family, n, run, rows, wirings in (
+        (scaling_family, 12, D.den_program, 4, 0),
+        (chained_family, 10, D.check_soundness, 10, 0),
+        (reading_family, 10, D.check_soundness, 10, 2 * 10),
     ):
         counts.update(rows=0, wirings=0)
         run(family(n))
-        assert 0 < counts["rows"] <= n and 0 < counts["wirings"] <= max_wirings
+        assert counts == {"rows": rows, "wirings": wirings}
 
 
 def test_memfn_body_reading_a_pending_edge_stays_correlated():
@@ -881,9 +1037,10 @@ def counted_flips(monkeypatch) -> list:
 def test_check_soundness_denotes_a_shared_memo_table_once(monkeypatch):
     # four terminals, one per pair of trailing flips, share the memo-table
     # and the closure of f; they differ only in their environments.  f's
-    # body runs twice for den_program (its row and its bias on a new atom)
-    # and twice for all four terminals together (the chain-rule probability
-    # at a and the closure bias)
+    # body runs once for den_program (its row; its bias on a new atom, taken
+    # at the same world, finds that result in the table) and twice for all
+    # four terminals together (the closure bias, under the placeholder bias
+    # state, and the chain-rule probability at a, under the derived one)
     p = S.parse_program(
         "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
         "let val b1 <- flip(1/2) in let val b2 <- flip(1/2) in return (f, b1)"
@@ -892,7 +1049,7 @@ def test_check_soundness_denotes_a_shared_memo_table_once(monkeypatch):
     assert len(terminals) == 4 and len({(c.graph, c.closures) for c in terminals.support()}) == 1
     thetas = counted_flips(monkeypatch)
     assert D.check_soundness(p).equal
-    assert thetas.count(THIRD) == 4
+    assert thetas.count(THIRD) == 3
 
 
 def family(n: int) -> S.Comp:
@@ -906,12 +1063,13 @@ def family(n: int) -> S.Comp:
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_den_program_runs_a_body_once_per_world(monkeypatch, n):
     # a body that ignores its binder runs once for a whole row, whatever n
-    # is, and once more on a new atom.  f's body runs twice; g's runs twice
-    # in each of three runs of its let: the first reads f's pending edge at
-    # a0, and the bind that owns it runs the body again on each outcome
+    # is, and its bias on a new atom, taken at the same world, is a table
+    # lookup.  f's body runs once; g's runs once in each of three runs of
+    # its let: the first reads f's pending edge at a0, and the bind that
+    # owns it runs the body again on each outcome
     thetas = counted_flips(monkeypatch)
     assert bool_dist(D.den_program(family(n))) == {True: HALF, False: HALF}
-    assert len(thetas) == 8
+    assert len(thetas) == 4
 
 
 def test_den_comp_tables_only_the_terms_whose_lookup_saves_work():
@@ -1273,10 +1431,13 @@ def test_syntactic_check_implies_semantic_acceptance(seed):
     ids=["copy", "deepcopy", "pickle"],
 )
 def test_a_copied_or_pickled_soundness_report_is_equal(duplicate):
-    # its distributions are merged by FinDist's constructor
+    # rhs and bias_formula_rhs are merged by FinDist's constructor; lhs is
+    # bind's booleans over one unsplit class, kept unmerged
     report = D.check_soundness(S.parse_program(
         "let val a <- fresh() in let val f <- memfn x. flip(1/3) in let val b <- flip(1/2) in "
         "if b then f @ a else return false"))
-    assert all(type(dist._pairs) is not tuple for dist in (report.lhs, report.rhs, report.bias_formula_rhs))
+    assert type(report.lhs._pairs) is tuple
+    assert all(type(dist._pairs) is not tuple for dist in (report.rhs, report.bias_formula_rhs))
     twin = duplicate(report)
     assert type(twin) is D.SoundnessReport and twin == report and repr(twin) == repr(report)
+    assert twin.lhs.items() == report.lhs.items()

@@ -159,6 +159,11 @@ INLINE = {
     # function's bias on a future atom (with fresh() bound first, no atom
     # is made after the function, and neither mutant is killed)
     "fresh_after_memfn": "let val f <- memfn x. flip(1/3) in let val a <- fresh() in f @ a",
+    # the same with a body that reads its binder, so the function's bias is
+    # taken at a world with a new atom, not at the function's own world
+    "binder_read_after_memfn": (
+        "let val c <- fresh() in let val f <- memfn x. x == c in let val a <- fresh() in f @ a"
+    ),
 }
 
 
@@ -202,8 +207,8 @@ def test_a_step_mutant_changes_the_enumeration(monkeypatch, mutate):
 DEN_KILLS = {
     _swapped_den_flip: ("den_flip", ["p1_third", "pair_mixed"]),
     _negated_drawn_edge: ("den_app", ["p1_third", "pair_mixed"]),
-    _complement_fresh_bias: ("_fresh_bias", ["fresh_after_memfn"]),
-    _half_fresh_bias: ("_fresh_bias", ["fresh_after_memfn"]),
+    _complement_fresh_bias: ("_fresh_bias", ["fresh_after_memfn", "binder_read_after_memfn"]),
+    _half_fresh_bias: ("_fresh_bias", ["fresh_after_memfn", "binder_read_after_memfn"]),
     _half_wired_fresh: ("den_fresh", ["fresh_after_memfn"]),
     _false_branch_only: (
         "bind",

@@ -65,3 +65,11 @@ def test_the_heavy_count_is_positive_and_repeatable():
     first = tool.warm_count(denot.check_soundness, programs)
     assert first > 1000
     assert tool.warm_count(denot.check_soundness, programs) == first
+
+
+def test_the_family_growth_repeats_and_rises_with_n():
+    tool = _tool()
+    first = tool.family_growth()
+    assert first == tool.family_growth()
+    assert 0 < first["n3"] < first["n4"] < first["n5"]
+    assert first["log2_per_n"] > 0

@@ -3,7 +3,7 @@ one warm pass of the checker execute.
 
     python tools/opcodes.py
 
-Prints a JSON object with six counts:
+Prints a JSON object with six counts and one growth figure:
 
 - ``criterion6_check_soundness``: ``check_soundness`` over criterion 6's
   corpus, ``progen.soundness_corpus(200, 20243)``;
@@ -24,7 +24,12 @@ Prints a JSON object with six counts:
 - ``heavy_check_soundness``: ``check_soundness`` over ``heavy_programs(50, 8)``,
   50 programs each drawn by a new ``ProgramGen(rng, 6, 5, 4, 12)`` on one
   ``random.Random(8)``: larger programs than criterion 6's, with more
-  memfns and fresh atoms.
+  memfns and fresh atoms;
+- ``family_growth``: ``den_program``'s warm count on ``family_text(n)`` for
+  n = 3, 4 and 5, each alone, and the least-squares slope of their log2
+  against n.  It is the opcode counterpart of fresh_denote's
+  ``growth_log2_per_n``, which fits the log2 of the same items' times over
+  the same three sizes, and it reads the same on every run.
 
 Each checker pass is counted with ``sys.settrace`` and
 ``frame.f_trace_opcodes`` after one untraced pass over the same program
@@ -43,6 +48,7 @@ from __future__ import annotations
 import gc
 import importlib
 import json
+import math
 import os
 import random
 import sys
@@ -98,6 +104,17 @@ def warm_count(fn, programs) -> int:
 
     run()
     return count_opcodes(run)
+
+
+def family_growth(sizes=(3, 4, 5)) -> dict:
+    """``den_program``'s warm count on ``family_text(n)`` for each n in
+    ``sizes``, and the least-squares slope of their log2 against n."""
+    counts = {n: warm_count(denot.den_program, [syntax.parse_program(family_text(n))]) for n in sizes}
+    ys = [math.log2(counts[n]) for n in sizes]
+    mean_x, mean_y = sum(sizes) / len(sizes), sum(ys) / len(ys)
+    slope = (sum((x - mean_x) * (y - mean_y) for x, y in zip(sizes, ys))
+             / sum((x - mean_x) ** 2 for x in sizes))
+    return {**{f"n{n}": count for n, count in counts.items()}, "log2_per_n": round(slope, 4)}
 
 
 def set_up(count: int, seed: int) -> None:
@@ -161,6 +178,7 @@ def main() -> None:
         "import": import_count(),
         "bound_nested_terminal_paths": warm_count(opsem.terminal_paths, [bound_nested(200)]),
         "heavy_check_soundness": warm_count(denot.check_soundness, heavy_programs(50, 8)),
+        "family_growth": family_growth(),
     }
     print(json.dumps(counts, indent=1))
 
