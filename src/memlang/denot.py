@@ -50,9 +50,9 @@ answer at the function's own world.  This is naturality: the model is a
 presheaf over memo-table worlds, so adding an atom that a term cannot name
 does not change the chance that the term returns true (Stark, *Names and
 Higher-Order Functions*, PhD thesis, Cambridge 1994).  Such a bias needs
-no new atom, no split and no witness, and in ``den_mem`` it is the row's
-own evaluation, found in the table.  Only a body that reads its binder is
-run at a world with a new atom.
+no new atom, no split and no witness, and in ``den_mem`` it is also the
+answer on every atom of the row.  Only a body that reads its binder is run
+at a world with a new atom.
 
 Edges are drawn lazily.  ``den_mem`` and ``den_fresh`` each return one
 class, in which every undetermined edge of the new row or column is
@@ -90,9 +90,8 @@ costs less than building, hashing and storing their key, and an ``if``
 only picks its branch, which is looked up in its turn.  A ``let`` body
 that ignores its binder thus runs once for all the classes whose world it
 shares.  A ``memfn`` body that ignores its binder needs no lookup to run
-once for a whole row: ``den_mem`` evaluates it once and gives every atom
-that answer, and its bias on a new atom, taken at the same world, is a
-lookup of that evaluation, or a leaf.  A call that raises (``EdgeRead``,
+once for a whole row: ``den_mem`` takes its bias, at the function's own
+world, and gives every atom that answer.  A call that raises (``EdgeRead``,
 ``FreshnessViolation``) stores nothing, so splits and witnesses are what
 a fresh evaluation gives.  The table is passed explicitly and lives for one
 top-level call: ``den_comp`` without one starts its own, as
@@ -108,7 +107,7 @@ both weightings, its single-bias sum is the chain-rule sum itself.
 
 A boolean mentions no label, so its class is the identity class at the
 base, which ``canonicalize`` builds at once, without walking the value for
-labels, and which ``_rebase`` asks for without building a bias map.  When
+labels or reading the biases, also when ``_rebase`` asks for it.  When
 ``bind``'s bound result is one class, not split, and its body answers only
 booleans, their rebased pairs are ``bind``'s result as they are, not
 merged: booleans that differ at the class's world differ over the base.
@@ -372,12 +371,9 @@ def unit(graph: B.TotalBigraph, value: O.EnvValue) -> FinDist[CanonicalClass]:
 def _rebase(base: B.TotalBigraph, cls: CanonicalClass, biases: BiasState) -> CanonicalClass:
     """A class re-expressed over ``base``, a sub-world of its own base;
     ``biases`` covers the functions that base adds to ``base``, and the
-    class's fresh biases are merged in.  A boolean mentions no function, so
-    its class is the identity class at ``base`` and no bias map is built;
-    ``canonicalize`` still checks that the class's world extends
-    ``base``."""
-    if type(cls.value) is O.BoolV:
-        return canonicalize(base, class_world(cls), cls.value, biases)
+    class's fresh biases are merged in.  A boolean's class is the identity
+    class at ``base``, which ``canonicalize`` builds without reading the
+    biases, once it has checked that the class's world extends ``base``."""
     all_biases = dict(biases)
     all_biases.update(zip(cls.fresh_funs, cls.fresh_biases))
     return canonicalize(base, class_world(cls), cls.value, all_biases)
@@ -616,22 +612,23 @@ def den_mem(
     body's (wiring-independent) probability on a new atom.
 
     A body that ignores its binder (one that rebinds it included) answers
-    alike on every atom, so it runs once, with ``env`` as it is, for the
-    whole row; ``_fresh_bias`` asks for the same evaluation at the same
-    world, which under a table is a lookup, or else a leaf.  The class is
-    read off the row in closed form: the function takes the smallest label
-    the world does not use, and its row, in atom order, is the class's only
-    fresh structure, so ``canonicalize`` is not called."""
+    alike on every atom, old or new, so its bias, which ``_fresh_bias``
+    takes at ``graph`` with ``env`` as it is, is its answer on every atom
+    of the row too, and the body runs once.  The class is read off the row
+    in closed form: the function takes the smallest label the world does
+    not use, and its row, in atom order, is the class's only fresh
+    structure, so ``canonicalize`` is not called."""
     bias = _bias_state(graph, bias)
     atoms = sorted(graph.right)
-    if atoms and binder not in S.free_var_names(body):
-        row = dict.fromkeys(atoms, _edge(prob_true(den_comp(body, graph, env, bias, table))))
-    else:
+    if binder in S.free_var_names(body):
         row = {
             a: _edge(prob_true(den_comp(body, graph, {**env, binder: O.AtomV(a)}, bias, table)))
             for a in atoms
         }
-    new_bias = _fresh_bias(graph, env, binder, body, bias, table)
+        new_bias = _fresh_bias(graph, env, binder, body, bias, table)
+    else:
+        new_bias = _fresh_bias(graph, env, binder, body, bias, table)
+        row = dict.fromkeys(atoms, _edge(new_bias))
     # nothing reads this world: a row is added to one because that is where
     # membench/tracing.py counts the rows built (bigraph.rows_built)
     graph.add_left_defined(row)

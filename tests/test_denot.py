@@ -514,6 +514,16 @@ def result_or_violation(run):
     return result, result.items(), repr(result)
 
 
+def parse_over(text, env):
+    """``text`` parsed, or ``flip(1/3)`` if it has a free variable other than
+    the binder ``x`` that ``env`` does not bind: a world without functions
+    has no ``h``, and one without atoms no ``c``."""
+    body = S.parse_program(text)
+    if set(S.free_var_names(body)) - env.keys() - {"x"}:
+        return S.parse_program("flip(1/3)")
+    return body
+
+
 # bodies over the binder x, a function h and an atom c of the world
 MEM_BODIES = [
     "flip(1/3)",
@@ -568,9 +578,7 @@ def test_den_mem_equals_the_canonicalized_world(world_and_bias, text, rng):
         env["h"] = O.FunV(rng.choice(sorted(graph.left)))
     if graph.right:
         env["c"] = O.AtomV(rng.choice(sorted(graph.right)))
-    if ("h" in text and "h" not in env) or ("c" in text and "c" not in env):
-        text = "flip(1/3)"
-    body = S.parse_program(text)
+    body = parse_over(text, env)
     result = result_or_violation(lambda: D.den_mem(graph, env, "x", body, bias))
     assert result == result_or_violation(lambda: reference_den_mem(graph, env, "x", body, bias))
 
@@ -586,11 +594,9 @@ def test_den_mem_equals_the_canonicalized_world(world_and_bias, text, rng):
     ],
 )
 def test_a_binder_free_row_runs_its_body_once(monkeypatch, text, binder_free):
-    # a binder-free body is asked at the row's world twice, for the row and
-    # for the bias, and at no other world; under den_program's table the
-    # second finds the first's result (test_den_program_runs_a_body_once_per_world).
-    # A body that reads its binder runs once per atom, and once more at a
-    # world with a new atom, for the bias
+    # a binder-free body runs once, at the row's world, and its bias fills
+    # the row; a body that reads its binder runs once per atom, and once
+    # more at a world with a new atom, for the bias
     graph = B.TotalBigraph([0], [0, 2, 3], {(0, 0): True, (0, 2): False, (0, 3): B.Pending(THIRD)})
     env = {"h": O.FunV(0), "c": O.AtomV(2)}
     body = S.parse_program(text)
@@ -607,8 +613,8 @@ def test_a_binder_free_row_runs_its_body_once(monkeypatch, text, binder_free):
     monkeypatch.setattr(D, "den_comp", counted)
     result = D.den_mem(graph, env, "x", body, {0: HALF})
     assert result == expected and result.items() == expected.items()
-    assert row_runs(body, graph) == (2 if binder_free else len(graph.right))
-    assert sum(comp is body for comp, _ in calls) == (2 if binder_free else len(graph.right) + 1)
+    assert row_runs(body, graph) == (1 if binder_free else len(graph.right))
+    assert sum(comp is body for comp, _ in calls) == (1 if binder_free else len(graph.right) + 1)
     # with no atom there is no row to fill: the body runs once, for the
     # bias, at the row's world itself
     empty_row = B.TotalBigraph([0], [], {})
@@ -657,9 +663,7 @@ def test_a_binder_free_bias_equals_the_new_atom_construction(world_and_bias, tex
         env["h"] = O.FunV(rng.choice(sorted(graph.left)))
     if graph.right:
         env["c"] = O.AtomV(rng.choice(sorted(graph.right)))
-    if ("h" in text and "h" not in env) or ("c" in text and "c" not in env):
-        text = "flip(1/3)"
-    body = S.parse_program(text)
+    body = parse_over(text, env)
     assert "x" not in S.free_var_names(body)
     result = bias_or_exception(lambda: D._fresh_bias(graph, env, "x", body, bias, {}))
     assert result == bias_or_exception(lambda: reference_fresh_bias(graph, env, "x", body, bias))

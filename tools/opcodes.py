@@ -26,10 +26,11 @@ Prints a JSON object with six counts and one growth figure:
   ``random.Random(8)``: larger programs than criterion 6's, with more
   memfns and fresh atoms;
 - ``family_growth``: ``den_program``'s warm count on ``family_text(n)`` for
-  n = 3, 4 and 5, each alone, and the least-squares slope of their log2
-  against n.  It is the opcode counterpart of fresh_denote's
-  ``growth_log2_per_n``, which fits the log2 of the same items' times over
-  the same three sizes, and it reads the same on every run.
+  the three largest n in ``FAMILY_SIZES`` (3, 4 and 5), each alone, and
+  the least-squares slope of their log2 against n.  It is the opcode
+  counterpart of fresh_denote's ``growth_log2_per_n``, which fits the log2
+  of the same items' times over the same three sizes, and it reads the
+  same on every run.
 
 Each checker pass is counted with ``sys.settrace`` and
 ``frame.f_trace_opcodes`` after one untraced pass over the same program
@@ -106,9 +107,11 @@ def warm_count(fn, programs) -> int:
     return count_opcodes(run)
 
 
-def family_growth(sizes=(3, 4, 5)) -> dict:
-    """``den_program``'s warm count on ``family_text(n)`` for each n in
-    ``sizes``, and the least-squares slope of their log2 against n."""
+def family_growth() -> dict:
+    """``den_program``'s warm count on ``family_text(n)`` for each of the
+    three largest n in ``FAMILY_SIZES``, the sizes ``growth_log2_per_n``
+    fits, and the least-squares slope of their log2 against n."""
+    sizes = FAMILY_SIZES[-3:]
     counts = {n: warm_count(denot.den_program, [syntax.parse_program(family_text(n))]) for n in sizes}
     ys = [math.log2(counts[n]) for n in sizes]
     mean_x, mean_y = sum(sizes) / len(sizes), sum(ys) / len(ys)
