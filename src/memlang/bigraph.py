@@ -14,8 +14,10 @@ world (``completions`` and ``denot``'s configuration phase).  Both build
 on their receiver's already-checked edges and check only what they add:
 that the added pairs are exactly the new ones and, in a total graph, that
 none of them is unsampled.  Each copies the edge map once.  The one other
-derivation, ``renumbered_slice``, cuts out the part of a memo-table an
-observation reaches and renumbers it in one pass.  Each graph keeps its
+derivation, ``sliced``, cuts out the part of a memo-table on some of its
+nodes and renames them in one pass: ``renumbered_slice`` renumbers an
+observation's part 0, 1, ..., and ``denot``'s cut of a terminal keeps the
+labels of the part its term reaches.  Each graph keeps its
 edges sorted for its hash, and ``edge_items`` hands out that tuple.  A
 graph's ``repr`` names its type, so a world shows as ``TotalBigraph``.
 """
@@ -202,6 +204,25 @@ class PartialBigraph(HashOnce):
         assigns = [dict(zip(undef, bits)) for bits in itertools.product((False, True), repeat=len(undef))]
         return [(self.completed(assign.__getitem__), assign) for assign in assigns]
 
+    def sliced(self, lmap: Mapping[int, int], rmap: Mapping[int, int]) -> "PartialBigraph":
+        """The subgraph on the nodes ``lmap`` and ``rmap`` are defined on,
+        of this graph's type, each node renamed to its image.  The maps
+        must name only nodes of this graph and must not send two nodes to
+        one label.  The edges kept are already checked, so none is checked
+        again."""
+        if not self._left.issuperset(lmap) or not self._right.issuperset(rmap):
+            raise ValueError("a slice must name only nodes of the graph")
+        if len(set(lmap.values())) != len(lmap) or len(set(rmap.values())) != len(rmap):
+            raise ValueError("a slice must not give two nodes one label")
+        edges = self._edges
+        graph = type(self).__new__(type(self))
+        graph._set(
+            frozenset(lmap.values()),
+            frozenset(rmap.values()),
+            {(i, j): edges[(f, a)] for f, i in lmap.items() for a, j in rmap.items()},
+        )
+        return graph
+
     def to_json(self) -> dict:
         names = {True: "true", False: "false", None: "undef"}
         return {
@@ -330,7 +351,4 @@ def renumbered_slice(
     rmap = {a: i for i, a in enumerate(order_right)}
     if len(lmap) != len(order_left) or len(rmap) != len(order_right):
         raise ValueError("an order must not repeat a node")
-    if not graph.left.issuperset(lmap) or not graph.right.issuperset(rmap):
-        raise ValueError("an order must name only nodes of the graph")
-    edges = {(i, j): graph.edge(f, a) for f, i in lmap.items() for a, j in rmap.items()}
-    return PartialBigraph(lmap.values(), rmap.values(), edges), lmap, rmap
+    return graph.sliced(lmap, rmap), lmap, rmap

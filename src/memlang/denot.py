@@ -97,8 +97,19 @@ a fresh evaluation gives.  The table is passed explicitly and lives for one
 top-level call: ``den_comp`` without one starts its own, as
 ``den_program`` does, and ``check_soundness`` starts a second one for all
 of its terminals, so the two sides it compares never share one.  The
-table holds nothing but these results.  ``check_soundness`` denotes once
-each group of terminals that agree on all that a configuration's
+table holds nothing but these results.
+
+``check_soundness`` denotes each terminal at the part of its memo-table
+that its term can reach (``reachable_part``): the functions and atoms the
+values of the term's free variables mention, closed under what the
+reached closures' bodies read (``opsem.reach``, the walk ``observe``
+takes), with their labels kept.  Nothing outside that part can be named
+by the term, so no leaf reads one of its edges, whose weights then sum to
+1 under either weighting, and ``_observed`` drops every node the result
+does not mention: the part's denotation is the whole terminal's, and the
+closure biases, chain-rule probabilities and splits are taken only for
+what the result can observe.  ``check_soundness`` then denotes once each
+group of cut terminals that agree on all that a configuration's
 denotation reads: the term, the values of its free variables, the
 memo-table and, of each closure, the binder, the body and the captured
 values of the body's other free variables.  It groups the enumerator's
@@ -123,7 +134,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, TypeVar, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from . import bigraph as B
 from . import opsem as O
@@ -856,29 +867,72 @@ def _read_of(closure: O.Closure) -> tuple:
     return closure.binder, closure.body, tuple(map(closure.captured.get, names))
 
 
-def check_soundness(program: S.Comp) -> SoundnessReport:
-    """Compare the compositional denotation of a closed program with the
-    weighted sum of its terminal configurations' denotations.  Each sum is
-    merged once, over every terminal's leaves; the leaf weights of each
-    terminal and the terminal weights are each checked to sum to 1.  The
-    terminals are the paths of ``opsem.terminal_paths``, which
-    ``enumerate_bigstep`` would merge first: each path's weight is checked
-    to be non-negative, and the weights of the groups below, which sum to
-    what the paths' do, are checked to sum to 1 where the sums mix them.
-    Where every terminal's leaves have the same weight and world under
-    both weightings, ``bias_formula_rhs`` is ``rhs`` itself.
+def reachable_part(config: O.Configuration) -> O.Configuration:
+    """The part of a terminal configuration that its term can reach, with
+    the labels it had: the functions and atoms the values of the term's
+    free variables mention, closed under ``opsem.reach``, with the
+    memo-table on them and their closures.  The environment is kept as it
+    is: the denotation reads it only at the term's free variables, whose
+    values mention no label outside the part.  A configuration with
+    nothing to cut is returned as it is.
 
-    ``_den_config`` reads a terminal's term, the values of the term's free
-    variables, its graph and, of each closure, the binder, the body and
-    the captured values of the body's other free variables, and nothing
-    else.  Terminals that agree on all of these are denoted once, at their
-    summed weight, in the place of the first of them, so each sum keeps
-    its order."""
-    lhs = den_program(program)
+    ``den_config`` of the part is ``den_config`` of the whole.  A cut-away
+    function or atom cannot be named by the term, nor by a reached
+    closure's body, so no edge of one is read at any leaf: its chain-rule
+    weights and its single-bias weights each sum to 1, and ``_observed``
+    discards what the result value does not mention."""
+    graph = config.graph
+    if not graph.left and not graph.right:
+        return config
+    env = config.env
+    funs: list[int] = []
+    atoms: list[int] = []
+    for name in S.free_var_names(config.term):
+        O.value_labels(env.get(name), funs, atoms)
+    O.reach(config.closures, funs, atoms)
+    if len(funs) == len(graph.left) and len(atoms) == len(graph.right):
+        return config
+    if not funs and not atoms:
+        # the commonest cut (151 of criterion 6's 402 paths): a term that
+        # reaches no label gets the shared empty graph and closure map
+        return O.Configuration(env, config.term, O.EMPTY_GRAPH, O.EMPTY_MAP)
+    closures = config.closures
+    return O.Configuration(
+        env,
+        config.term,
+        graph.sliced(dict(zip(funs, funs)), dict(zip(atoms, atoms))),
+        O.FrozenMap({fun: closures[fun] for fun in funs}) if funs else O.EMPTY_MAP,
+    )
+
+
+def terminal_sums(
+    paths: Iterable[tuple[O.Configuration, Fraction]]
+) -> tuple[FinDist[CanonicalClass], FinDist[CanonicalClass]]:
+    """The weighted sums of the terminal paths' denotations, under the chain
+    rule and under the single bias: ``check_soundness``'s ``rhs`` and
+    ``bias_formula_rhs``.  Each sum is merged once, over every terminal's
+    leaves; the leaf weights of each terminal and the terminal weights are
+    each checked to sum to 1.  Each path's weight is checked to be
+    non-negative, and the weights of the groups below, which sum to what the
+    paths' do, are checked to sum to 1 where the sums mix them.  Where every
+    terminal's leaves have the same weight and world under both weightings,
+    the second sum is the first itself.
+
+    Each terminal is cut down to the part its term can reach
+    (``reachable_part``) and denoted there, which gives what the whole
+    terminal gives, so closure biases, chain-rule probabilities and splits
+    are taken only for the functions and edges the result can observe.
+    ``_den_config`` reads of a cut terminal its term, the values of the
+    term's free variables, its graph and, of each closure, the binder, the
+    body and the captured values of the body's other free variables, and
+    nothing else.  Terminals that agree on all of these are denoted once,
+    at their summed weight, in the place of the first of them, so each sum
+    keeps its order."""
     groups: dict[tuple, list] = {}
-    for cfg, w in O.terminal_paths(program):
+    for cfg, w in paths:
         if w.numerator < 0:
             raise MassError(f"negative weight {w} for a terminal path")
+        cfg = reachable_part(cfg)
         closures = tuple((label, *_read_of(closure)) for label, closure in cfg.closures.items())
         key = (cfg.term, tuple(map(cfg.env.get, S.free_var_names(cfg.term))), cfg.graph, closures)
         if key in groups:
@@ -896,7 +950,31 @@ def check_soundness(program: S.Comp) -> SoundnessReport:
         agree = agree and single is chain
     rhs = FinDist(mixed(chain_terms))
     # where every terminal's leaves agree, the two sums are the same items
-    bias_rhs = rhs if agree else FinDist(mixed(single_terms))
+    return rhs, rhs if agree else FinDist(mixed(single_terms))
+
+
+def check_soundness(program: S.Comp) -> SoundnessReport:
+    """Compare the compositional denotation of a closed program with the
+    weighted sum of its terminal configurations' denotations
+    (``terminal_sums``).  The terminals are the paths of
+    ``opsem.terminal_paths``, which ``enumerate_bigstep`` would merge
+    first.  The compositional side is taken first, so an error it raises is
+    the one reported.
+
+    A terminal is denoted at the part of its memo-table that its term can
+    reach: the functions and atoms the values of its free variables
+    mention, and what their closures' bodies read in turn.  That is exact:
+    an edge outside the part is read at no leaf, so its weights under
+    either weighting sum to 1, and the result's classes drop every node the
+    value does not mention.  Naturality says the same: adding names a term
+    cannot mention does not change its meaning (Pitts and Stark,
+    "Observable properties of higher order functions that dynamically
+    create local names", MFCS 1993).  What the cut leaves out is not
+    evaluated, so it raises nothing: a closure outside the part is not
+    checked for freshness there, and an edge outside it counts against no
+    ``MEMLANG_MAX_UNDEF`` budget."""
+    lhs = den_program(program)
+    rhs, bias_rhs = terminal_sums(O.terminal_paths(program))
     return SoundnessReport(
         lhs=lhs,
         rhs=rhs,

@@ -697,6 +697,36 @@ class Observation(HashOnce):
         set_field(self, "closures", closures)
 
 
+def reach(
+    closures: Mapping[int, Closure], funs: list[int], atoms: list[int]
+) -> list[list[tuple[str, EnvValue]]]:
+    """Close the labels ``funs`` and ``atoms`` under what a function can
+    read: the captured values of its closure body's free variables other
+    than its binder, which each call binds afresh.  New labels are appended
+    in first-occurrence order, each function's names taken in sorted order.
+    Returns, for each function of ``funs`` in order, its (name, captured
+    value) pairs.  The walk is the whole of what a term can reach from the
+    labels it starts from: ``observe`` and ``denot``'s cut of a terminal
+    both take it."""
+    kept_envs = []
+    i = 0
+    while i < len(funs):
+        label = funs[i]
+        i += 1
+        closure = closures[label]
+        items = []
+        for name in sorted(S.free_vars(closure.body) - {closure.binder}):
+            if name not in closure.captured:
+                raise MalformedConfiguration(
+                    f"closure for function {label} misses captured {name!r}"
+                )
+            captured = closure.captured[name]
+            items.append((name, captured))
+            value_labels(captured, funs, atoms)
+        kept_envs.append(items)
+    return kept_envs
+
+
 def observe(config: Configuration) -> Observation:
     """The observation of a terminal configuration.  A bare ``memfn`` or
     ``fresh()`` is taken one step further, through ``let val %r <- t in
@@ -713,24 +743,7 @@ def observe(config: Configuration) -> Observation:
     value = eval_value(config.env, config.term.value)
 
     funs, atoms = value_labels(value)
-    kept_envs: dict[int, list[tuple[str, EnvValue]]] = {}
-    i = 0
-    while i < len(funs):
-        label = funs[i]
-        i += 1
-        closure = config.closures[label]
-        names = sorted(S.free_vars(closure.body) - {closure.binder})
-        items = []
-        for name in names:
-            if name not in closure.captured:
-                raise MalformedConfiguration(
-                    f"closure for function {label} misses captured {name!r}"
-                )
-            captured = closure.captured[name]
-            items.append((name, captured))
-            value_labels(captured, funs, atoms)
-        kept_envs[label] = items
-
+    kept_envs = reach(config.closures, funs, atoms)
     graph, fmap, amap = B.renumbered_slice(config.graph, funs, atoms)
     closures = tuple(
         (
@@ -738,9 +751,9 @@ def observe(config: Configuration) -> Observation:
             S.alpha_canonical(
                 S.MemFn(config.closures[label].binder, config.closures[label].body)
             ),
-            tuple((name, relabel(v, fmap, amap)) for name, v in kept_envs[label]),
+            tuple((name, relabel(v, fmap, amap)) for name, v in items),
         )
-        for label in funs
+        for label, items in zip(funs, kept_envs)
     )
     return Observation(relabel(value, fmap, amap), graph, closures)
 

@@ -132,6 +132,31 @@ def test_embedding_rejects_edge_flips():
     B.Embedding.make(g, h, {0: 0}, {0: 1})
 
 
+def test_sliced_keeps_the_labels_it_maps_to_themselves_and_the_graph_type():
+    g = B.PartialBigraph(
+        [0, 1, 2], [0, 1],
+        {(0, 0): True, (0, 1): None, (1, 0): False, (1, 1): True, (2, 0): None, (2, 1): False},
+    )
+    out = g.sliced({0: 0, 2: 2}, {1: 1})
+    assert type(out) is B.PartialBigraph
+    assert out.left == {0, 2} and out.right == {1}
+    assert out.edge_items() == (((0, 1), None), ((2, 1), False))
+    world = B.TotalBigraph([0, 1], [0], {(0, 0): True, (1, 0): False})
+    assert type(world.sliced({1: 1}, {0: 0})) is B.TotalBigraph
+    assert world.sliced({0: 0, 1: 1}, {0: 0}) == world
+    assert world.sliced({}, {}) == B.TotalBigraph()
+
+
+def test_sliced_rejects_a_node_outside_the_graph_and_a_merge():
+    g = B.TotalBigraph([0], [0, 1], {(0, 0): True, (0, 1): False})
+    with pytest.raises(ValueError):
+        g.sliced({0: 0}, {2: 2})
+    with pytest.raises(ValueError):
+        g.sliced({1: 1}, {0: 0})
+    with pytest.raises(ValueError):
+        g.sliced({0: 0}, {0: 5, 1: 5})
+
+
 def test_renumbered_slice_of_every_node_in_order_is_the_graph():
     g = B.TotalBigraph([0, 1], [0], {(0, 0): True, (1, 0): False})
     same, lmap, rmap = B.renumbered_slice(g, [0, 1], [0])

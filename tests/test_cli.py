@@ -306,11 +306,12 @@ def test_soundness_over_unread_edges_ignores_the_budget(capsys, tmp_path):
 
 
 def test_soundness_budget_bounds_the_edges_read(capsys, monkeypatch, tmp_path):
-    # three edges stay unsampled; the closures of g and h read two of them
+    # three edges stay unsampled; the closures of g and h read two of them,
+    # and the result h reaches both closures
     program = tmp_path / "chain.mem"
     program.write_text(
         "let val a <- fresh() in let val f <- memfn x. flip(1/2) in "
-        "let val g <- memfn x. f @ a in let val h <- memfn x. g @ a in return true\n"
+        "let val g <- memfn x. f @ a in let val h <- memfn x. g @ a in return h\n"
     )
     monkeypatch.setenv("MEMLANG_MAX_UNDEF", "1")
     code = cli.main(["soundness", str(program)])
@@ -318,6 +319,20 @@ def test_soundness_budget_bounds_the_edges_read(capsys, monkeypatch, tmp_path):
     assert code == 64 and captured.out == ""
     assert captured.err.count("\n") == 1 and "MEMLANG_MAX_UNDEF" in captured.err
     monkeypatch.setenv("MEMLANG_MAX_UNDEF", "2")
+    code, payload = run_cli(capsys, "soundness", str(program))
+    assert code == 0 and payload["equal"] is True
+
+
+def test_soundness_never_splits_an_edge_the_result_cannot_reach(capsys, monkeypatch, tmp_path):
+    # the same chain, returning true: no closure is reachable from the
+    # result, so the terminal is denoted at an empty memo-table and none of
+    # its unsampled edges is split
+    program = tmp_path / "chain.mem"
+    program.write_text(
+        "let val a <- fresh() in let val f <- memfn x. flip(1/2) in "
+        "let val g <- memfn x. f @ a in let val h <- memfn x. g @ a in return true\n"
+    )
+    monkeypatch.setenv("MEMLANG_MAX_UNDEF", "1")
     code, payload = run_cli(capsys, "soundness", str(program))
     assert code == 0 and payload["equal"] is True
 

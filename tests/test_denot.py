@@ -807,11 +807,13 @@ def test_scaling_family_builds_linearly_many_rows_and_wirings(monkeypatch):
     # family builds 4 rows, f's once and g's in each of three runs of its
     # let, whatever n is; check_soundness on the chained family builds one
     # row per memfn, and on the reading family also one wiring per memfn in
-    # den_program and one per closure bias of its one terminal
+    # den_program.  Its one terminal returns a boolean, which reaches no
+    # closure, so the terminal is denoted at an empty memo-table and no
+    # closure bias is taken there
     for family, n, run, rows, wirings in (
         (scaling_family, 12, D.den_program, 4, 0),
         (chained_family, 10, D.check_soundness, 10, 0),
-        (reading_family, 10, D.check_soundness, 10, 2 * 10),
+        (reading_family, 10, D.check_soundness, 10, 10),
     ):
         counts.update(rows=0, wirings=0)
         run(family(n))
@@ -1038,17 +1040,37 @@ def counted_flips(monkeypatch) -> list:
     return thetas
 
 
-def test_check_soundness_denotes_a_shared_memo_table_once(monkeypatch):
-    # four terminals, one per pair of trailing flips, share the memo-table
-    # and the closure of f; they differ only in their environments.  f's
-    # body runs once for den_program (its row; its bias on a new atom, taken
-    # at the same world, finds that result in the table) and twice for all
-    # four terminals together (the closure bias, under the placeholder bias
-    # state, and the chain-rule probability at a, under the derived one)
-    p = S.parse_program(
+def shared_memo_table(result: str) -> S.Comp:
+    """An atom a and a memoized coin f, then two flips, returning
+    ``result``: four terminals, one per pair of flips, that share the
+    memo-table and the closure of f and differ only in their environments."""
+    return S.parse_program(
         "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
-        "let val b1 <- flip(1/2) in let val b2 <- flip(1/2) in return (f, b1)"
+        f"let val b1 <- flip(1/2) in let val b2 <- flip(1/2) in return {result}"
     )
+
+
+def test_check_soundness_denotes_a_shared_memo_table_once(monkeypatch):
+    # f's body runs once for den_program (its row; its bias on a new atom,
+    # taken at the same world, finds that result in the table) and once for
+    # all four terminals together (the closure bias, under the placeholder
+    # bias state).  The result reaches f but not a, which f's body does not
+    # read, so the terminals are denoted without a: f's unsampled edge to a
+    # is not there, and no chain-rule probability is taken at it
+    p = shared_memo_table("(f, b1)")
+    terminals = O.enumerate_bigstep(p)
+    assert len(terminals) == 4 and len({(c.graph, c.closures) for c in terminals.support()}) == 1
+    thetas = counted_flips(monkeypatch)
+    assert D.check_soundness(p).equal
+    assert thetas.count(THIRD) == 2
+
+
+def test_check_soundness_runs_a_shared_body_once_per_bias_state(monkeypatch):
+    # the result reaches f and a, so f's unsampled edge to a stays, and f's
+    # body runs a third time: for the chain-rule probability at a, under
+    # the derived bias state, where the closure bias ran it under the
+    # placeholder one
+    p = shared_memo_table("(f, a)")
     terminals = O.enumerate_bigstep(p)
     assert len(terminals) == 4 and len({(c.graph, c.closures) for c in terminals.support()}) == 1
     thetas = counted_flips(monkeypatch)
@@ -1233,7 +1255,9 @@ def test_check_soundness_denotes_terminals_once_per_what_they_read(monkeypatch, 
 
 def test_terminals_that_differ_only_in_an_unread_capture_are_denoted_once(monkeypatch):
     # criterion 6's program 49: its four terminals differ in b1 and b2; both
-    # closures capture both, and their bodies read b2 alone
+    # closures capture both, and their bodies read b2 alone.  The term
+    # returns a boolean, which reaches neither closure, so the four are
+    # denoted once, at an empty memo-table
     p = soundness_corpus(200, 20243)[49]
     terminals = O.enumerate_bigstep(p).support()
     assert len(terminals) == 4
@@ -1242,11 +1266,83 @@ def test_terminals_that_differ_only_in_an_unread_capture_are_denoted_once(monkey
     rhs, bias_rhs = soundness_sums_per_terminal(p)
     configs = counted_configs(monkeypatch)
     report = D.check_soundness(p)
-    assert len(configs) == 2
-    assert {c.closures[0].captured["b2"] for c in configs} == {O.BoolV(False), O.BoolV(True)}
+    assert len(configs) == 1
+    assert configs[0].graph == B.empty() and configs[0].closures == {}
     assert report.equal
     assert report.rhs == rhs and repr(report.rhs) == repr(rhs)
     assert report.bias_formula_rhs == bias_rhs and repr(report.bias_formula_rhs) == repr(bias_rhs)
+
+
+def heavy_programs(count: int, seed: int) -> list[S.Comp]:
+    """``count`` programs, each drawn by a new ``ProgramGen(rng, 6, 5, 4, 12)``
+    on one ``random.Random(seed)``, as ``tools/opcodes.py`` draws them."""
+    rng = random.Random(seed)
+    return [ProgramGen(rng, 6, 5, 4, 12).program() for _ in range(count)]
+
+
+def test_a_terminal_denotes_as_the_part_its_term_reaches():
+    # naturality: the names a term cannot reach do not change its meaning.
+    # A terminal whose denotation raises is left out: it belongs to one of
+    # the bundled programs outside sound/, whose unreachable closure is not
+    # freshness-invariant, and den_program, which check_soundness runs
+    # first, rejects each of them itself
+    named = [(path.name, S.parse_program(path.read_text())) for path in sorted(PROGRAMS.rglob("*.mem"))]
+    generated = soundness_corpus(200, 20243) + heavy_programs(50, 8)
+    cut, raised = 0, set()
+    for name, program in [*named, *((None, p) for p in generated)]:
+        for cfg in O.enumerate_bigstep(program).support():
+            part = D.reachable_part(cfg)
+            try:
+                whole = D.den_config(cfg)
+            except D.FreshnessViolation:
+                raised.add(name)
+                continue
+            cut += part is not cfg
+            got = D.den_config(part)
+            assert got == whole and repr(got) == repr(whole)
+    assert cut > 200
+    assert raised == {"golden_trace.mem", "reject_apply_binder.mem", "reject_negation.mem"}
+    for name in raised:
+        with pytest.raises(D.FreshnessViolation):
+            D.den_program(load(name))
+
+
+def test_a_closure_reached_through_a_capture_is_kept():
+    # f's body reads g and a, which the result reaches only through f
+    p = S.parse_program(
+        "let val a <- fresh() in let val g <- memfn x. flip(1/3) in "
+        "let val f <- memfn y. g @ a in return f"
+    )
+    (cfg,) = O.enumerate_bigstep(p).support()
+    part = D.reachable_part(cfg)
+    assert part is cfg and part.graph.left == {0, 1} and part.graph.right == {0}
+    assert D.den_config(part) == D.den_config(cfg)
+    assert D.check_soundness(p).equal
+    # returning g instead cuts f away, and keeps g without a
+    p = S.parse_program(
+        "let val a <- fresh() in let val g <- memfn x. flip(1/3) in "
+        "let val f <- memfn y. g @ a in return g"
+    )
+    (cfg,) = O.enumerate_bigstep(p).support()
+    part = D.reachable_part(cfg)
+    assert part.graph.left == {0} and part.graph.right == frozenset() and set(part.closures) == {0}
+    got, whole = D.den_config(part), D.den_config(cfg)
+    assert got == whole and repr(got) == repr(whole)
+
+
+def test_a_violation_only_an_unreachable_closure_shows_at_a_weight_0_leaf_is_not_raised():
+    # g answers false on every atom, so den_program builds h where g @ a is
+    # false.  The terminal leaves g @ a unsampled, and the leaf where it is
+    # true, of weight 0, makes h's body read its binder's wiring to f.  Only
+    # a terminal that reaches h takes h's bias there
+    prefix = (
+        "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
+        "let val g <- memfn x. flip(0) in "
+        "let val h <- memfn y. let val c <- g @ a in if c then f @ y else flip(1/2) in "
+    )
+    assert D.check_soundness(S.parse_program(prefix + "return true")).equal
+    with pytest.raises(D.FreshnessViolation):
+        D.check_soundness(S.parse_program(prefix + "return h"))
 
 
 def test_check_soundness_logs_bias_formula_divergence():

@@ -73,3 +73,13 @@ def test_the_family_growth_repeats_and_rises_with_n():
     assert first == tool.family_growth()
     assert 0 < first["n3"] < first["n4"] < first["n5"]
     assert first["log2_per_n"] > 0
+
+
+def test_the_terminal_sums_count_repeats_and_is_part_of_the_checker():
+    # the work check_soundness does after terminal_paths, counted alone
+    tool = _tool()
+    programs = progen.soundness_corpus(3, 20243)
+    first = tool.terminal_sums_count(programs)
+    assert first > 1000
+    assert tool.terminal_sums_count(programs) == first
+    assert first < tool.warm_count(denot.check_soundness, programs)

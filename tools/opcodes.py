@@ -3,7 +3,7 @@ one warm pass of the checker execute.
 
     python tools/opcodes.py
 
-Prints a JSON object with six counts and one growth figure:
+Prints a JSON object with seven counts and one growth figure:
 
 - ``criterion6_check_soundness``: ``check_soundness`` over criterion 6's
   corpus, ``progen.soundness_corpus(200, 20243)``;
@@ -25,6 +25,10 @@ Prints a JSON object with six counts and one growth figure:
   50 programs each drawn by a new ``ProgramGen(rng, 6, 5, 4, 12)`` on one
   ``random.Random(8)``: larger programs than criterion 6's, with more
   memfns and fresh atoms;
+- ``criterion6_terminal_sums``: ``denot.terminal_sums`` over criterion 6's
+  corpus, each program's terminal paths enumerated outside the count: the
+  work ``check_soundness`` does after ``terminal_paths`` (cutting each
+  terminal to the part its term reaches, grouping and denoting), alone;
 - ``family_growth``: ``den_program``'s warm count on ``family_text(n)`` for
   the three largest n in ``FAMILY_SIZES`` (3, 4 and 5), each alone, and
   the least-squares slope of their log2 against n.  It is the opcode
@@ -145,6 +149,22 @@ def heavy_programs(count: int, seed: int) -> list[syntax.Comp]:
     return [progen.ProgramGen(rng, 6, 5, 4, 12).program() for _ in range(count)]
 
 
+def terminal_sums_count(programs) -> int:
+    """Opcodes of ``denot.terminal_sums`` on each program's terminal paths,
+    after one warm pass.  The counted pass takes paths enumerated afresh,
+    before the count starts, so it meets configurations no earlier pass
+    has hashed, as ``check_soundness`` does."""
+    for program in programs:
+        denot.terminal_sums(opsem.terminal_paths(program))
+    paths = [opsem.terminal_paths(program) for program in programs]
+
+    def run():
+        for terminals in paths:
+            denot.terminal_sums(terminals)
+
+    return count_opcodes(run)
+
+
 def import_count() -> int:
     """Opcodes of one warm re-import of ``MODULES``.  The modules imported
     before the call are put back afterwards, so a caller keeps its own."""
@@ -181,6 +201,7 @@ def main() -> None:
         "import": import_count(),
         "bound_nested_terminal_paths": warm_count(opsem.terminal_paths, [bound_nested(200)]),
         "heavy_check_soundness": warm_count(denot.check_soundness, heavy_programs(50, 8)),
+        "criterion6_terminal_sums": terminal_sums_count(corpus),
         "family_growth": family_growth(),
     }
     print(json.dumps(counts, indent=1))
