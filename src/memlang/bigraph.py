@@ -17,9 +17,18 @@ none of them is unsampled.  Each copies the edge map once.  The one other
 derivation, ``sliced``, cuts out the part of a memo-table on some of its
 nodes and renames them in one pass: ``renumbered_slice`` renumbers an
 observation's part 0, 1, ..., and ``denot``'s cut of a terminal keeps the
-labels of the part its term reaches.  Each graph keeps its
-edges sorted for its hash, and ``edge_items`` hands out that tuple.  A
-graph's ``repr`` names its type, so a world shows as ``TotalBigraph``.
+labels of the part its term reaches, gaps included.
+
+A node added to a graph takes the smallest natural its side does not use
+(``smallest_free``), the label ``denot`` gives the fresh node of a class
+it builds without a world, so a world built later for that class holds
+the node under the class's label, on a graph with gaps too.
+
+A graph sorts nothing when it is built.  Its hash is taken over its nodes
+and edges as sets, and equality compares them as sets and maps.  The
+sorted edges are built the first time ``edge_items`` (or ``repr`` or
+``to_json``) lists them, and kept.  A graph's ``repr`` names its type, so
+a world shows as ``TotalBigraph``.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .hashonce import HashOnce, set_field
@@ -83,10 +91,9 @@ def check_undefined_budget(count: int) -> None:
 
 
 class PartialBigraph(HashOnce):
-    __slots__ = ("_left", "_right", "_edges", "_key")
-    _hash_key = attrgetter("_key")
-    # a graph keeps its own equality, repr and pickle, and stores its slots
-    # once, in _set
+    __slots__ = ("_left", "_right", "_edges", "_sorted_edges")
+    # a graph keeps its own equality, repr and pickle, and stores its nodes
+    # and edges once, in _set
     __hash__ = HashOnce.__hash__
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
@@ -106,11 +113,16 @@ class PartialBigraph(HashOnce):
 
     def _set(self, left: frozenset[int], right: frozenset[int], edges: dict) -> None:
         """Take the given (already checked) nodes and edge map as this
-        graph's own."""
+        graph's own.  Nothing is sorted here: ``edge_items`` sorts the
+        edges when they are first listed."""
         self._left = left
         self._right = right
         self._edges = edges
-        self._key = (tuple(sorted(left)), tuple(sorted(right)), tuple(sorted(edges.items())))
+        # neither is taken yet; a set slot reads faster than an empty one
+        self._sorted_edges = self._hash = None
+
+    # the hash is taken over the nodes and edges as sets, so nothing is sorted
+    _hash_key = staticmethod(lambda graph: (graph._left, graph._right, frozenset(graph._edges.items())))
 
     @property
     def left(self) -> frozenset[int]:
@@ -124,15 +136,14 @@ class PartialBigraph(HashOnce):
         return self._edges[(fun, atom)]
 
     def edge_items(self) -> tuple[tuple[tuple[int, int], EdgeVal], ...]:
-        """Every (pair, value), sorted by pair: the edges the hash is
-        taken over."""
-        return self._key[2]
+        """Every (pair, value), sorted by pair on the first call and kept."""
+        items = self._sorted_edges
+        if items is None:
+            items = self._sorted_edges = tuple(sorted(self._edges.items()))
+        return items
 
     def undefined_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(p for p, v in self._edges.items() if v is None)
-
-    def _fresh_label(self, side: frozenset[int]) -> int:
-        return max(side) + 1 if side else 0
 
     def extended(
         self,
@@ -181,12 +192,12 @@ class PartialBigraph(HashOnce):
 
     def add_left_undef(self) -> tuple["PartialBigraph", int]:
         """New function node with a not-yet-sampled edge to every atom."""
-        fun = self._fresh_label(self._left)
+        (fun,) = smallest_free(1, self._left)
         return self.extended([fun], (), dict.fromkeys((fun, a) for a in self._right), partial=True), fun
 
     def add_right_undef(self) -> tuple["PartialBigraph", int]:
         """New atom node with a not-yet-sampled edge from every function."""
-        atom = self._fresh_label(self._right)
+        (atom,) = smallest_free(1, self._right)
         return self.extended((), [atom], dict.fromkeys((f, atom) for f in self._left), partial=True), atom
 
     def set_edge(self, fun: int, atom: int, value: bool) -> "PartialBigraph":
@@ -232,7 +243,13 @@ class PartialBigraph(HashOnce):
         }
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PartialBigraph) and self._key == other._key
+        # the edge maps are compared as maps, so neither side is sorted
+        return self is other or (
+            isinstance(other, PartialBigraph)
+            and self._left == other._left
+            and self._right == other._right
+            and self._edges == other._edges
+        )
 
     def __reduce__(self):
         return type(self), (self._left, self._right, self._edges)
@@ -259,13 +276,13 @@ class TotalBigraph(PartialBigraph):
     def add_left_defined(self, row: Mapping[int, bool | Pending]) -> tuple["TotalBigraph", int]:
         """New function node with its edge to each atom given by ``row``,
         which must assign exactly the atoms."""
-        fun = self._fresh_label(self._left)
+        (fun,) = smallest_free(1, self._left)
         return self.extended([fun], (), {(fun, a): _defined(v) for a, v in row.items()}), fun
 
     def add_right_defined(self, column: Mapping[int, bool | Pending]) -> tuple["TotalBigraph", int]:
         """New atom node with its edge from each function given by
         ``column``, which must assign exactly the functions."""
-        atom = self._fresh_label(self._right)
+        (atom,) = smallest_free(1, self._right)
         return self.extended((), [atom], {(f, atom): _defined(v) for f, v in column.items()}), atom
 
 
@@ -329,8 +346,14 @@ class Embedding(HashOnce):
 
 
 def smallest_free(count: int, used: Iterable[int]) -> list[int]:
-    """The smallest ``count`` naturals outside ``used``, ascending."""
-    used = set(used)
+    """The smallest ``count`` naturals outside ``used``, ascending: the one
+    rule by which a new node, or a class's fresh node, is labelled.  Labels
+    0 .. n-1 with none missing, the common case, give n, n+1, ... at once."""
+    if type(used) is not frozenset and type(used) is not set:
+        used = set(used)
+    n = len(used)
+    if not n or max(used) == n - 1:  # n distinct naturals up to n - 1
+        return [n] if count == 1 else list(range(n, n + count))
     out: list[int] = []
     candidate = 0
     while len(out) < count:

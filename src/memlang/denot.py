@@ -6,8 +6,9 @@ that do not exist yet.  ``den_comp`` checks the bias state on every call:
 it must assign exactly g's functions.  The values are checked once: a
 state that passes is coerced to exact probabilities in [0, 1] and kept as
 a read-only ``_CheckedBias``, which later calls take as it is, as they
-take ``_closure_biases``' result, while any other mapping (a caller's own,
-``bind``'s extension by a class's fresh biases) is coerced in full.
+take the closure biases ``_den_config`` derives at a leaf, while any other
+mapping (a caller's own, ``bind``'s extension by a class's fresh biases)
+is coerced in full.
 
 The result is an exact distribution over canonical classes: a result value
 together with just the fresh structure it mentions.  Fresh nodes a value
@@ -31,7 +32,12 @@ such a class is the whole bound result, the body's result is ``bind``'s,
 by the monad's left unit law ``return x >>= f = f x`` (Moggi, "Notions of
 computation and monads", 1991).  A class is a named tuple of its six
 fields, equal only to a class with the same fields; it keeps nothing
-else, so any other world it describes is rebuilt by ``class_world``.
+else.  A world is built only where a body runs at it: ``bind`` builds each
+class's world with ``class_world``, a memoized function's by adding its
+row to the base (``add_left_defined``).  Re-expressing a body's class over
+the smaller base builds none: ``_rebase`` reads the edges of the class's
+fresh part from its ``ext_edges`` and every other edge from its own base,
+through the construction ``canonicalize`` uses.
 
 Memoized functions are interpreted by a row of answers over the existing
 atoms (one probability per atom, obtained by running the body on that
@@ -60,7 +66,9 @@ class, in which every undetermined edge of the new row or column is
 stored as a plain bool when the chance is 0 or 1.  Each builds its class
 in closed form: the new node takes the smallest label the world does not
 use, and its row or column is all the fresh structure the class has, so
-neither calls ``canonicalize``, and ``den_fresh`` builds no world.
+neither calls ``canonicalize`` or builds a world.  ``class_world`` later
+gives the node the same label, since ``bigraph``'s additions take the
+smallest unused one too.
 ``transport``'s cross edges are pending in the same way.  When
 ``den_app`` reads a pending edge it raises ``EdgeRead``; the ``bind``
 whose class owns the edge splits that class into its two outcomes and
@@ -74,8 +82,13 @@ the law suites.
 A configuration's unsampled edges are split the same way: ``den_config``
 gives each a placeholder, splits one only when the closure biases, the
 chain-rule probabilities or the term read it, and leaves every other one
-to ``expand`` as a coin.  A leaf that read every unsampled edge is
-observed at the one world it was evaluated at.
+to ``expand`` as a coin.  A leaf takes, function by function in creation
+order, the bias and then the chain-rule probabilities of the unsampled
+edges under one bias state, and weighs the edges it assigned as it goes;
+once both of its weights are 0 it is left, before a younger function's
+body or the term runs there, so an event of probability 0 decides
+nothing.  A leaf that read every unsampled edge is observed at the one
+world it was evaluated at.
 
 A result is a function of the world, the bias state, the term and the
 values of the term's free variables, so ``den_comp`` keeps the results it
@@ -117,8 +130,8 @@ paths unmerged, and where every leaf weighs and observes the same under
 both weightings, its single-bias sum is the chain-rule sum itself.
 
 A boolean mentions no label, so its class is the identity class at the
-base, which ``canonicalize`` builds at once, without walking the value for
-labels or reading the biases, also when ``_rebase`` asks for it.  When
+base, which ``canonicalize`` and ``_rebase`` build at once, without
+walking the value for labels or reading the biases.  When
 ``bind``'s bound result is one class, not split, and its body answers only
 booleans, their rebased pairs are ``bind``'s result as they are, not
 merged: booleans that differ at the class's world differ over the base.
@@ -134,7 +147,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from . import bigraph as B
 from . import opsem as O
@@ -284,6 +298,18 @@ def canonicalize(
     """
     if base is not world and not (base.left <= world.left and base.right <= world.right):
         raise ValueError("world does not extend the base graph")
+    return _canonical(base, value, world.edge, biases)
+
+
+def _canonical(
+    base: B.TotalBigraph,
+    value: O.EnvValue,
+    edge: Callable[[int, int], B.EdgeVal],
+    biases: Mapping[int, Fraction],
+) -> CanonicalClass:
+    """``canonicalize``'s construction, reading each edge that touches a
+    fresh node through ``edge``: a world's own, or ``_rebase``'s, which
+    reads a class's fresh part from its ``ext_edges``."""
     if type(value) is O.BoolV:
         return CanonicalClass(base, value, (), (), (), ())
     funs, atoms = O.value_labels(value)
@@ -303,7 +329,7 @@ def canonicalize(
     pairs += [(f, a) for f in base.left for a in fresh_atom_order]
     edges: list[tuple[int, int, B.EdgeVal]] = []
     for f, a in pairs:
-        v = world.edge(f, a)
+        v = edge(f, a)
         if v is None:
             raise ValueError(f"world leaves edge ({f}, {a}) unsampled")
         edges.append((fmap.get(f, f), amap.get(a, a), v))
@@ -317,12 +343,23 @@ def canonicalize(
     )
 
 
+_ATOM_AND_VALUE = itemgetter(1, 2)  # of an ext_edges entry (fun, atom, value)
+
+
 def class_world(cls: CanonicalClass) -> B.TotalBigraph:
     """The total world a class describes: its base plus its fresh nodes.  A
     class with no fresh part describes its base world, which is returned as
-    it is; any other world is rebuilt."""
+    it is.  A class with one fresh function and no fresh atom, a memoized
+    function's, is its base with the function's row added
+    (``add_left_defined``, which picks the label the class holds); any
+    other world is built from the base and the class's edges."""
     if cls.is_identity():
         return cls.base
+    if len(cls.fresh_funs) == 1 and not cls.fresh_atoms:
+        world, fun = cls.base.add_left_defined(dict(map(_ATOM_AND_VALUE, cls.ext_edges)))
+        if (fun,) != cls.fresh_funs:
+            raise ValueError(f"class's function {cls.fresh_funs[0]} is not the world's new label {fun}")
+        return world
     return cls.base.extended(cls.fresh_funs, cls.fresh_atoms, {(f, a): v for f, a, v in cls.ext_edges})
 
 
@@ -382,12 +419,22 @@ def unit(graph: B.TotalBigraph, value: O.EnvValue) -> FinDist[CanonicalClass]:
 def _rebase(base: B.TotalBigraph, cls: CanonicalClass, biases: BiasState) -> CanonicalClass:
     """A class re-expressed over ``base``, a sub-world of its own base;
     ``biases`` covers the functions that base adds to ``base``, and the
-    class's fresh biases are merged in.  A boolean's class is the identity
-    class at ``base``, which ``canonicalize`` builds without reading the
-    biases, once it has checked that the class's world extends ``base``."""
+    class's fresh biases are merged in.  No world is built: an edge that
+    touches one of the class's fresh nodes is read from its ``ext_edges``,
+    any other from its base.  A boolean's class is the identity class at
+    ``base``, built without reading the biases, once the class's base is
+    checked to extend ``base``."""
+    own = cls.base
+    if base is not own and not (base.left <= own.left and base.right <= own.right):
+        raise ValueError("world does not extend the base graph")
+    if cls.is_identity():
+        return _canonical(base, cls.value, own.edge, biases)
     all_biases = dict(biases)
     all_biases.update(zip(cls.fresh_funs, cls.fresh_biases))
-    return canonicalize(base, class_world(cls), cls.value, all_biases)
+    ext = {(f, a): v for f, a, v in cls.ext_edges}
+    own_edge = own.edge
+    return _canonical(
+        base, cls.value, lambda f, a: ext[(f, a)] if (f, a) in ext else own_edge(f, a), all_biases)
 
 
 def bind(
@@ -626,9 +673,12 @@ def den_mem(
     alike on every atom, old or new, so its bias, which ``_fresh_bias``
     takes at ``graph`` with ``env`` as it is, is its answer on every atom
     of the row too, and the body runs once.  The class is read off the row
-    in closed form: the function takes the smallest label the world does
-    not use, and its row, in atom order, is the class's only fresh
-    structure, so ``canonicalize`` is not called."""
+    in closed form, and no world is built: the function takes the smallest
+    label the world does not use, and its row, in atom order, is the
+    class's only fresh structure, so ``canonicalize`` is not called.  The
+    world with the row is built by ``class_world`` where ``bind`` runs a
+    body there, and ``add_left_defined`` gives the function the same
+    label."""
     bias = _bias_state(graph, bias)
     atoms = sorted(graph.right)
     if binder in S.free_var_names(body):
@@ -640,9 +690,6 @@ def den_mem(
     else:
         new_bias = _fresh_bias(graph, env, binder, body, bias, table)
         row = dict.fromkeys(atoms, _edge(new_bias))
-    # nothing reads this world: a row is added to one because that is where
-    # membench/tracing.py counts the rows built (bigraph.rows_built)
-    graph.add_left_defined(row)
     (fun,) = B.smallest_free(1, graph.left)
     edges = tuple((fun, a, v) for a, v in row.items())
     return dirac(CanonicalClass(graph, O.FunV(fun), (fun,), (as_prob(new_bias),), (), edges))
@@ -751,20 +798,6 @@ def mem_phi(
 # Configuration denotation and the checkers
 
 
-def _closure_biases(closures: O.FrozenMap, world: B.TotalBigraph, table: Table) -> _CheckedBias:
-    """Bias of every function, derived from its closure at the world, as a
-    checked bias state.  Computed in creation order; a body can only
-    mention older functions, and wirings to unmentioned ones marginalize
-    out, so the 1/2 placeholder for not-yet-computed entries cannot
-    influence the result."""
-    biases: dict[int, Fraction] = {}
-    for fun in sorted(world.left):
-        closure = closures[fun]
-        lam = _bias_state(world, {f: biases.get(f, HALF) for f in world.left})
-        biases[fun] = _fresh_bias(world, closure.captured, closure.binder, closure.body, lam, table)
-    return _bias_state(world, biases)
-
-
 def _observed(result: FinDist[CanonicalClass], world: B.TotalBigraph, biases: BiasState) -> FinDist[CanonicalClass]:
     """A term's result moved onto ``world``, which differs from its base only
     on edges the term did not read, over the empty world, drawn.  A class
@@ -780,14 +813,23 @@ Leaves = list[tuple[Fraction, list[tuple[CanonicalClass, Fraction]]]]
 def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
     """Both weightings of a configuration's completions, from one pass:
     (chain rule, single bias), each as its weighted leaves, not yet mixed.
-    See ``den_config``.  The closure biases and chain-rule probabilities
-    are evaluated at every leaf, through ``table``.  When every leaf has
-    the same weight and the same observed world under both, the single-bias
+    See ``den_config``.  At every leaf, through ``table``, each function in
+    creation order takes its bias and the chain-rule probabilities of its
+    unsampled edges under one bias state, in which it and the younger
+    functions hold 1/2 placeholders; the edges the leaf assigned are
+    weighed as their functions come.  A leaf whose two weights are both 0
+    is left there, so no younger function's body and not the term runs at
+    it, and nothing they would raise is raised.  When every leaf has the
+    same weight and the same observed world under both, the single-bias
     leaves are the chain-rule list itself."""
     if O.memo_stack(config.term):
         raise ValueError("configuration denotation requires a marker-free term")
     graph, closures = config.graph, config.closures
     undef = graph.undefined_pairs()
+    funs = sorted(graph.left)
+    unsampled: dict[int, list[int]] = {fun: [] for fun in funs}
+    for fun, atom in sorted(undef):
+        unsampled[fun].append(atom)
     chain, single = [], []
     agree = True
     todo: list[dict[tuple[int, int], bool]] = [{}]
@@ -795,24 +837,41 @@ def _den_config(config: O.Configuration, table: Table) -> tuple[Leaves, Leaves]:
         assign = todo.pop()
         B.check_undefined_budget(len(assign))
         world = graph.completed(lambda pair: assign.get(pair, _UNASSIGNED))
+        biases: dict[int, Fraction] = {}
+        p: dict[tuple[int, int], Fraction] = {}
+        chain_w = single_w = ONE
+        result = None
         try:
-            biases = _closure_biases(closures, world, table)
-            p = {}
-            for fun, atom in sorted(undef):
+            for fun in funs:
+                # a body can only mention older functions, so the 1/2
+                # placeholders of this function and the younger ones cannot
+                # change its bias or its chain-rule probabilities: both are
+                # taken under this one state, and a binder-free body runs once
+                lam = _bias_state(world, {f: biases.get(f, HALF) for f in funs})
                 closure = closures[fun]
-                env = {**closure.captured, closure.binder: O.AtomV(atom)}
-                p[(fun, atom)] = prob_true(den_comp(closure.body, world, env, biases, table))
-            chain_w = single_w = ONE
-            for (fun, atom), bit in assign.items():
-                chain_w *= p[(fun, atom)] if bit else ONE - p[(fun, atom)]
-                single_w *= biases[fun] if bit else ONE - biases[fun]
-            if chain_w == ZERO and single_w == ZERO:
-                continue
-            result = den_comp(config.term, world, config.env, biases, table)
+                bias = biases[fun] = _fresh_bias(world, closure.captured, closure.binder, closure.body, lam, table)
+                weighed = False
+                for atom in unsampled[fun]:
+                    env = {**closure.captured, closure.binder: O.AtomV(atom)}
+                    chance = p[(fun, atom)] = prob_true(den_comp(closure.body, world, env, lam, table))
+                    bit = assign.get((fun, atom))
+                    if bit is not None:
+                        chain_w *= chance if bit else ONE - chance
+                        single_w *= bias if bit else ONE - bias
+                        weighed = True
+                if weighed and chain_w == ZERO and single_w == ZERO:
+                    # an event of probability 0 decides nothing: the leaf is
+                    # left before any younger function's body or the term runs
+                    break
+            else:
+                biases = _bias_state(world, biases)
+                result = den_comp(config.term, world, config.env, biases, table)
         except EdgeRead as read:
             if read.pair not in undef:
                 raise
             todo += [{**assign, read.pair: True}, {**assign, read.pair: False}]
+            continue
+        if result is None:
             continue
         if len(assign) == len(undef):
             # every unsampled edge was read: the leaf's world is the observed one

@@ -256,14 +256,20 @@ def _edges(g):
     return dict(g.edge_items())
 
 
+def _least_unused(labels):
+    """The smallest natural that is not a label: a new node's label, also
+    on a graph whose labels have gaps."""
+    return min(set(range(len(labels) + 1)) - labels)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(), st.data())
 def test_undef_derivations_are_partial_whatever_the_receiver(g, data):
-    fun = max(g.left, default=-1) + 1
+    fun = _least_unused(g.left)
     got, label = g.add_left_undef()
     assert label == fun
     _same(got, B.PartialBigraph(g.left | {fun}, g.right, {**_edges(g), **{(fun, a): None for a in g.right}}))
-    atom = max(g.right, default=-1) + 1
+    atom = _least_unused(g.right)
     got, label = g.add_right_undef()
     assert label == atom
     _same(got, B.PartialBigraph(g.left, g.right | {atom}, {**_edges(g), **{(f, atom): None for f in g.left}}))
@@ -282,15 +288,30 @@ def test_undef_derivations_are_partial_whatever_the_receiver(g, data):
 def test_defined_derivations_are_total(g, data):
     values = st.sampled_from([True, False, COIN])
     row = {a: data.draw(values) for a in g.right}
-    fun = max(g.left, default=-1) + 1
+    fun = _least_unused(g.left)
     got, label = g.add_left_defined(row)
     assert label == fun
     _same(got, B.TotalBigraph(g.left | {fun}, g.right, {**_edges(g), **{(fun, a): v for a, v in row.items()}}))
     column = {f: data.draw(values) for f in g.left}
-    atom = max(g.right, default=-1) + 1
+    atom = _least_unused(g.right)
     got, label = g.add_right_defined(column)
     assert label == atom
     _same(got, B.TotalBigraph(g.left, g.right | {atom}, {**_edges(g), **{(f, atom): v for f, v in column.items()}}))
+
+
+def test_a_gapped_graph_takes_its_smallest_unused_labels():
+    # the labels a cut terminal keeps may have gaps: a new node fills the
+    # first one, as a canonical class's fresh node does, not max + 1
+    g = B.TotalBigraph([0, 2], [1, 3], {(f, a): f < a for f in (0, 2) for a in (1, 3)})
+    row, fun = g.add_left_defined({1: True, 3: COIN})
+    column, atom = g.add_right_defined({0: False, 2: True})
+    assert (fun, atom) == (1, 0)
+    assert row.left == {0, 1, 2} and row.edge(1, 3) == COIN and row.edge(2, 1) is False
+    assert column.right == {0, 1, 3} and column.edge(2, 0) is True
+    partial = B.PartialBigraph([1], [0, 4], {(1, 0): None, (1, 4): True})
+    assert partial.add_left_undef()[1] == 0 and partial.add_right_undef()[1] == 1
+    assert B.smallest_free(3, [0, 2, 3, 6]) == [1, 4, 5]
+    assert B.smallest_free(2, frozenset(range(4))) == [4, 5] and B.smallest_free(1, ()) == [0]
 
 
 @settings(max_examples=60, deadline=None)

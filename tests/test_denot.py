@@ -702,6 +702,115 @@ def test_a_generated_binder_free_bias_equals_the_new_atom_construction(seed, che
     assert result == expected
 
 
+def reference_rebase(base, cls, biases):
+    """_rebase's construction with the class's world built: ``class_world``,
+    then ``canonicalize`` over base, with the class's fresh biases merged
+    into ``biases`` as _rebase merges them."""
+    all_biases = {**biases, **dict(zip(cls.fresh_funs, cls.fresh_biases))}
+    return D.canonicalize(base, D.class_world(cls), cls.value, all_biases)
+
+
+# a body whose classes hold a fresh atom and a fresh function of their own
+# besides x's value, each with edges to the nodes of x's class
+PAIRED = S.parse_program(
+    "let val y <- fresh() in let val k <- memfn z. let val b <- z == y in if b then flip(1/3) else flip(1/2) in "
+    "return (x, (y, k))")
+
+
+def rebase_cases(seed):
+    """(base, class, biases) as bind and _observed re-express them.  A
+    generated term is denoted at a _random_world world relabelled with gaps
+    and with some edges pending; each of its classes, drawn on a random
+    outcome of its pending edges half the time, is bound to x by ``bind``
+    in a second generated term and in PAIRED.  Every class a bind rebases
+    is recorded: over the world, and over the worlds of the binds inside.
+    Each class the outer bind rebases is also taken over the empty world,
+    as _observed takes a leaf's classes, with the biases of every function
+    of its base."""
+    rng = random.Random(seed)
+    graph, types, env = _random_world(rng)
+    graph, env = with_gaps(graph, env, rng)
+    bias = D._bias_state(graph, {f: Fraction(rng.randint(0, 4), 4) for f in graph.left})
+    outer = ProgramGen(rng, 2, 2, 2, 4).program_over(types)
+    inner = ProgramGen(rng, 2, 2, 2, 4).program_over({**types, "x": TC.type_of_comp(TC.TyCtx(types.items()), outer)})
+    try:
+        bound = D.den_comp(outer, graph, env, bias)
+    except (D.EdgeRead, D.FreshnessViolation):
+        return []
+    recorded = []
+    rebase = D._rebase
+
+    def recording(base, cls, biases):
+        recorded.append((base, cls, dict(biases)))
+        return rebase(base, cls, biases)
+
+    D._rebase = recording
+    try:
+        for cls, _ in bound.items():
+            pending = cls.pending()
+            if pending and rng.random() < 0.5:
+                cls = cls.drawn({pair: rng.random() < 0.5 for pair in pending})
+            for body in (inner, PAIRED):
+                try:
+                    D.bind(graph, bias, FinDist([(cls, ONE)]), "x", body, env)
+                except (D.EdgeRead, D.FreshnessViolation):
+                    pass
+    finally:
+        D._rebase = rebase
+    # the binds inside the second term rebase over worlds of their own; the
+    # outer bind's classes live over a world whose functions' biases are known
+    observed = [(EMPTY, cls, {**bias, **biases}) for base, cls, biases in recorded if base is graph]
+    return recorded + observed
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, 10**6))
+@example(25)  # a memfn's class at a world with no atom: a fresh function without edges
+def test_the_closed_form_rebase_equals_the_world_built_one(seed):
+    for base, cls, biases in rebase_cases(seed):
+        got, expected = D._rebase(base, cls, biases), reference_rebase(base, cls, biases)
+        assert got == expected and repr(got) == repr(expected)
+
+
+def test_rebase_cases_cover_what_rebase_meets():
+    # the seeds the property test draws from give booleans, each kind of
+    # fresh structure, pending edges, gapped bases and the empty base
+    cases = [case for seed in range(60) for case in rebase_cases(seed)]
+    values = [cls.value for _, cls, _ in cases]
+    assert any(type(v) is O.BoolV for v in values) and any(type(v) is O.PairV for v in values)
+    assert any(cls.fresh_funs for _, cls, _ in cases) and any(cls.fresh_atoms for _, cls, _ in cases)
+    assert any(cls.pending() for _, cls, _ in cases)
+    rebased = [D._rebase(base, cls, biases) for base, cls, biases in cases]
+    assert any(r.fresh_funs and r.fresh_atoms for r in rebased)
+    assert any(r.pending() for r in rebased)
+    bases = [base for base, _, _ in cases]
+    assert any(base is EMPTY for base in bases)
+    assert any(set(base.left) != set(range(len(base.left))) for base in bases)
+
+
+def test_a_binder_free_den_mem_builds_no_graph(monkeypatch):
+    # the row is read off the body's one answer, and the class is built in
+    # closed form: no graph is built until bind runs a body at the class's
+    # world, which class_world builds by adding the row, at the label the
+    # class holds, also where the world's labels have gaps
+    graph = B.TotalBigraph([0, 2], [1, 3, 4], dict.fromkeys(itertools.product([0, 2], [1, 3, 4]), True))
+    env = {"h": O.FunV(2), "c": O.AtomV(3)}
+    bias = {0: THIRD, 2: HALF}
+    sets, rows = [], []
+    set_graph, add_row = B.PartialBigraph._set, B.TotalBigraph.add_left_defined
+    monkeypatch.setattr(B.PartialBigraph, "_set", lambda g, *args: sets.append(g) or set_graph(g, *args))
+    monkeypatch.setattr(B.TotalBigraph, "add_left_defined", lambda g, row: rows.append(row) or add_row(g, row))
+    for text, edge in (("flip(1/3)", B.Pending(THIRD)), ("h @ c", True)):
+        sets.clear()
+        rows.clear()
+        ((cls, _),) = D.den_mem(graph, env, "x", S.parse_program(text), bias).items()
+        assert sets == [] and rows == []
+        assert cls.fresh_funs == (1,) and cls.ext_edges == tuple((1, a, edge) for a in (1, 3, 4))
+        world = D.class_world(cls)
+        assert sets == [world] and rows == [{1: edge, 3: edge, 4: edge}]
+        assert world == rebuilt_world(cls) and world.left == {0, 1, 2}
+
+
 def test_bind_keeps_the_booleans_of_one_unsplit_class_unmerged():
     # a fresh atom's class, with h's edge to it pending, is the whole bound
     # result: a boolean body's pairs are kept as they are, and equal the
@@ -803,15 +912,18 @@ def test_scaling_family_builds_linearly_many_rows_and_wirings(monkeypatch):
     # a fresh atom's class is built without a world, and a body that does
     # not read its binder takes its bias at its own world, so the wirings
     # are the new atoms _fresh_bias adds for a body that reads its binder:
-    # none in the scaling and chained families.  den_program on the scaling
-    # family builds 4 rows, f's once and g's in each of three runs of its
-    # let, whatever n is; check_soundness on the chained family builds one
-    # row per memfn, and on the reading family also one wiring per memfn in
-    # den_program.  Its one terminal returns a boolean, which reaches no
-    # closure, so the terminal is denoted at an empty memo-table and no
-    # closure bias is taken there
+    # none in the scaling and chained families.  den_mem builds no world: a
+    # row is built where bind runs a let body at a memfn's class, so the
+    # rows are the body runs.  den_program on the scaling family builds 6
+    # rows, whatever n is: f's let body runs three times (the first run
+    # reads f's pending edge at a0, and f's bind runs the body again on each
+    # outcome), and each run builds f's world and g's.  check_soundness on
+    # the chained family builds one row per memfn, and on the reading family
+    # also one wiring per memfn in den_program.  Its one terminal returns a
+    # boolean, which reaches no closure, so the terminal is denoted at an
+    # empty memo-table and no closure bias is taken there
     for family, n, run, rows, wirings in (
-        (scaling_family, 12, D.den_program, 4, 0),
+        (scaling_family, 12, D.den_program, 6, 0),
         (chained_family, 10, D.check_soundness, 10, 0),
         (reading_family, 10, D.check_soundness, 10, 10),
     ):
@@ -1066,16 +1178,17 @@ def test_check_soundness_denotes_a_shared_memo_table_once(monkeypatch):
 
 
 def test_check_soundness_runs_a_shared_body_once_per_bias_state(monkeypatch):
-    # the result reaches f and a, so f's unsampled edge to a stays, and f's
-    # body runs a third time: for the chain-rule probability at a, under
-    # the derived bias state, where the closure bias ran it under the
-    # placeholder one
+    # the result reaches f and a, so f's unsampled edge to a stays.  f's
+    # bias and its chain-rule probability at a are taken under one bias
+    # state, and f's body ignores its binder, so the probability is the
+    # bias's result, found in the table: the body runs once for den_program
+    # and once for the terminals
     p = shared_memo_table("(f, a)")
     terminals = O.enumerate_bigstep(p)
     assert len(terminals) == 4 and len({(c.graph, c.closures) for c in terminals.support()}) == 1
     thetas = counted_flips(monkeypatch)
     assert D.check_soundness(p).equal
-    assert thetas.count(THIRD) == 3
+    assert thetas.count(THIRD) == 2
 
 
 def family(n: int) -> S.Comp:
@@ -1333,16 +1446,18 @@ def test_a_closure_reached_through_a_capture_is_kept():
 def test_a_violation_only_an_unreachable_closure_shows_at_a_weight_0_leaf_is_not_raised():
     # g answers false on every atom, so den_program builds h where g @ a is
     # false.  The terminal leaves g @ a unsampled, and the leaf where it is
-    # true, of weight 0, makes h's body read its binder's wiring to f.  Only
-    # a terminal that reaches h takes h's bias there
+    # true, of weight 0, would make h's body read its binder's wiring to f.
+    # A terminal that does not reach h takes no bias of h; one that does
+    # leaves that leaf once g's chain-rule probability there gives it
+    # weight 0, before h's body runs
     prefix = (
         "let val a <- fresh() in let val f <- memfn x. flip(1/3) in "
         "let val g <- memfn x. flip(0) in "
         "let val h <- memfn y. let val c <- g @ a in if c then f @ y else flip(1/2) in "
     )
     assert D.check_soundness(S.parse_program(prefix + "return true")).equal
-    with pytest.raises(D.FreshnessViolation):
-        D.check_soundness(S.parse_program(prefix + "return h"))
+    report = D.check_soundness(S.parse_program(prefix + "return h"))
+    assert report.equal and report.bias_formula_agrees
 
 
 def test_check_soundness_logs_bias_formula_divergence():
@@ -1425,8 +1540,14 @@ def test_a_closure_bias_derivation_that_reads_an_unassigned_edge_keeps_nothing()
     )
     ((config, _),) = O.enumerate_bigstep(program).items()
     world = config.graph.completed(lambda pair: D._UNASSIGNED)
+    g = config.closures[1]
+    table = {}
     with pytest.raises(D.EdgeRead):
-        D._closure_biases(config.closures, world, {})
+        D._fresh_bias(world, g.captured, g.binder, g.body, {0: THIRD, 1: HALF}, table)
+    assert not any(table.values())
+    # _den_config splits on that edge and takes g's bias on each outcome
+    chain, _ = D._den_config(config, table)
+    assert sorted(w for w, _ in chain) == [THIRD, Fraction(2, 3)]
 
 
 # -- structural invariants --------------------------------------------------------

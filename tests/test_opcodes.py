@@ -83,3 +83,17 @@ def test_the_terminal_sums_count_repeats_and_is_part_of_the_checker():
     assert first > 1000
     assert tool.terminal_sums_count(programs) == first
     assert first < tool.warm_count(denot.check_soundness, programs)
+
+
+def test_the_worlds_built_counts_repeat():
+    # graphs built in one warm pass; _set is put back after each count
+    tool = _tool()
+    set_graph = tool.bigraph.PartialBigraph._set
+    for fn, programs in (
+        (denot.den_program, [tool.syntax.parse_program(tool.family_text(n)) for n in (1, 2, 3)]),
+        (denot.check_soundness, progen.soundness_corpus(5, 20243)),
+    ):
+        first = tool.worlds_built(fn, programs)
+        assert first > 0
+        assert tool.worlds_built(fn, programs) == first
+        assert tool.bigraph.PartialBigraph._set is set_graph

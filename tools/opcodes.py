@@ -3,7 +3,8 @@ one warm pass of the checker execute.
 
     python tools/opcodes.py
 
-Prints a JSON object with seven counts and one growth figure:
+Prints a JSON object with seven opcode counts, one growth figure and two
+counts of graphs built:
 
 - ``criterion6_check_soundness``: ``check_soundness`` over criterion 6's
   corpus, ``progen.soundness_corpus(200, 20243)``;
@@ -34,7 +35,12 @@ Prints a JSON object with seven counts and one growth figure:
   the least-squares slope of their log2 against n.  It is the opcode
   counterpart of fresh_denote's ``growth_log2_per_n``, which fits the log2
   of the same items' times over the same three sizes, and it reads the
-  same on every run.
+  same on every run;
+- ``family_worlds_built`` and ``criterion6_worlds_built``: the memo-table
+  graphs (``PartialBigraph._set`` calls) that one warm pass of
+  ``family_den_program`` and of ``criterion6_check_soundness`` builds:
+  every world, completion, slice and derived graph, whatever method
+  derives it.
 
 Each checker pass is counted with ``sys.settrace`` and
 ``frame.f_trace_opcodes`` after one untraced pass over the same program
@@ -63,7 +69,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from memlang import denot, opsem, progen, syntax, typecheck  # noqa: E402
+from memlang import bigraph, denot, opsem, progen, syntax, typecheck  # noqa: E402
 from membench.workloads import FAMILY_SIZES, family_text  # noqa: E402
 
 
@@ -109,6 +115,29 @@ def warm_count(fn, programs) -> int:
 
     run()
     return count_opcodes(run)
+
+
+def worlds_built(fn, programs) -> int:
+    """Graphs built (``PartialBigraph._set`` calls) by one pass of ``fn``
+    over ``programs``, after one uncounted pass.  The method is wrapped
+    only for the counted pass."""
+    for program in programs:
+        fn(program)
+    count = 0
+    original = bigraph.PartialBigraph._set
+
+    def counted(graph, *args):
+        nonlocal count
+        count += 1
+        return original(graph, *args)
+
+    bigraph.PartialBigraph._set = counted
+    try:
+        for program in programs:
+            fn(program)
+    finally:
+        bigraph.PartialBigraph._set = original
+    return count
 
 
 def family_growth() -> dict:
@@ -203,6 +232,8 @@ def main() -> None:
         "heavy_check_soundness": warm_count(denot.check_soundness, heavy_programs(50, 8)),
         "criterion6_terminal_sums": terminal_sums_count(corpus),
         "family_growth": family_growth(),
+        "family_worlds_built": worlds_built(denot.den_program, family),
+        "criterion6_worlds_built": worlds_built(denot.check_soundness, corpus),
     }
     print(json.dumps(counts, indent=1))
 
